@@ -356,6 +356,43 @@ def test_link_task_gradient_matches_finite_differences():
     assert err <= 1e-3
 
 
+@pytest.mark.parametrize("kind", ["regular", "recurrent"])
+@pytest.mark.parametrize("strategy,size", [("sequential", 3), ("t_batch", None),
+                                           ("fixed_parallel", 3)])
+def test_state_dropout_gradient_matches_finite_differences(kind, strategy, size):
+    # Fresh, identically seeded rngs on every forward pass repeat the same
+    # negatives and dropout masks, so the loss is a smooth function of the
+    # parameters and backward_full must match its finite differences. The
+    # warm-up states are larger than in the test above: at 0.1 some ReLU
+    # inputs sit within eps of the kink and some gradients near 1e-7, where
+    # central differences measure float64 noise instead of the gradient.
+    events = [
+        g.Event(index=k, src=s, dst=d, time=float(k), features=np.array([0.3, -0.2]))
+        for k, (s, d) in enumerate([(0, 3), (1, 4), (2, 3), (0, 4), (1, 3), (2, 4)])
+    ]
+    model = g.init_model(g.Rng(10), 3, 2, "link_ranking")
+    universe = np.array([3, 4])
+    batching = g.BatchingConfig(strategy, size)
+
+    def forward(record):
+        store = g.NodeStateStore.zeros(5, 3)
+        warm_rng = g.Rng(99)
+        for n in range(5):
+            store.states[n] = [0.5 * warm_rng.standard_normal() for _ in range(3)]
+        dropout_rng = g.Rng(41)
+        return g.forward_epoch(
+            events, model, store, batching, record=record, training=True,
+            rng=g.Rng(13), neg_universe=universe,
+            state_dropout=g.StateDropout(0.3, kind, dropout_rng),
+            mlp_dropout=0.2, dropout_rng=dropout_rng,
+        )
+
+    acc = g.backward_full(forward(True).tape, model)
+    err = g.finite_diff_check(lambda: forward(False).total_loss, model.named_params(),
+                              acc.buffers, eps=1e-5, max_coords_per_tensor=25, rng=g.Rng(1))
+    assert err <= 1e-3
+
+
 def test_grad_accumulator_zero_and_norm():
     model = g.init_model(g.Rng(0), 2, 1, "regression")
     acc = g.GradientAccumulator(model)

@@ -1,0 +1,99 @@
+"""Golden bits: per-epoch (mean_loss, grad_norm) pinned across versions.
+
+Every other equivalence test compares two code paths of the same version, so
+a refactor that moves a floating-point summation changes both sides alike and
+goes unnoticed. These values were recorded once and must not drift: a change
+here means the training arithmetic changed, not just its structure.
+"""
+
+import pytest
+
+import grnnlab as g
+from grnnlab.adamw import AdamwState
+from grnnlab.evalbench import load_jodie_csv, write_synthetic_linkstream
+
+EPOCHS = 3
+
+GOLDEN = {
+    "synth_f_bptt": [
+        "(0.4628958759402797, 26.7229584131799)",
+        "(0.3618528836271507, 12.984364204644185)",
+        "(0.32249157223659836, 22.75715269020517)",
+    ],
+    "synth_t_bptt": [
+        "(0.4628958759402797, 26.69402249217206)",
+        "(0.361818279654516, 12.924020896774758)",
+        "(0.322556087039414, 22.78001666399899)",
+    ],
+    "link_f_bptt_regular": [
+        "(1.386677442173313, 1.5083603274688613)",
+        "(1.38616737068895, 1.39847058142655)",
+        "(1.3865251956027764, 1.1612588370176915)",
+    ],
+    "link_t_bptt_regular": [
+        "(1.386677442173313, 1.432726279241403)",
+        "(1.3861441383053719, 1.4064750400587056)",
+        "(1.3865424796711041, 1.0768658544142908)",
+    ],
+    "link_f_bptt_recurrent": [
+        "(1.3862999378011096, 1.2299952571970685)",
+        "(1.3862038383282431, 2.439564865805431)",
+        "(1.3862422771583078, 0.8498539259127317)",
+    ],
+    "link_t_bptt_recurrent": [
+        "(1.3862999378011096, 1.2786554427750347)",
+        "(1.3862069219657236, 1.9622523741491642)",
+        "(1.3862665354265775, 0.7709453413002217)",
+    ],
+}
+
+
+def synth_curve(mode):
+    cfg = g.SyntheticConfig(memory=2, num_nodes=12, edges_per_epoch=60)
+    batching = g.BatchingConfig("sequential", None if mode == "f_bptt" else 1)
+    root = g.Rng(2024)
+    model = g.init_model(root.substream("init"), 5, 1, "regression")
+    opt = AdamwState(lr=1e-2, weight_decay=1e-4)
+    data_rng = root.substream("data")
+    store = g.NodeStateStore.zeros(cfg.num_nodes, model.m)
+    rows = []
+    for _ in range(EPOCHS):
+        events = g.generate_epoch(cfg, data_rng)
+        stats = g.train_epoch(events, model, opt, mode, batching, store=store)
+        rows.append(repr((stats["mean_loss"], stats["grad_norm"])))
+    return rows
+
+
+def link_curve(tmp_path, mode, kind):
+    path = str(tmp_path / "stream.csv")
+    write_synthetic_linkstream(path, num_events=120, num_users=15, num_items=6,
+                               feat_dim=2, seed=3)
+    dataset = load_jodie_csv(path)
+    root = g.Rng(31)
+    model = g.init_model(root.substream("init"), 4, dataset.feat_dim, "link_ranking")
+    opt = AdamwState(lr=5e-3, weight_decay=1e-3)
+    dropout_rng = root.substream("dropout")
+    neg_rng = root.substream("negatives")
+    state_dropout = g.StateDropout(0.2, kind, dropout_rng)
+    store = g.NodeStateStore.zeros(dataset.num_nodes, model.m)
+    rows = []
+    for _ in range(EPOCHS):
+        stats = g.train_epoch(
+            dataset.events, model, opt, mode, g.BatchingConfig("fixed_parallel", 16),
+            task="link_ranking", rng=neg_rng, neg_universe=dataset.destinations,
+            state_dropout=state_dropout, mlp_dropout=0.15, dropout_rng=dropout_rng,
+            store=store,
+        )
+        rows.append(repr((stats["mean_loss"], stats["grad_norm"])))
+    return rows
+
+
+@pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
+def test_synth_golden_bits(mode):
+    assert synth_curve(mode) == GOLDEN[f"synth_{mode}"]
+
+
+@pytest.mark.parametrize("kind", ["regular", "recurrent"])
+@pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
+def test_link_ranking_golden_bits(tmp_path, mode, kind):
+    assert link_curve(tmp_path, mode, kind) == GOLDEN[f"link_{mode}_{kind}"]
