@@ -8,15 +8,7 @@ benchmark pipeline.
 
 from .adamw import AdamwState, adamw_step
 from .batching import make_batches_fixed, make_batches_tbatch
-from .dropout import dropout_apply
-from .dynamics import (
-    StateDropout,
-    StepRecord,
-    apply_batch_parallel,
-    apply_events_sequential,
-    reset_states,
-    run_batch,
-)
+from .dynamics import StateDropout, StepRecord, run_batch
 from .engine import (
     BatchingConfig,
     EventTape,

@@ -25,33 +25,6 @@ class AdamwState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "step_count": self.step_count,
-            "m": {k: v.tolist() for k, v in self.m.items()},
-            "v": {k: v.tolist() for k, v in self.v.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict, params: dict[str, np.ndarray]) -> "AdamwState":
-        state = cls(
-            lr=d["lr"],
-            weight_decay=d["weight_decay"],
-            beta1=d["beta1"],
-            beta2=d["beta2"],
-            eps=d["eps"],
-            step_count=d["step_count"],
-        )
-        for name, p in params.items():
-            state.m[name] = np.asarray(d["m"][name]).reshape(p.shape)
-            state.v[name] = np.asarray(d["v"][name]).reshape(p.shape)
-        return state
-
 
 def adamw_step(
     state: AdamwState,

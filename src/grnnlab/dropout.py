@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
 from .rng import Rng
-
-KINDS = ("regular", "recurrent")
 
 
 def make_keep_mask(rng: Rng, size: int, rate: float) -> np.ndarray:
@@ -35,29 +32,3 @@ def recurrent_mix(
     """Elementwise: prev where the mask drops, new where it keeps."""
     keep = make_keep_mask(rng, new.size, rate)
     return np.where(keep, new, prev), keep
-
-
-def dropout_apply(
-    vec: np.ndarray,
-    prev: np.ndarray | None,
-    rate: float,
-    kind: str,
-    rng: Rng,
-    training: bool,
-) -> np.ndarray:
-    if kind not in KINDS:
-        raise ParameterError(f"unknown dropout kind {kind!r}")
-    # rate = 1 is well-defined only for the recurrent mix (always keep prev);
-    # the regular kind's 1/(1-rate) rescale diverges there.
-    limit_ok = rate <= 1.0 if kind == "recurrent" else rate < 1.0
-    if not (0.0 <= rate and limit_ok):
-        raise ParameterError(f"dropout rate {rate} out of range for kind {kind!r}")
-    if kind == "recurrent" and prev is None:
-        raise ParameterError("recurrent dropout requires the previous state")
-    if not training or rate == 0.0:
-        return vec
-    if kind == "regular":
-        out, _ = regular_dropout(vec, rate, rng)
-    else:
-        out, _ = recurrent_mix(vec, prev, rate, rng)
-    return out

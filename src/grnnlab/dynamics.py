@@ -33,7 +33,8 @@ from .mlp import MlpCache
 from .model import GrnnModel
 from .rng import Rng
 
-Slot = tuple["StepRecord", str]  # (producing record, "src" | "dst")
+ROLES = ("src", "dst")
+Slot = tuple["StepRecord", str]  # (producing record, role)
 
 
 @dataclass
@@ -66,7 +67,8 @@ class StepRecord:
     h_dst_pre: np.ndarray
     src_slot: Slot | None
     dst_slot: Slot | None
-    # update payloads; None when this event does not update that endpoint
+    # update payloads, one per role; None when this event does not update
+    # that endpoint
     cache_src: GruCache | None = None
     cache_dst: GruCache | None = None
     h_src_post: np.ndarray | None = None
@@ -86,17 +88,6 @@ class StepRecord:
     grad_logit_pred: float = 0.0
     neg_cache: MlpCache | None = None
     grad_logit_neg: float = 0.0
-
-
-def _update_node(
-    model: GrnnModel,
-    role: str,
-    h_own: np.ndarray,
-    h_counterparty: np.ndarray,
-    features: np.ndarray,
-) -> tuple[np.ndarray, GruCache]:
-    params, _ = model.gru_for_role(role)
-    return gru_forward(params, h_own, np.concatenate((h_counterparty, features)))
 
 
 def _apply_state_dropout(
@@ -139,6 +130,9 @@ def run_batch(
             src_slot=producers.get(ev.src),
             dst_slot=producers.get(ev.dst),
         )
+        if state_dropout is not None:
+            rec.drop_kind = state_dropout.kind
+            rec.drop_rate = state_dropout.rate
         if extra_reads is not None and extra_reads[pos] is not None:
             node = extra_reads[pos]
             store.check_node(node)
@@ -147,16 +141,15 @@ def run_batch(
             rec.extra_slot = producers.get(node)
         records.append(rec)
         if sequential:
-            _update_step(store, producers, rec, model, record, state_dropout,
-                         update_src=True, update_dst=True)
+            for role in ROLES:
+                _update_step(store, producers, rec, model, record, state_dropout, role)
 
     if not sequential:
-        for pos, (ev, rec) in enumerate(zip(batch.events, records)):
-            _update_step(
-                store, producers, rec, model, record, state_dropout,
-                update_src=batch.last_event_per_node[ev.src] == pos,
-                update_dst=batch.last_event_per_node[ev.dst] == pos,
-            )
+        last = batch.last_event_per_node
+        for pos, rec in enumerate(records):
+            for role, node in zip(ROLES, (rec.event.src, rec.event.dst)):
+                if last[node] == pos:
+                    _update_step(store, producers, rec, model, record, state_dropout, role)
     return records
 
 
@@ -167,57 +160,21 @@ def _update_step(
     model: GrnnModel,
     record: bool,
     state_dropout: StateDropout | None,
-    update_src: bool,
-    update_dst: bool,
+    role: str,
 ) -> None:
+    """Update one endpoint of rec's event and fill rec's fields for that
+    role; the GRU input is the counterparty's pre-update state."""
     ev = rec.event
-    if state_dropout is not None:
-        rec.drop_kind = state_dropout.kind
-        rec.drop_rate = state_dropout.rate
-    if update_src:
-        h_new, cache = _update_node(model, "src", rec.h_src_pre, rec.h_dst_pre, ev.features)
-        h_new, mask = _apply_state_dropout(h_new, rec.h_src_pre, state_dropout)
-        rec.h_src_post = h_new
-        rec.drop_mask_src = mask
-        if record:
-            rec.cache_src = cache
-        store.set_state(ev.src, h_new, ev.index)
-        producers[ev.src] = (rec, "src")
-    if update_dst:
-        h_new, cache = _update_node(model, "dst", rec.h_dst_pre, rec.h_src_pre, ev.features)
-        h_new, mask = _apply_state_dropout(h_new, rec.h_dst_pre, state_dropout)
-        rec.h_dst_post = h_new
-        rec.drop_mask_dst = mask
-        if record:
-            rec.cache_dst = cache
-        store.set_state(ev.dst, h_new, ev.index)
-        producers[ev.dst] = (rec, "dst")
-
-
-def apply_events_sequential(
-    store: NodeStateStore,
-    events: list[Event],
-    model: GrnnModel,
-    producers: dict[int, Slot] | None = None,
-    record: bool = False,
-) -> list[StepRecord]:
-    """Strictly serial processing of a whole event list."""
-    batch = Batch(events=list(events), strategy="sequential", index=0)
-    return run_batch(store, producers if producers is not None else {}, batch, model, record)
-
-
-def apply_batch_parallel(
-    store: NodeStateStore,
-    batch: Batch,
-    model: GrnnModel,
-    producers: dict[int, Slot] | None = None,
-    record: bool = False,
-) -> list[StepRecord]:
-    """Parallel-semantics processing of one pre-built batch."""
-    if batch.strategy == "sequential":
-        raise ParameterError("apply_batch_parallel needs a t_batch or fixed_parallel batch")
-    return run_batch(store, producers if producers is not None else {}, batch, model, record)
-
-
-def reset_states(store: NodeStateStore) -> NodeStateStore:
-    return store.reset()
+    if role == "src":
+        node, h_own, h_other = ev.src, rec.h_src_pre, rec.h_dst_pre
+    else:
+        node, h_own, h_other = ev.dst, rec.h_dst_pre, rec.h_src_pre
+    params, _ = model.gru_for_role(role)
+    h_new, cache = gru_forward(params, h_own, np.concatenate((h_other, ev.features)))
+    h_new, mask = _apply_state_dropout(h_new, h_own, state_dropout)
+    setattr(rec, "h_" + role + "_post", h_new)
+    setattr(rec, "drop_mask_" + role, mask)
+    if record:
+        setattr(rec, "cache_" + role, cache)
+    store.set_state(node, h_new, ev.index)
+    producers[node] = (rec, role)

@@ -20,7 +20,9 @@ there. Per-parameter gradients from all batches are summed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -85,9 +87,8 @@ def build_batches(events: list[Event], cfg: BatchingConfig) -> list[Batch]:
 class EventTape:
     """Ordered per-event records; batch boundaries live on the records."""
 
-    def __init__(self, recorded: bool = True):
+    def __init__(self):
         self.records: list[StepRecord] = []
-        self.recorded = recorded
 
     def __len__(self) -> int:
         return len(self.records)
@@ -96,14 +97,7 @@ class EventTape:
         self.records.extend(records)
 
     def batch_groups(self) -> list[list[StepRecord]]:
-        groups: list[list[StepRecord]] = []
-        current_idx = None
-        for rec in self.records:
-            if rec.batch_index != current_idx:
-                groups.append([])
-                current_idx = rec.batch_index
-            groups[-1].append(rec)
-        return groups
+        return [list(group) for _, group in groupby(self.records, lambda rec: rec.batch_index)]
 
 
 class GradientAccumulator:
@@ -174,10 +168,39 @@ def _predict_and_score(
     return batch_loss
 
 
-def _sample_negatives(
-    batch: Batch, neg_universe: np.ndarray, rng: Rng
-) -> list[int]:
-    return [int(neg_universe[rng.randrange(len(neg_universe))]) for _ in batch.events]
+def _forward_batches(
+    events: list[Event],
+    model: GrnnModel,
+    store: NodeStateStore,
+    batching: BatchingConfig,
+    producers: dict[int, Slot],
+    record: bool,
+    task: str | None,
+    training: bool = False,
+    rng: Rng | None = None,
+    neg_universe: np.ndarray | None = None,
+    state_dropout: StateDropout | None = None,
+    mlp_dropout: float = 0.0,
+    dropout_rng: Rng | None = None,
+) -> Iterator[tuple[list[StepRecord], float]]:
+    """The epoch's batch loop: yields each batch's records and summed loss
+    as soon as the batch is forwarded. task None runs the state dynamics
+    only (no negatives, no predictions)."""
+    if task == "link_ranking" and (neg_universe is None or rng is None):
+        raise ConfigError("link_ranking forward needs a negative universe and rng")
+    for batch in build_batches(events, batching):
+        extra = None
+        if task == "link_ranking":
+            extra = [int(neg_universe[rng.randrange(len(neg_universe))]) for _ in batch.events]
+        records = run_batch(
+            store, producers, batch, model,
+            record=record,
+            state_dropout=state_dropout,
+            extra_reads=extra,
+        )
+        yield records, 0.0 if task is None else _predict_and_score(
+            records, model, task, training, mlp_dropout, dropout_rng
+        )
 
 
 def forward_epoch(
@@ -193,25 +216,19 @@ def forward_epoch(
     mlp_dropout: float = 0.0,
     dropout_rng: Rng | None = None,
     training: bool = False,
-    producers: dict[int, Slot] | None = None,
 ) -> EpochForward:
     """Process all batches, returning summed loss, per-event losses, tape."""
-    task = task or model.task
-    if task == "link_ranking" and (neg_universe is None or rng is None):
-        raise ConfigError("link_ranking forward needs a negative universe and rng")
-    producers = {} if producers is None else producers
-    tape = EventTape(recorded=record) if record else None
+    tape = EventTape() if record else None
     total = 0.0
     losses: list[float] = []
-    for batch in build_batches(events, batching):
-        extra = _sample_negatives(batch, neg_universe, rng) if task == "link_ranking" else None
-        records = run_batch(
-            store, producers, batch, model,
-            record=record,
-            state_dropout=state_dropout if training else None,
-            extra_reads=extra,
-        )
-        total += _predict_and_score(records, model, task, training, mlp_dropout, dropout_rng)
+    for records, batch_loss in _forward_batches(
+        events, model, store, batching, {},
+        record=record, task=task or model.task, training=training,
+        rng=rng, neg_universe=neg_universe,
+        state_dropout=state_dropout if training else None,
+        mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
+    ):
+        total += batch_loss
         losses.extend(rec.loss for rec in records)
         if record:
             tape.extend(records)
@@ -226,9 +243,8 @@ def advance_states(
 ) -> None:
     """Run the state dynamics only (no predictions, no tape); used to warm
     stores before evaluation."""
-    producers: dict[int, Slot] = {}
-    for batch in build_batches(events, batching):
-        run_batch(store, producers, batch, model, record=False)
+    for _ in _forward_batches(events, model, store, batching, {}, record=False, task=None):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -258,62 +274,69 @@ def _add(into: np.ndarray | None, g: np.ndarray) -> np.ndarray:
     return into
 
 
+def _backward_update(
+    rec: StepRecord,
+    role: str,
+    g_out: np.ndarray,
+    model: GrnnModel,
+    buffers: dict[str, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Backward through one endpoint update: its state dropout, then its GRU
+    application, whose parameter gradients go into buffers.
+
+    Returns the gradients onto the own pre-update state (through the GRU,
+    then the recurrent-mix passthrough or None) and onto the counterparty's.
+    """
+    cache = getattr(rec, "cache_" + role)
+    if cache is None:
+        raise StructuralError("gradient reached an update whose GRU cache was not kept")
+    g_new, g_pass = _dropout_backward(
+        g_out, getattr(rec, "drop_mask_" + role), rec.drop_kind, rec.drop_rate
+    )
+    params, prefix = model.gru_for_role(role)
+    _, gh_prev, gx_in = gru_backward(params, cache, g_new, buffers, prefix)
+    return gh_prev, g_pass, gx_in[: model.m]
+
+
 def _backward_records(
     records: list[StepRecord],
     model: GrnnModel,
     buffers: dict[str, np.ndarray],
-    slot_grads: dict[tuple[int, str], np.ndarray],
     truncate: bool,
 ) -> None:
     """Reverse sweep over one contiguous record span (a batch, or the whole
     tape when called with truncate=False)."""
     m = model.m
+    slot_grads: dict[tuple[int, str], np.ndarray] = {}  # produced-state grads
     for rec in reversed(records):
-        g_src_out = slot_grads.pop((id(rec), "src"), None)
-        g_dst_out = slot_grads.pop((id(rec), "dst"), None)
-
-        g_src = None  # grad w.r.t. h_src_pre
-        g_dst = None
+        g_pre = {"src": None, "dst": None}  # grads w.r.t. the pre-update states
         g_extra = None
 
         # prediction path
         if rec.pred_cache is not None:
             _, gx = mlp_backward(model.mlp, rec.pred_cache, rec.grad_logit_pred, buffers, "mlp.")
-            g_src = gx[:m].copy()
-            g_dst = gx[m : 2 * m].copy()
+            g_pre["src"] = gx[:m].copy()
+            g_pre["dst"] = gx[m : 2 * m].copy()
         if rec.neg_cache is not None:
             _, gx = mlp_backward(model.mlp, rec.neg_cache, rec.grad_logit_neg, buffers, "mlp.")
-            g_src = _add(g_src, gx[:m])
+            g_pre["src"] = _add(g_pre["src"], gx[:m])
             g_extra = gx[m : 2 * m].copy()
 
-        # own state updates
-        if g_src_out is not None:
-            if rec.cache_src is None:
-                raise StructuralError("gradient arrived at an unrecorded update")
-            g_new, g_prev = _dropout_backward(
-                g_src_out, rec.drop_mask_src, rec.drop_kind, rec.drop_rate
-            )
-            params, prefix = model.gru_for_role("src")
-            _, gh_prev, gx_in = gru_backward(params, rec.cache_src, g_new, buffers, prefix)
-            g_src = _add(g_src, gh_prev)
-            if g_prev is not None:
-                g_src = _add(g_src, g_prev)
-            g_dst = _add(g_dst, gx_in[:m])
-        if g_dst_out is not None:
-            if rec.cache_dst is None:
-                raise StructuralError("gradient arrived at an unrecorded update")
-            g_new, g_prev = _dropout_backward(
-                g_dst_out, rec.drop_mask_dst, rec.drop_kind, rec.drop_rate
-            )
-            params, prefix = model.gru_for_role("dst")
-            _, gh_prev, gx_in = gru_backward(params, rec.cache_dst, g_new, buffers, prefix)
-            g_dst = _add(g_dst, gh_prev)
-            if g_prev is not None:
-                g_dst = _add(g_dst, g_prev)
-            g_src = _add(g_src, gx_in[:m])
+        # own state updates (later records have finished adding to their slots)
+        for role, other in (("src", "dst"), ("dst", "src")):
+            g_out = slot_grads.pop((id(rec), role), None)
+            if g_out is None:
+                continue
+            gh_prev, g_pass, g_other = _backward_update(rec, role, g_out, model, buffers)
+            g_pre[role] = _add(g_pre[role], gh_prev)
+            if g_pass is not None:
+                g_pre[role] = _add(g_pre[role], g_pass)
+            g_pre[other] = _add(g_pre[other], g_other)
 
         # route gradients on consumed states to their producers
-        for slot, g in ((rec.src_slot, g_src), (rec.dst_slot, g_dst), (rec.extra_slot, g_extra)):
+        for slot, g in (
+            (rec.src_slot, g_pre["src"]), (rec.dst_slot, g_pre["dst"]), (rec.extra_slot, g_extra)
+        ):
             if slot is None or g is None:
                 continue  # epoch-initial state (constant) or no gradient
             prod, role = slot
@@ -324,41 +347,21 @@ def _backward_records(
                 else:
                     slot_grads[key] = g
             else:
-                _one_hop_tail(prod, role, g, model, buffers)
-
-
-def _one_hop_tail(
-    prod: StepRecord,
-    role: str,
-    g: np.ndarray,
-    model: GrnnModel,
-    buffers: dict[str, np.ndarray],
-) -> None:
-    """Cross-boundary gradient: enter the producing update, then stop.
-
-    The producing GRU application contributes parameter gradients; its own
-    state inputs (and any recurrent-dropout passthrough) are constants.
-    """
-    cache = prod.cache_src if role == "src" else prod.cache_dst
-    mask = prod.drop_mask_src if role == "src" else prod.drop_mask_dst
-    if cache is None:
-        raise StructuralError("gradient arrived at an unrecorded update")
-    g_new, _ = _dropout_backward(g, mask, prod.drop_kind, prod.drop_rate)
-    params, prefix = model.gru_for_role(role)
-    gru_backward(params, cache, g_new, buffers, prefix)
+                # cross-boundary one-hop tail: the producing update adds its
+                # parameter gradients, but its state inputs are constants
+                _backward_update(prod, role, g, model, buffers)
 
 
 def _check_tape(tape: EventTape) -> None:
-    if tape is None or not tape.recorded:
-        raise StructuralError("backward pass needs a tape recorded with record=True")
+    if tape is None:
+        raise StructuralError("backward pass needs the tape of a forward pass with record=True")
 
 
 def backward_full(tape: EventTape, model: GrnnModel) -> GradientAccumulator:
     """Exact reverse-mode sweep across the entire epoch."""
     _check_tape(tape)
     acc = GradientAccumulator(model)
-    slot_grads: dict[tuple[int, str], np.ndarray] = {}
-    _backward_records(tape.records, model, acc.buffers, slot_grads, truncate=False)
+    _backward_records(tape.records, model, acc.buffers, truncate=False)
     acc.event_count = len(tape.records)
     acc.loss_total = sum(rec.loss for rec in tape.records)
     return acc
@@ -369,8 +372,7 @@ def backward_truncated(tape: EventTape, model: GrnnModel) -> GradientAccumulator
     _check_tape(tape)
     acc = GradientAccumulator(model)
     for group in tape.batch_groups():
-        slot_grads: dict[tuple[int, str], np.ndarray] = {}
-        _backward_records(group, model, acc.buffers, slot_grads, truncate=True)
+        _backward_records(group, model, acc.buffers, truncate=True)
     acc.event_count = len(tape.records)
     acc.loss_total = sum(rec.loss for rec in tape.records)
     return acc
@@ -439,26 +441,16 @@ def train_epoch(
         total_loss = 0.0
         peak_live = 0
         grad_norms: list[float] = []
-        for batch in build_batches(events, batching):
-            extra = (
-                _sample_negatives(batch, neg_universe, rng)
-                if task == "link_ranking"
-                else None
-            )
-            records = run_batch(
-                store, producers, batch, model,
-                record=True,
-                state_dropout=state_dropout,
-                extra_reads=extra,
-            )
-            batch_loss = _predict_and_score(
-                records, model, task, True, mlp_dropout, dropout_rng
-            )
+        for records, batch_loss in _forward_batches(
+            events, model, store, batching, producers,
+            record=True, task=task, training=True,
+            rng=rng, neg_universe=neg_universe, state_dropout=state_dropout,
+            mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
+        ):
             total_loss += batch_loss
             acc.event_count += len(records)
             acc.loss_total += batch_loss
-            slot_grads: dict[tuple[int, str], np.ndarray] = {}
-            _backward_records(records, model, acc.buffers, slot_grads, truncate=True)
+            _backward_records(records, model, acc.buffers, truncate=True)
             live_producers = {id(slot[0]) for slot in producers.values()}
             peak_live = max(peak_live, len(records) + len(live_producers))
             if step_per_batch:

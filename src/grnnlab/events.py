@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, ParameterError, StructuralError
-
-STORE_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,32 +84,6 @@ class NodeStateStore:
     def copy(self) -> "NodeStateStore":
         return NodeStateStore(self.states.copy(), self.last_update_event.copy())
 
-    # serialization ---------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        payload = {
-            "version": STORE_FORMAT_VERSION,
-            "num_nodes": self.num_nodes,
-            "state_dim": self.m,
-            "states": self.states.reshape(-1).tolist(),
-            "last_update_event": self.last_update_event.tolist(),
-        }
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "NodeStateStore":
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("version") != STORE_FORMAT_VERSION:
-            raise DataError(f"unsupported store format version {payload.get('version')}")
-        n, m = payload["num_nodes"], payload["state_dim"]
-        states = np.asarray(payload["states"], dtype=np.float64).reshape(n, m)
-        last = np.asarray(payload["last_update_event"], dtype=np.int64)
-        return cls(states=states, last_update_event=last)
-
 
 @dataclass
 class Batch:
@@ -138,10 +108,3 @@ class Batch:
             for pos, ev in enumerate(self.events):
                 self.last_event_per_node[ev.src] = pos
                 self.last_event_per_node[ev.dst] = pos
-
-    def node_ids(self) -> set[int]:
-        ids: set[int] = set()
-        for ev in self.events:
-            ids.add(ev.src)
-            ids.add(ev.dst)
-        return ids

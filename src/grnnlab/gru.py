@@ -65,16 +65,6 @@ class GruParameters:
             prefix + "bn": self.bn,
         }
 
-    def check_shapes(self) -> None:
-        m = self.m
-        cols = self.wz.shape[1]
-        for w in (self.wz, self.wr, self.wn):
-            if w.shape != (m, cols):
-                raise StructuralError(f"gate matrix shape {w.shape} != ({m}, {cols})")
-        for b in (self.bz, self.br, self.bn):
-            if b.shape != (m,):
-                raise StructuralError(f"bias shape {b.shape} != ({m},)")
-
 
 def init_gru_parameters(rng: Rng, m: int, d_in: int) -> GruParameters:
     """Entries uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases zero."""

@@ -102,13 +102,3 @@ class Rng:
 
     def choice(self, items):
         return items[self.randrange(len(items))]
-
-    # checkpointing ---------------------------------------------------------
-
-    def get_state(self) -> dict:
-        return {"seed": self.seed, "state": self._state, "gauss": self._gauss}
-
-    def set_state(self, state: dict) -> None:
-        self.seed = int(state["seed"]) & _MASK64
-        self._state = int(state["state"]) & _MASK64
-        self._gauss = state["gauss"]

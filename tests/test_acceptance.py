@@ -18,7 +18,7 @@ import grnnlab as g
 from grnnlab.adamw import AdamwState
 from grnnlab.batching import assert_tbatch_valid, make_batches_fixed, make_batches_tbatch
 from grnnlab.cli import main as cli_main
-from grnnlab.dynamics import apply_batch_parallel, apply_events_sequential
+from grnnlab.dynamics import run_batch
 from grnnlab.evalbench import (
     SearchSpace,
     TrialConfig,
@@ -125,18 +125,18 @@ def test_criterion_3_batching_equivalence():
         model = g.init_model(rng.substream("init"), m, 1, "regression")
 
         s_seq = g.NodeStateStore.zeros(n_nodes, m)
-        apply_events_sequential(s_seq, events, model)
+        run_batch(s_seq, {}, g.Batch(events=list(events), strategy="sequential"), model)
 
         s_tb = g.NodeStateStore.zeros(n_nodes, m)
         producers = {}
         for batch in make_batches_tbatch(events):
             assert_tbatch_valid(batch)
-            apply_batch_parallel(s_tb, batch, model, producers)
+            run_batch(s_tb, producers, batch, model)
 
         s_p1 = g.NodeStateStore.zeros(n_nodes, m)
         producers = {}
         for batch in make_batches_fixed(events, 1):
-            apply_batch_parallel(s_p1, batch, model, producers)
+            run_batch(s_p1, producers, batch, model)
 
         assert np.array_equal(s_seq.states, s_tb.states)
         assert np.array_equal(s_seq.states, s_p1.states)
@@ -300,7 +300,6 @@ def test_criterion_8_command_determinism(tmp_path):
         "edges_per_epoch": 15,
         "summary_window": 3,
         "mode": "both",
-        "threads": 2,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))

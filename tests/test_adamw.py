@@ -67,13 +67,3 @@ def test_shape_mismatch_raises():
     state = AdamwState()
     with pytest.raises(g.StructuralError):
         adamw_step(state, {"w": np.zeros(3)}, {"w": np.zeros(4)})
-
-
-def test_state_serialization_roundtrip():
-    params = small_params(g.Rng(3))
-    state = AdamwState(lr=2e-3, weight_decay=1e-4)
-    adamw_step(state, params, {"w": np.ones_like(params["w"])})
-    restored = AdamwState.from_dict(state.to_dict(), params)
-    assert restored.step_count == state.step_count
-    assert np.array_equal(restored.m["w"], state.m["w"])
-    assert np.array_equal(restored.v["w"], state.v["w"])

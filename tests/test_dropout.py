@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import grnnlab as g
-from grnnlab.dropout import dropout_apply
+from grnnlab.dropout import recurrent_mix, regular_dropout
 
 
 def vec(n, seed=0):
@@ -13,21 +13,32 @@ def vec(n, seed=0):
 def test_rate_zero_is_identity_for_both_kinds():
     v = vec(20)
     prev = vec(20, seed=1)
-    for kind in ("regular", "recurrent"):
-        out = dropout_apply(v, prev, 0.0, kind, g.Rng(0), training=True)
-        assert np.array_equal(out, v)
+    out, _ = regular_dropout(v, 0.0, g.Rng(0))
+    assert np.array_equal(out, v)
+    out, _ = recurrent_mix(v, prev, 0.0, g.Rng(0))
+    assert np.array_equal(out, v)
 
 
 def test_inference_mode_is_identity():
-    v = vec(20)
-    out = dropout_apply(v, None, 0.5, "regular", g.Rng(0), training=False)
-    assert np.array_equal(out, v)
+    # outside training, a forward pass leaves state dropout off and draws no mask
+    cfg = g.SyntheticConfig(memory=1, num_nodes=5, edges_per_epoch=12)
+    events = g.generate_epoch(cfg, g.Rng(0).substream("data"))
+    model = g.init_model(g.Rng(0), 3, 1, "regression")
+    batching = g.BatchingConfig("sequential", None)
+    plain = g.NodeStateStore.zeros(5, 3)
+    g.forward_epoch(events, model, plain, batching, record=False)
+    rng = g.Rng(0)
+    dropped = g.NodeStateStore.zeros(5, 3)
+    g.forward_epoch(events, model, dropped, batching, record=False, training=False,
+                    state_dropout=g.StateDropout(0.5, "regular", rng))
+    assert np.array_equal(dropped.states, plain.states)
+    assert rng.next_u64() == g.Rng(0).next_u64()
 
 
 def test_regular_mask_statistics():
     n = 100_000
     v = vec(n, seed=2)
-    out = dropout_apply(v, None, 0.3, "regular", g.Rng(7), training=True)
+    out, _ = regular_dropout(v, 0.3, g.Rng(7))
     zero_fraction = float((out == 0).mean())
     assert abs(zero_fraction - 0.3) < 0.01
     # inverted dropout preserves the expectation over the whole vector
@@ -39,8 +50,9 @@ def test_regular_mask_statistics():
 def test_recurrent_extremes_are_exact():
     v = vec(30, seed=3)
     prev = vec(30, seed=4)
-    assert np.array_equal(dropout_apply(v, prev, 0.0, "recurrent", g.Rng(0), True), v)
-    out = dropout_apply(v, prev, 1.0, "recurrent", g.Rng(0), True)
+    out, _ = recurrent_mix(v, prev, 0.0, g.Rng(0))
+    assert np.array_equal(out, v)
+    out, _ = recurrent_mix(v, prev, 1.0, g.Rng(0))
     assert np.array_equal(out, prev)
 
 
@@ -48,28 +60,21 @@ def test_recurrent_mixes_without_rescaling():
     n = 50_000
     v = np.ones(n)
     prev = np.zeros(n)
-    out = dropout_apply(v, prev, 0.25, "recurrent", g.Rng(9), training=True)
+    out, _ = recurrent_mix(v, prev, 0.25, g.Rng(9))
     assert set(np.unique(out)) <= {0.0, 1.0}  # values taken verbatim, no scaling
     kept_fraction = out.mean()
     assert abs(kept_fraction - 0.75) < 0.01
 
 
 def test_parameter_errors():
-    v = vec(4)
-    with pytest.raises(g.ParameterError):
-        dropout_apply(v, None, 1.0, "regular", g.Rng(0), True)
-    with pytest.raises(g.ParameterError):
-        dropout_apply(v, None, -0.1, "regular", g.Rng(0), True)
-    with pytest.raises(g.ParameterError):
-        dropout_apply(v, None, 1.1, "recurrent", g.Rng(0), True)
-    with pytest.raises(g.ParameterError):
-        dropout_apply(v, None, 0.5, "recurrent", g.Rng(0), True)  # prev missing
-    with pytest.raises(g.ParameterError):
-        dropout_apply(v, v, 0.5, "banana", g.Rng(0), True)
+    for rate, kind in ((1.0, "regular"), (-0.1, "regular"), (1.1, "recurrent"),
+                       (0.5, "banana")):
+        with pytest.raises(g.ParameterError):
+            g.StateDropout(rate, kind, g.Rng(0))
 
 
 def test_deterministic_given_rng():
     v = vec(100, seed=5)
-    a = dropout_apply(v, None, 0.4, "regular", g.Rng(33), True)
-    b = dropout_apply(v, None, 0.4, "regular", g.Rng(33), True)
+    a, _ = regular_dropout(v, 0.4, g.Rng(33))
+    b, _ = regular_dropout(v, 0.4, g.Rng(33))
     assert np.array_equal(a, b)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import grnnlab as g
 from grnnlab.batching import make_batches_fixed, make_batches_tbatch
-from grnnlab.dynamics import apply_batch_parallel, apply_events_sequential, reset_states
+from grnnlab.dynamics import run_batch
 from grnnlab.gru import GruParameters, gru_forward
 
 from test_batching import make_events, random_pairs
@@ -22,10 +22,14 @@ def zero_gru_model(m=3):
     return model
 
 
+def sequential(events):
+    return g.Batch(events=list(events), strategy="sequential")
+
+
 def test_zero_weight_gru_keeps_zero_store_unchanged():
     model = zero_gru_model()
     store = g.NodeStateStore.zeros(4, 3)
-    apply_events_sequential(store, make_events([(0, 1)]), model)
+    run_batch(store, {}, sequential(make_events([(0, 1)])), model)
     assert np.all(store.states == 0)  # 0.5 * 0 stays 0
     assert store.last_update_event[0] == 0 and store.last_update_event[1] == 0
     assert store.last_update_event[2] == -1
@@ -36,7 +40,7 @@ def test_sequential_second_event_sees_first_update():
     model = g.init_model(rng, 2, 1, "regression")
     store = g.NodeStateStore.zeros(3, 2)
     events = make_events([(0, 1), (1, 2)])
-    recs = apply_events_sequential(store, events, model)
+    recs = run_batch(store, {}, sequential(events), model)
     assert np.array_equal(recs[1].h_src_pre, recs[0].h_dst_post)
     assert recs[1].src_slot == (recs[0], "dst")
 
@@ -45,11 +49,11 @@ def test_parallel_reads_come_from_batch_start():
     rng = g.Rng(2)
     model = g.init_model(rng, 2, 1, "regression")
     store = g.NodeStateStore.zeros(3, 2)
-    apply_events_sequential(store, make_events([(0, 1)]), model)  # make states nonzero
+    run_batch(store, {}, sequential(make_events([(0, 1)])), model)  # make states nonzero
     snapshot = store.states.copy()
     events = make_events([(0, 1), (1, 2)])
     batch = make_batches_fixed(events, 10)[0]
-    recs = apply_batch_parallel(store, batch, model)
+    recs = run_batch(store, {}, batch, model)
     # second event reads node 1 as it stood before the batch, not post-update
     assert np.array_equal(recs[1].h_src_pre, snapshot[1])
 
@@ -64,7 +68,7 @@ def test_fixed_parallel_drops_all_but_last_update():
         g.Event(index=1, src=0, dst=2, time=1.0, features=x2),
     ]
     batch = make_batches_fixed(events, 10)[0]
-    recs = apply_batch_parallel(store, batch, model)
+    recs = run_batch(store, {}, batch, model)
     assert recs[0].h_src_post is None and recs[0].cache_src is None  # dropped
     assert recs[0].h_dst_post is not None  # node 1 still updates from event 0
     assert recs[1].h_src_post is not None
@@ -79,10 +83,10 @@ def test_parallel_without_repeats_equals_sequential():
     model = g.init_model(rng, 3, 1, "regression")
     events = make_events([(0, 1), (2, 3), (4, 5)])
     s1 = g.NodeStateStore.zeros(6, 3)
-    apply_events_sequential(s1, events, model)
+    run_batch(s1, {}, sequential(events), model)
     s2 = g.NodeStateStore.zeros(6, 3)
     batch = make_batches_fixed(events, 10)[0]
-    apply_batch_parallel(s2, batch, model)
+    run_batch(s2, {}, batch, model)
     assert np.array_equal(s1.states, s2.states)
 
 
@@ -95,19 +99,19 @@ def test_strategy_equivalence_bitwise(seed, n_events, n_nodes, m):
     model = g.init_model(g.Rng(seed), m, 1, "regression")
 
     s_seq = g.NodeStateStore.zeros(n_nodes, m)
-    recs_seq = apply_events_sequential(s_seq, events, model)
+    recs_seq = run_batch(s_seq, {}, sequential(events), model)
 
     s_tb = g.NodeStateStore.zeros(n_nodes, m)
     producers = {}
     recs_tb = []
     for batch in make_batches_tbatch(events):
-        recs_tb.extend(apply_batch_parallel(s_tb, batch, model, producers))
+        recs_tb.extend(run_batch(s_tb, producers, batch, model))
 
     s_p1 = g.NodeStateStore.zeros(n_nodes, m)
     producers = {}
     recs_p1 = []
     for batch in make_batches_fixed(events, 1):
-        recs_p1.extend(apply_batch_parallel(s_p1, batch, model, producers))
+        recs_p1.extend(run_batch(s_p1, producers, batch, model))
 
     assert np.array_equal(s_seq.states, s_tb.states)
     assert np.array_equal(s_seq.states, s_p1.states)
@@ -124,10 +128,10 @@ def test_strategy_equivalence_bitwise(seed, n_events, n_nodes, m):
 def test_reset_semantics():
     store = g.NodeStateStore.zeros(3, 2)
     store.set_state(1, np.array([1.0, 2.0]), event_index=5)
-    reset_states(store)
+    store.reset()
     assert np.all(store.states == 0)
     assert np.all(store.last_update_event == -1)
-    again = reset_states(store)
+    again = store.reset()
     assert again is store and np.all(store.states == 0)
 
 
@@ -136,7 +140,7 @@ def test_unknown_node_id_raises():
     store = g.NodeStateStore.zeros(2, 2)
     events = [g.Event(index=0, src=0, dst=5, time=0.0, features=np.zeros(1))]
     with pytest.raises(g.StructuralError):
-        apply_events_sequential(store, events, model)
+        run_batch(store, {}, sequential(events), model)
 
 
 def test_last_update_event_strictly_increases():
@@ -145,29 +149,10 @@ def test_last_update_event_strictly_increases():
     store = g.NodeStateStore.zeros(5, 2)
     seen = {n: -1 for n in range(5)}
     for ev in events:
-        apply_events_sequential(store, [ev], model)
+        run_batch(store, {}, sequential([ev]), model)
         for n in (ev.src, ev.dst):
             assert store.last_update_event[n] > seen[n]
             seen[n] = store.last_update_event[n]
-
-
-def test_store_serialization_roundtrip(tmp_path):
-    store = g.NodeStateStore.zeros(4, 3)
-    rng = g.Rng(5)
-    for n in range(4):
-        store.set_state(n, np.array([rng.standard_normal() for _ in range(3)]), n)
-    path = str(tmp_path / "store.json")
-    store.save(path)
-    loaded = g.NodeStateStore.load(path)
-    assert np.array_equal(loaded.states, store.states)
-    assert np.array_equal(loaded.last_update_event, store.last_update_event)
-
-
-def test_store_version_check(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"version": 99, "num_nodes": 1, "state_dim": 1, "states": [0], "last_update_event": [-1]}')
-    with pytest.raises(g.DataError):
-        g.NodeStateStore.load(str(path))
 
 
 def test_event_self_loop_rejected():
