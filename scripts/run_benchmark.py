@@ -12,9 +12,7 @@ Dataset schema (CSV): header row, then
 """
 
 import argparse
-import json
 import sys
-import tempfile
 
 from grnnlab.cli import main as cli_main
 
@@ -25,7 +23,6 @@ if __name__ == "__main__":
     parser.add_argument("--out", default="out_benchmark")
     parser.add_argument("--mode", default="both", choices=["f_bptt", "t_bptt", "both"])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--smoke", action="store_true",
                         help="one trial per mode on a 5000-edge slice")
     args = parser.parse_args()
@@ -38,9 +35,5 @@ if __name__ == "__main__":
     if args.smoke:
         cfg.update(trials=1, seeds=[0], hidden_size=16, max_epochs=12,
                    patience=12, max_events=5000)
-    path = tempfile.mktemp(suffix="_bench.json")
-    with open(path, "w") as fh:
-        json.dump(cfg, fh)
-    sys.exit(cli_main(["bench", "--config", path, "--out", args.out,
-                       "--mode", args.mode, "--threads", str(args.threads),
-                       "--verbose"]))
+    sys.exit(cli_main(["bench", "--out", args.out, "--mode", args.mode, "--verbose"],
+                      config=cfg))

@@ -16,38 +16,30 @@ import sys
 from grnnlab.cli import main as cli_main
 
 
-def build_config_args(args):
-    import json
-    import tempfile
-
-    if args.reduced:
-        cfg = {
+def sweep_config(reduced: bool) -> dict:
+    if reduced:
+        return {
             "command": "synth",
             "memory_values": [1, 4],
             "hidden_sizes": [32],
             "seeds": [0],
             "epochs": 500,
         }
-    else:
-        cfg = {
-            "command": "synth",
-            "memory_values": [1, 2, 4, 8],
-            "hidden_sizes": [32, 64, 128],
-            "seeds": [0, 1, 2, 3, 4],
-            "epochs": 5000,
-        }
-    path = tempfile.mktemp(suffix="_synth.json")
-    with open(path, "w") as fh:
-        json.dump(cfg, fh)
-    return ["synth", "--config", path, "--out", args.out,
-            "--mode", args.mode, "--threads", str(args.threads), "--verbose"]
+    return {
+        "command": "synth",
+        "memory_values": [1, 2, 4, 8],
+        "hidden_sizes": [32, 64, 128],
+        "seeds": [0, 1, 2, 3, 4],
+        "epochs": 5000,
+    }
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out_synth_sweep")
     parser.add_argument("--mode", default="both", choices=["f_bptt", "t_bptt", "both"])
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--reduced", action="store_true",
                         help="500 epochs, memory in {1,4}, one seed")
-    sys.exit(cli_main(build_config_args(parser.parse_args())))
+    args = parser.parse_args()
+    sys.exit(cli_main(["synth", "--out", args.out, "--mode", args.mode, "--verbose"],
+                      config=sweep_config(args.reduced)))

@@ -10,13 +10,14 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import logging
 import os
 import sys
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,6 @@ class SynthConfig:
     summary_window: int = 100
     step_per_batch: bool = False
     out_dir: str = "out_synth"
-    threads: int = 1
 
 
 @dataclass
@@ -84,7 +84,6 @@ class BenchConfig:
     max_events: int | None = None
     symmetric_updates: bool = True
     out_dir: str = "out_bench"
-    threads: int = 1
 
 
 @dataclass
@@ -99,51 +98,76 @@ class GradcheckConfig:
     seed: int = 0
     inject_gradient_fault: bool = False
     out_dir: str = ""
-    threads: int = 1
 
 
 _CONFIG_TYPES = {"synth": SynthConfig, "bench": BenchConfig, "gradcheck": GradcheckConfig}
 
 
-def _coerce(raw: str, current):
-    """Parse an env-var override against the field's current value type."""
+def _coerce(raw: str, hint):
+    """Parse an env-var override as JSON; string fields, and text that is
+    not JSON, keep the raw text (the type check rejects it where needed)."""
     try:
-        return json.loads(raw)
+        value = json.loads(raw)
     except json.JSONDecodeError:
-        if isinstance(current, str) or current is None:
-            return raw
-        raise ConfigError(f"cannot parse override value {raw!r}")
+        return raw
+    return raw if hint is str and not isinstance(value, str) else value
 
 
-def load_config(command: str, config_path: str | None, overrides: dict):
+def _type_ok(value, hint) -> bool:
+    """value matches a config annotation: bool is not an int, an int is a
+    valid float, list elements are checked, unions accept any member."""
+    origin = typing.get_origin(hint)
+    if origin is list:
+        (elem,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_type_ok(v, elem) for v in value)
+    if origin in (typing.Union, types.UnionType):
+        return any(_type_ok(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _set_field(cfg, hints: dict, key: str, value, source: str) -> None:
+    if key not in hints:
+        raise ConfigError(f"unknown config key {key!r}")
+    hint = hints[key]
+    if not _type_ok(value, hint):
+        expected = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise ConfigError(f"{source}: {key} must be {expected}, got {value!r}")
+    setattr(cfg, key, value)
+
+
+def load_config(command: str, config: str | dict | None, overrides: dict):
+    """config is a JSON config file path, or the parsed contents of one."""
     cls = _CONFIG_TYPES[command]
     cfg = cls()
-    known = {f.name for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
 
-    if config_path:
-        with open(config_path) as fh:
-            data = json.load(fh)
+    if config and isinstance(config, str):
+        with open(config) as fh:
+            config = json.load(fh)
+    if config:
+        if not isinstance(config, dict):
+            raise ConfigError("config file must hold a JSON object")
+        data = dict(config)
         command_in_file = data.pop("command", command)
         if command_in_file != command:
             raise ConfigError(
                 f"config file is for command {command_in_file!r}, not {command!r}"
             )
         for key, value in data.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
+            _set_field(cfg, hints, key, value, "config file")
 
-    for key in known:
+    for key, hint in hints.items():
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            setattr(cfg, key, _coerce(env, getattr(cfg, key)))
+            _set_field(cfg, hints, key, _coerce(env, hint), ENV_PREFIX + key.upper())
 
     for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, value)
+        if value is not None:
+            _set_field(cfg, hints, key, value, "command line")
     _validate_config(command, cfg)
     return cfg
 
@@ -151,8 +175,6 @@ def load_config(command: str, config_path: str | None, overrides: dict):
 def _validate_config(command: str, cfg) -> None:
     if getattr(cfg, "mode", "both") not in ("f_bptt", "t_bptt", "both"):
         raise ConfigError(f"mode must be f_bptt, t_bptt or both, got {cfg.mode!r}")
-    if getattr(cfg, "threads", 1) < 1:
-        raise ConfigError("threads must be >= 1")
     if command == "synth":
         if cfg.epochs < 1 or cfg.summary_window < 1:
             raise ConfigError("epochs and summary_window must be >= 1")
@@ -261,11 +283,7 @@ def cmd_synth(cfg: SynthConfig) -> int:
         for hidden in cfg.hidden_sizes
         for seed in cfg.seeds
     ]
-    if cfg.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(lambda cell: _run_synth_cell(cfg, *cell), grid))
-    else:
-        rows = [_run_synth_cell(cfg, *cell) for cell in grid]
+    rows = [_run_synth_cell(cfg, *cell) for cell in grid]
 
     header = "M,mode,hidden,seed,final_mse,final_mse_min,final_mse_max,baseline_mse"
     lines = [header]
@@ -363,13 +381,7 @@ def cmd_bench(cfg: BenchConfig) -> int:
         for mode in _modes(cfg):
             for trial_index, trial in enumerate(trials):
                 jobs.append((trial, mode, seed, trial_index))
-    if cfg.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(
-                pool.map(lambda j: _run_bench_trial(cfg, dataset, *j), jobs)
-            )
-    else:
-        results = [_run_bench_trial(cfg, dataset, *j) for j in jobs]
+    results = [_run_bench_trial(cfg, dataset, *j) for j in jobs]
 
     # per (mode, seed): the trial with the best validation MRR gives the
     # reported test metrics; aggregate across seeds
@@ -504,7 +516,9 @@ def cmd_gradcheck(cfg: GradcheckConfig) -> int:
 # entry point
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None, config: dict | None = None) -> int:
+    """config: parsed config-file contents, used in place of --config (lets
+    scripts pass a config without writing a file)."""
     parser = argparse.ArgumentParser(
         prog="grnnlab",
         description="Dynamic-graph recurrent network training lab",
@@ -521,7 +535,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="root seed")
         p.add_argument("--mode", default=None, choices=["f_bptt", "t_bptt", "both"])
-        p.add_argument("--threads", type=int, default=None)
         if name == "bench":
             p.add_argument("--dataset", default=None, help="dataset CSV path")
 
@@ -537,8 +550,6 @@ def main(argv: list[str] | None = None) -> int:
         overrides["out_dir"] = args.out
     if args.mode is not None and args.command != "gradcheck":
         overrides["mode"] = args.mode
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if args.seed is not None:
         if args.command == "gradcheck":
             overrides["seed"] = args.seed
@@ -548,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides["dataset_path"] = args.dataset
 
     try:
-        cfg = load_config(args.command, args.config, overrides)
+        cfg = load_config(args.command, args.config if config is None else config, overrides)
         if args.command == "synth":
             return cmd_synth(cfg)
         if args.command == "bench":

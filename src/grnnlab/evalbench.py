@@ -78,6 +78,8 @@ def load_jodie_csv(
                 values = [float(v) for v in row[4:]]
             except ValueError as exc:
                 raise IngestionError(line_no, f"non-numeric field ({exc})") from None
+            if not (math.isfinite(t) and all(math.isfinite(v) for v in values)):
+                raise IngestionError(line_no, "non-finite timestamp or feature")
             target = None
             if has_target:
                 if not values:

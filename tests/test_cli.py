@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from grnnlab.cli import main
+from grnnlab.cli import load_config, main
 from grnnlab.evalbench import write_synthetic_linkstream
 
 
@@ -89,6 +89,40 @@ def test_invalid_mode_is_config_error(tmp_path):
     assert main(["synth", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("key,value", [("epochs", "5"), ("epochs", True),
+                                       ("seeds", [0, "1"]), ("learning_rate", "1e-3")])
+def test_wrong_typed_file_value_is_config_error(tmp_path, capsys, key, value):
+    cfg_path, _ = smoke_synth_config(tmp_path, **{key: value})
+    assert main(["synth", "--config", cfg_path]) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var,raw", [("GRNNLAB_EPOCHS", '"5"'), ("GRNNLAB_EPOCHS", "five"),
+                                     ("GRNNLAB_STEP_PER_BATCH", "1")])
+def test_wrong_typed_env_value_is_config_error(tmp_path, monkeypatch, var, raw):
+    cfg_path, _ = smoke_synth_config(tmp_path)
+    monkeypatch.setenv(var, raw)
+    assert main(["synth", "--config", cfg_path]) == 1
+
+
+def test_config_types_accept_int_as_float_and_optional_none(monkeypatch):
+    monkeypatch.setenv("GRNNLAB_DATASET_NAME", "2019")
+    cfg = load_config("bench", {"dataset_path": "d.csv", "train_frac": 1,
+                                "max_events": None}, {"seeds": [3]})
+    assert (cfg.train_frac, cfg.max_events, cfg.seeds) == (1, None, [3])
+    assert cfg.dataset_name == "2019"  # string fields keep the raw text
+    assert load_config("bench", {"dataset_path": "d.csv", "max_events": 9}, {}).max_events == 9
+
+
+def test_config_dict_in_place_of_file(tmp_path):
+    cfg_path, cfg = smoke_synth_config(tmp_path, mode="f_bptt")
+    out2 = str(tmp_path / "out2")
+    assert main(["synth", "--config", cfg_path]) == 0
+    assert main(["synth", "--out", out2], config=dict(cfg)) == 0
+    assert read(os.path.join(out2, "summary.csv")) == read(
+        os.path.join(cfg["out_dir"], "summary.csv"))
+
+
 def test_env_override(tmp_path, monkeypatch):
     cfg_path, cfg = smoke_synth_config(tmp_path, mode="t_bptt")
     monkeypatch.setenv("GRNNLAB_EPOCHS", "4")
@@ -156,6 +190,17 @@ def test_bench_malformed_dataset_is_data_error(tmp_path):
     bad.write_text("user_id,item_id,timestamp,state_label,f\nu0,i0,0.0,0,banana\n")
     cfg_path, _ = bench_config(tmp_path, str(bad))
     assert main(["bench", "--config", cfg_path]) == 2
+
+
+@pytest.mark.parametrize("row", ["u1,i0,nan,0,1.0", "u1,i0,-inf,0,1.0",
+                                 "u1,i0,1.0,0,nan", "u1,i0,1.0,0,inf"])
+def test_bench_non_finite_field_is_data_error(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"user_id,item_id,timestamp,state_label,f\nu0,i0,0.0,0,1.0\n{row}\n"
+                   "u2,i1,-5.0,0,1.0\n")
+    cfg_path, _ = bench_config(tmp_path, str(bad))
+    assert main(["bench", "--config", cfg_path]) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_gradcheck_default_passes_quickly():
