@@ -35,5 +35,5 @@ if __name__ == "__main__":
     if args.smoke:
         cfg.update(trials=1, seeds=[0], hidden_size=16, max_epochs=12,
                    patience=12, max_events=5000)
-    sys.exit(cli_main(["bench", "--out", args.out, "--mode", args.mode, "--verbose"],
+    sys.exit(cli_main(["--verbose", "bench", "--out", args.out, "--mode", args.mode],
                       config=cfg))

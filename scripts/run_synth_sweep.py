@@ -41,5 +41,5 @@ if __name__ == "__main__":
     parser.add_argument("--reduced", action="store_true",
                         help="500 epochs, memory in {1,4}, one seed")
     args = parser.parse_args()
-    sys.exit(cli_main(["synth", "--out", args.out, "--mode", args.mode, "--verbose"],
+    sys.exit(cli_main(["--verbose", "synth", "--out", args.out, "--mode", args.mode],
                       config=sweep_config(args.reduced)))

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import grnnlab
 from grnnlab.cli import load_config, main
 from grnnlab.evalbench import write_synthetic_linkstream
 
@@ -121,6 +124,23 @@ def test_config_dict_in_place_of_file(tmp_path):
     assert main(["synth", "--out", out2], config=dict(cfg)) == 0
     assert read(os.path.join(out2, "summary.csv")) == read(
         os.path.join(cfg["out_dir"], "summary.csv"))
+
+
+@pytest.mark.parametrize("script,args,env,code,message", [
+    ("run_benchmark.py", ["missing.csv", "--smoke"], {}, 2, "data error"),
+    ("run_synth_sweep.py", ["--reduced"], {"GRNNLAB_EPOCHS": '"x"'}, 1, "config error"),
+])
+def test_scripts_pass_config_to_the_command(tmp_path, script, args, env, code, message):
+    root = os.path.dirname(os.path.dirname(os.path.dirname(grnnlab.__file__)))
+    src = os.path.dirname(os.path.dirname(grnnlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", script), *args,
+         "--out", str(tmp_path / "out")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
 
 
 def test_env_override(tmp_path, monkeypatch):
