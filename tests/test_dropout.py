@@ -78,3 +78,29 @@ def test_deterministic_given_rng():
     a, _ = regular_dropout(v, 0.4, g.Rng(33))
     b, _ = regular_dropout(v, 0.4, g.Rng(33))
     assert np.array_equal(a, b)
+
+
+def scalar_keep_mask(seed, n, rate):
+    rng = g.Rng(seed)
+    return np.array([not rng.bernoulli(rate) for _ in range(n)], dtype=bool)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [1, 64, 5000])
+def test_masks_equal_scalar_bernoulli_draws(rate, n):
+    v = vec(n, seed=6)
+    prev = vec(n, seed=7)
+    expected = scalar_keep_mask(21, n, rate)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 1/(1-rate) at rate 1
+        _, mask = regular_dropout(v, rate, g.Rng(21))
+    assert np.array_equal(mask, expected)
+    _, keep = recurrent_mix(v, prev, rate, g.Rng(21))
+    assert np.array_equal(keep, expected)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.5])
+def test_bad_mask_rate_raises(rate):
+    with pytest.raises(g.ParameterError):
+        regular_dropout(vec(8), rate, g.Rng(0))
+    with pytest.raises(g.ParameterError):
+        recurrent_mix(vec(8), vec(8, seed=1), rate, g.Rng(0))

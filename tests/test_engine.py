@@ -287,6 +287,24 @@ def test_memory_telemetry_full_vs_streaming():
     assert stats_stream["peak_live_records"] < len(events)
 
 
+@pytest.mark.parametrize("strategy,size", [("sequential", 1), ("sequential", 7),
+                                           ("t_batch", None), ("fixed_parallel", 5)])
+def test_streaming_peak_live_records_matches_rescan(strategy, size):
+    cfg = g.SyntheticConfig(memory=2, num_nodes=9, edges_per_epoch=60)
+    events = g.generate_epoch(cfg, g.Rng(4).substream("data"))
+    model = g.init_model(g.Rng(4).substream("init"), 3, 1, "regression")
+    batching = g.BatchingConfig(strategy, size)
+    stats = g.train_epoch(events, model.copy(), AdamwState(), "t_bptt", batching, num_nodes=9)
+    # reference: after each batch, the batch's records plus every distinct
+    # record that still produces some node's current state
+    store, producers, peak = g.NodeStateStore.zeros(9, 3), {}, 0
+    for batch in g.build_batches(events, batching):
+        records = g.run_batch(store, producers, batch, model, record=True)
+        live = {id(slot[0]) for slot in producers.values()}
+        peak = max(peak, len(records) + len(live))
+    assert stats["peak_live_records"] == peak
+
+
 def test_step_per_batch_mode():
     cfg = g.SyntheticConfig(memory=1, num_nodes=6, edges_per_epoch=20)
     events = g.generate_epoch(cfg, g.Rng(3).substream("data"))

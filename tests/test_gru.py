@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grnnlab as g
-from grnnlab.gru import GruParameters
+from grnnlab.gru import GruParameters, uniform_matrix
 from grnnlab.oracles import gru_forward_reference
 
 
@@ -133,3 +133,21 @@ def test_init_scale_and_determinism():
     assert np.all(params.bz == 0) and np.all(params.br == 0) and np.all(params.bn == 0)
     again = g.init_gru_parameters(g.Rng(9), 4, 3)
     assert np.array_equal(params.wz, again.wz)
+
+
+def scalar_uniform_matrix(rng, rows, cols, scale):
+    data = np.empty(rows * cols, dtype=np.float64)
+    for i in range(data.size):
+        data[i] = rng.uniform(-scale, scale)
+    return data.reshape(rows, cols)
+
+
+@pytest.mark.parametrize("m", [4, 32, 128])
+def test_uniform_matrix_equals_scalar_uniform_loop(m):
+    scale = 1.0 / np.sqrt(2 * m + 1)
+    a, b = g.Rng(m), g.Rng(m)
+    for rows, cols in ((m, 2 * m + 1), (1, m), (m, m)):
+        got = uniform_matrix(a, rows, cols, scale)
+        want = scalar_uniform_matrix(b, rows, cols, scale)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert a.next_u64() == b.next_u64()

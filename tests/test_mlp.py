@@ -95,3 +95,24 @@ def test_shape_validation():
         g.mlp_forward(params, np.zeros(5))
     with pytest.raises(g.StructuralError):
         mlp_score_batch(params, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.9])
+def test_training_mask_equals_scalar_bernoulli_draws(rate):
+    params = g.init_mlp_parameters(g.Rng(4), 9, 64)
+    x = np.array([g.Rng(5).standard_normal() for _ in range(9)])
+    rng = g.Rng(17)
+    _, cache = g.mlp_forward(params, x, dropout_rate=rate, rng=rng, training=True)
+    ref = g.Rng(17)
+    if rate == 0.0:
+        assert cache.drop_mask is None  # no mask, no draws
+    else:
+        expected = [not ref.bernoulli(rate) for _ in range(64)]
+        assert cache.drop_mask.tolist() == expected
+    assert rng.next_u64() == ref.next_u64()
+
+
+def test_training_mask_rejects_rate_above_one():
+    params = g.init_mlp_parameters(g.Rng(4), 9, 8)
+    with pytest.raises(g.ParameterError):
+        g.mlp_forward(params, np.zeros(9), dropout_rate=1.5, rng=g.Rng(0), training=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grnnlab import ParameterError, Rng
 
@@ -95,3 +97,73 @@ def test_randrange():
 def test_gaussian_values_are_finite():
     rng = Rng(13)
     assert all(math.isfinite(rng.standard_normal()) for _ in range(10_000))
+
+
+def test_published_splitmix64_vector():
+    rng = Rng(1234567)
+    assert [rng.next_u64() for _ in range(5)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821,
+    ]
+
+
+# pure-Python SplitMix64 and the helpers on top of it, one draw at a time
+
+_MASK = (1 << 64) - 1
+
+
+class ReferenceRng:
+    def __init__(self, seed):
+        self.state = seed & _MASK
+        self.spare = None
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return z ^ (z >> 31)
+
+    def u01(self):
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def randrange(self, n):
+        return (self.next_u64() * n) >> 64
+
+    def bernoulli(self, p):
+        return self.u01() < p
+
+    def standard_normal(self):
+        if self.spare is not None:
+            g, self.spare = self.spare, None
+            return g
+        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
+        u2 = self.u01()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        self.spare = radius * math.sin(2.0 * math.pi * u2)
+        return radius * math.cos(2.0 * math.pi * u2)
+
+
+_SCALAR_OPS = st.one_of(
+    st.just(("next_u64",)),
+    st.just(("u01",)),
+    st.just(("standard_normal",)),
+    st.tuples(st.just("randrange"), st.integers(1, 2**70)),
+    st.tuples(st.just("bernoulli"), st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+)
+
+
+def _draw(rng, op):
+    name, *args = op
+    return getattr(rng, name)(*args)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1, 1234567, 2**64 - 1])
+@settings(max_examples=25, deadline=None)
+@given(ops=st.lists(_SCALAR_OPS, max_size=40))
+def test_stream_matches_pure_python_reference(seed, ops):
+    rng, ref = Rng(seed), ReferenceRng(seed)
+    for op in ops:
+        assert _draw(rng, op) == _draw(ref, op), op
+    assert rng.next_u64() == ref.next_u64()
