@@ -16,13 +16,8 @@ import numpy as np
 from .rng import Rng
 
 
-def make_keep_mask(rng: Rng, size: int, rate: float) -> np.ndarray:
-    """Boolean mask; True marks elements kept (probability 1 - rate each)."""
-    return np.array([not rng.bernoulli(rate) for _ in range(size)])
-
-
 def regular_dropout(vec: np.ndarray, rate: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    mask = make_keep_mask(rng, vec.size, rate)
+    mask = rng.keep_mask(vec.size, rate)
     return vec * mask / (1.0 - rate), mask
 
 
@@ -30,5 +25,5 @@ def recurrent_mix(
     new: np.ndarray, prev: np.ndarray, rate: float, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise: prev where the mask drops, new where it keeps."""
-    keep = make_keep_mask(rng, new.size, rate)
+    keep = rng.keep_mask(new.size, rate)
     return np.where(keep, new, prev), keep

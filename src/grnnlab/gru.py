@@ -30,10 +30,8 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def uniform_matrix(rng: Rng, rows: int, cols: int, scale: float) -> np.ndarray:
     """Matrix with i.i.d. entries uniform in [-scale, +scale], row-major fill."""
-    data = np.empty(rows * cols, dtype=np.float64)
-    for i in range(data.size):
-        data[i] = rng.uniform(-scale, scale)
-    return data.reshape(rows, cols)
+    a, b = -scale, scale  # the arithmetic of rng.uniform(a, b), elementwise
+    return (a + (b - a) * rng.u01_array(rows * cols)).reshape(rows, cols)
 
 
 @dataclass

@@ -70,7 +70,7 @@ def mlp_forward(
     mask = None
     scale = 1.0
     if training and dropout_rate > 0.0:
-        mask = np.array([not rng.bernoulli(dropout_rate) for _ in range(a1.size)])
+        mask = rng.keep_mask(a1.size, dropout_rate)
         scale = 1.0 / (1.0 - dropout_rate)
         a1 = a1 * mask * scale
     logit = float(params.w2 @ a1 + params.b2[0])

@@ -94,6 +94,14 @@ def test_randrange():
         rng.randrange(0)
 
 
+def test_keep_mask_checks_rate():
+    rng = Rng(0)
+    for rate in (float("nan"), -0.1, 1.5):
+        with pytest.raises(ParameterError):
+            rng.keep_mask(4, rate)
+    assert rng.next_u64() == Rng(0).next_u64()  # a rejected rate draws nothing
+
+
 def test_gaussian_values_are_finite():
     rng = Rng(13)
     assert all(math.isfinite(rng.standard_normal()) for _ in range(10_000))
@@ -133,6 +141,12 @@ class ReferenceRng:
     def bernoulli(self, p):
         return self.u01() < p
 
+    def u01_array(self, n):
+        return [self.u01() for _ in range(n)]
+
+    def keep_mask(self, n, rate):
+        return [self.u01() >= rate for _ in range(n)]
+
     def standard_normal(self):
         if self.spare is not None:
             g, self.spare = self.spare, None
@@ -151,17 +165,24 @@ _SCALAR_OPS = st.one_of(
     st.tuples(st.just("randrange"), st.integers(1, 2**70)),
     st.tuples(st.just("bernoulli"), st.sampled_from([0.0, 0.3, 0.5, 1.0])),
 )
+# sizes around the generator's 4096-output block
+_BULK_OPS = st.one_of(
+    st.tuples(st.just("u01_array"), st.sampled_from([0, 1, 4095, 4096, 4097, 10000])),
+    st.tuples(st.just("keep_mask"), st.sampled_from([0, 1, 4095, 4096, 4097, 10000]),
+              st.sampled_from([0.0, 0.3, 1.0])),
+)
 
 
 def _draw(rng, op):
     name, *args = op
-    return getattr(rng, name)(*args)
+    out = getattr(rng, name)(*args)
+    return out.tolist() if isinstance(out, np.ndarray) else out
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed", [0, 1, 1234567, 2**64 - 1])
 @settings(max_examples=25, deadline=None)
-@given(ops=st.lists(_SCALAR_OPS, max_size=40))
+@given(ops=st.lists(st.one_of(_SCALAR_OPS, _BULK_OPS), max_size=16))
 def test_stream_matches_pure_python_reference(seed, ops):
     rng, ref = Rng(seed), ReferenceRng(seed)
     for op in ops:
