@@ -385,6 +385,22 @@ def backward_truncated(tape: EventTape, model: GrnnModel) -> GradientAccumulator
 MODES = ("f_bptt", "t_bptt")
 
 
+def _count_producers(records: list[StepRecord], live: dict[int, int]) -> None:
+    """Move the producer refcounts past one batch's updates, in the order
+    they ran: each update releases the slot it read and takes one for its
+    record. Events have no self-loops, so the two roles touch two nodes."""
+    for rec in records:
+        for slot, post in ((rec.src_slot, rec.h_src_post), (rec.dst_slot, rec.h_dst_post)):
+            if post is None:  # this role did not update
+                continue
+            if slot is not None:
+                key = id(slot[0])
+                live[key] -= 1
+                if not live[key]:
+                    del live[key]
+            live[id(rec)] = live.get(id(rec), 0) + 1
+
+
 def train_epoch(
     events: list[Event],
     model: GrnnModel,
@@ -437,6 +453,7 @@ def train_epoch(
         # forwarded, then release its records. Only the per-node producing
         # records (one GRU cache each) stay alive for the one-hop tails.
         producers: dict[int, Slot] = {}
+        live: dict[int, int] = {}  # id(record) -> nodes whose current state it produced
         acc = GradientAccumulator(model)
         total_loss = 0.0
         peak_live = 0
@@ -451,8 +468,8 @@ def train_epoch(
             acc.event_count += len(records)
             acc.loss_total += batch_loss
             _backward_records(records, model, acc.buffers, truncate=True)
-            live_producers = {id(slot[0]) for slot in producers.values()}
-            peak_live = max(peak_live, len(records) + len(live_producers))
+            _count_producers(records, live)
+            peak_live = max(peak_live, len(records) + len(live))
             if step_per_batch:
                 grad_norms.append(acc.grad_norm())
                 adamw_step(optimizer, params, acc.buffers)
