@@ -146,8 +146,11 @@ def load_config(command: str, config: str | dict | None, overrides: dict):
     hints = typing.get_type_hints(cls)
 
     if config and isinstance(config, str):
-        with open(config) as fh:
-            config = json.load(fh)
+        try:
+            with open(config, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+            raise ConfigError(f"cannot read config file {config}: {exc}") from exc
     if config:
         if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -243,3 +243,16 @@ def test_gradcheck_detects_injected_fault(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"command": "gradcheck", "inject_gradient_fault": True}))
     assert main(["gradcheck", "--config", str(path)]) == 3
+
+
+@pytest.mark.parametrize("kind", ["invalid_json", "directory", "not_utf8"])
+def test_unreadable_config_file_is_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "bad.json"
+    if kind == "invalid_json":
+        path.write_text('{"command": "synth", ')
+    elif kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"command": "synth", "dataset_name": "\xff"}')
+    assert main(["synth", "--config", str(path)]) == 1
+    assert "config error" in capsys.readouterr().err
