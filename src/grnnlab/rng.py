@@ -64,8 +64,8 @@ class Rng:
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         self._state = self.seed  # counter of the last output generated
-        self._buf = np.empty(0, dtype=np.uint64)  # generated, not yet drawn from _pos
-        self._pos = 0
+        self._buf = np.empty(0, dtype=np.uint64)  # last generated block
+        self._pos = 0  # index in _buf of the next output to hand out
         self._gauss: float | None = None  # spare Box-Muller variate
 
     def substream(self, purpose: str | int) -> "Rng":
