@@ -11,10 +11,8 @@ from .batching import make_batches_fixed, make_batches_tbatch
 from .dynamics import StateDropout, StepRecord, run_batch
 from .engine import (
     BatchingConfig,
-    EventTape,
     GradientAccumulator,
     backward_full,
-    backward_truncated,
     build_batches,
     forward_epoch,
     loss_bce,
@@ -30,7 +28,7 @@ from .errors import (
     StructuralError,
 )
 from .events import Batch, Event, NodeStateStore
-from .gradcheck import finite_diff_check
+from .gradcheck import epoch_gradient_check, finite_diff_check
 from .gru import GruParameters, gru_backward, gru_forward, init_gru_parameters
 from .mlp import MlpParameters, init_mlp_parameters, mlp_backward, mlp_forward
 from .model import GrnnModel, init_model

@@ -33,14 +33,13 @@ from .evalbench import (
     run_trial,
 )
 from .events import NodeStateStore
-from .gradcheck import finite_diff_check
+from .gradcheck import epoch_gradient_check, finite_diff_check
 from .gru import gru_backward, gru_forward, init_gru_parameters
 from .mlp import init_mlp_parameters, mlp_backward, mlp_forward
 from .model import init_model
-from .oracles import epoch_loss_reference, gru_forward_reference, mlp_forward_reference
+from .oracles import gru_forward_reference, mlp_forward_reference
 from .rng import Rng
 from .synthtask import SyntheticConfig, baseline_mse, generate_epoch
-from . import engine
 
 log = logging.getLogger("grnnlab")
 
@@ -471,40 +470,23 @@ def cmd_gradcheck(cfg: GradcheckConfig) -> int:
     checks.append(("mlp_backward_fd", finite_diff_check(mlp_loss, mref_params, macc, eps=cfg.eps),
                    cfg.cell_tolerance))
 
-    # epoch-level: full BPTT against finite differences of the reference loss
-    scfg = SyntheticConfig(memory=cfg.memory, num_nodes=cfg.num_nodes,
-                           edges_per_epoch=cfg.events)
-    events = generate_epoch(scfg, rng.substream("data"))
+    # epoch-level: the gradient training applies, in both modes, against
+    # finite differences of the full or one-hop truncated reference loss
+    grads = {}
     for strategy, size in (("sequential", None), ("t_batch", None), ("fixed_parallel", 3)):
-        model = init_model(rng.substream("init"), m, 1, "regression")
-        batching = BatchingConfig(strategy=strategy, batch_size=size)
-        store = NodeStateStore.zeros(cfg.num_nodes, m)
-        fw = engine.forward_epoch(events, model, store, batching, record=True)
-        acc_full = engine.backward_full(fw.tape, model)
-        if cfg.inject_gradient_fault:
-            acc_full.buffers["gru.wz"] *= -1.0  # harness-sensitivity fixture
-        ref_p = {k: np.asarray(v, dtype=np.longdouble) for k, v in model.named_params().items()}
-
-        def epoch_loss():
-            return epoch_loss_reference(
-                ref_p, events, cfg.num_nodes, m, strategy, size, dtype=np.longdouble
+        for mode, label in (("f_bptt", "full"), ("t_bptt", "truncated")):
+            err, grads[strategy, mode] = epoch_gradient_check(
+                rng, m, cfg.memory, cfg.num_nodes, cfg.events,
+                BatchingConfig(strategy=strategy, batch_size=size), mode,
+                eps=cfg.eps, inject_fault=cfg.inject_gradient_fault,
             )
+            checks.append((f"epoch_{label}_bptt_fd_{strategy}", err, cfg.tolerance))
 
-        err = finite_diff_check(epoch_loss, ref_p, acc_full.buffers, eps=cfg.eps)
-        checks.append((f"epoch_full_bptt_fd_{strategy}", err, cfg.tolerance))
-
-        # truncation vacuity: a single epoch-spanning batch must reproduce
-        # the full gradient bit-for-bit
-        one_batch = BatchingConfig(strategy="sequential", batch_size=None)
-        store2 = NodeStateStore.zeros(cfg.num_nodes, m)
-        fw2 = engine.forward_epoch(events, model, store2, one_batch, record=True)
-        g_full = engine.backward_full(fw2.tape, model)
-        g_trunc = engine.backward_truncated(fw2.tape, model)
-        diff = max(
-            float(np.abs(g_full.buffers[k] - g_trunc.buffers[k]).max())
-            for k in g_full.buffers
-        )
-        checks.append((f"truncation_vacuity_{strategy}", diff, 0.0))
+    # truncation vacuity: with one epoch-spanning batch, T-BPTT must
+    # reproduce the full gradient bit for bit
+    full, trunc = grads["sequential", "f_bptt"], grads["sequential", "t_bptt"]
+    diff = max(float(np.abs(full[k] - trunc[k]).max()) for k in full)
+    checks.append(("truncation_vacuity", diff, 0.0))
 
     failed = False
     for name, err, tol in checks:

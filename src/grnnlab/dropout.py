@@ -13,10 +13,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
 from .rng import Rng
 
 
+def check_rate(rate: float, what: str) -> None:
+    """A dropout rate must lie in [0, 1): NaN or a negative rate would train
+    without dropout, and 1 divides by zero when survivors are rescaled."""
+    if not 0.0 <= rate < 1.0:
+        raise ParameterError(f"{what} rate {rate} out of [0, 1)")
+
+
 def regular_dropout(vec: np.ndarray, rate: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    check_rate(rate, "regular dropout")
     mask = rng.keep_mask(vec.size, rate)
     return vec * mask / (1.0 - rate), mask
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dropout import recurrent_mix, regular_dropout
+from .dropout import check_rate, recurrent_mix, regular_dropout
 from .errors import ParameterError
 from .events import Batch, Event, NodeStateStore
 from .gru import GruCache, gru_forward
@@ -48,8 +48,7 @@ class StateDropout:
     def __post_init__(self):
         if self.kind not in ("regular", "recurrent"):
             raise ParameterError(f"unknown state dropout kind {self.kind!r}")
-        if not 0.0 <= self.rate < 1.0:
-            raise ParameterError(f"state dropout rate {self.rate} out of [0, 1)")
+        check_rate(self.rate, "state dropout")
 
 
 @dataclass(eq=False)
@@ -62,7 +61,6 @@ class StepRecord:
 
     event: Event
     batch_index: int
-    strategy: str
     h_src_pre: np.ndarray
     h_dst_pre: np.ndarray
     src_slot: Slot | None
@@ -79,7 +77,6 @@ class StepRecord:
     drop_mask_src: np.ndarray | None = None
     drop_mask_dst: np.ndarray | None = None
     # extra read-only state capture (negative destination during training)
-    extra_node: int | None = None
     h_extra_pre: np.ndarray | None = None
     extra_slot: Slot | None = None
     # prediction-side payloads, filled by the engine
@@ -124,7 +121,6 @@ def run_batch(
         rec = StepRecord(
             event=ev,
             batch_index=batch.index,
-            strategy=batch.strategy,
             h_src_pre=store.states[ev.src].copy(),
             h_dst_pre=store.states[ev.dst].copy(),
             src_slot=producers.get(ev.src),
@@ -136,7 +132,6 @@ def run_batch(
         if extra_reads is not None and extra_reads[pos] is not None:
             node = extra_reads[pos]
             store.check_node(node)
-            rec.extra_node = node
             rec.h_extra_pre = store.states[node].copy()
             rec.extra_slot = producers.get(node)
         records.append(rec)

@@ -1,4 +1,4 @@
-"""Event-level gradient tape, full and truncated BPTT, and the epoch loop.
+"""Epoch forward, full and truncated BPTT, and the training loop.
 
 Forward: batches are processed per their strategy; each event's prediction
 reads the pre-update states captured by the dynamics layer, so parallel
@@ -9,12 +9,13 @@ Full backward is an exact reverse sweep over the whole tape: per-event loss
 gradients flow through the prediction head and, via the producer slots, back
 across every batch boundary to the epoch-initial states.
 
-Truncated backward sweeps each batch separately. Within a batch gradients
-flow freely; a gradient that reaches a state produced in an *earlier* batch
-still enters the single GRU update that produced it (so the recurrent cell
-keeps a one-hop learning signal, as in standard lazy-update training), but
-that update's own state inputs are treated as constants and the chain stops
-there. Per-parameter gradients from all batches are summed.
+Truncated backward streams inside train_epoch: each batch is swept as soon
+as it is forwarded. Within a batch gradients flow freely; a gradient that
+reaches a state produced in an *earlier* batch still enters the single GRU
+update that produced it (so the recurrent cell keeps a one-hop learning
+signal, as in standard lazy-update training), but that update's own state
+inputs are treated as constants and the chain stops there. Per-parameter
+gradients from all batches are summed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -81,38 +81,14 @@ def build_batches(events: list[Event], cfg: BatchingConfig) -> list[Batch]:
 
 
 # ---------------------------------------------------------------------------
-# tape and accumulator
-
-
-class EventTape:
-    """Ordered per-event records; batch boundaries live on the records."""
-
-    def __init__(self):
-        self.records: list[StepRecord] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def extend(self, records: list[StepRecord]) -> None:
-        self.records.extend(records)
-
-    def batch_groups(self) -> list[list[StepRecord]]:
-        return [list(group) for _, group in groupby(self.records, lambda rec: rec.batch_index)]
+# accumulator
 
 
 class GradientAccumulator:
-    """Parameter-shaped gradient buffers plus event/loss counters."""
+    """Parameter-shaped gradient buffers."""
 
     def __init__(self, model: GrnnModel):
         self.buffers = {name: np.zeros_like(p) for name, p in model.named_params().items()}
-        self.event_count = 0
-        self.loss_total = 0.0
-
-    def zero(self) -> None:
-        for b in self.buffers.values():
-            b.fill(0.0)
-        self.event_count = 0
-        self.loss_total = 0.0
 
     def grad_norm(self) -> float:
         return math.sqrt(sum(float((b * b).sum()) for b in self.buffers.values()))
@@ -125,8 +101,7 @@ class GradientAccumulator:
 @dataclass
 class EpochForward:
     total_loss: float
-    losses: list[float]
-    tape: EventTape | None
+    tape: list[StepRecord] | None
 
 
 def _predict_and_score(
@@ -217,10 +192,9 @@ def forward_epoch(
     dropout_rng: Rng | None = None,
     training: bool = False,
 ) -> EpochForward:
-    """Process all batches, returning summed loss, per-event losses, tape."""
-    tape = EventTape() if record else None
+    """Process all batches, returning the summed loss and the tape."""
+    tape: list[StepRecord] | None = [] if record else None
     total = 0.0
-    losses: list[float] = []
     for records, batch_loss in _forward_batches(
         events, model, store, batching, {},
         record=record, task=task or model.task, training=training,
@@ -229,10 +203,9 @@ def forward_epoch(
         mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
     ):
         total += batch_loss
-        losses.extend(rec.loss for rec in records)
         if record:
             tape.extend(records)
-    return EpochForward(total_loss=total, losses=losses, tape=tape)
+    return EpochForward(total_loss=total, tape=tape)
 
 
 def advance_states(
@@ -352,29 +325,12 @@ def _backward_records(
                 _backward_update(prod, role, g, model, buffers)
 
 
-def _check_tape(tape: EventTape) -> None:
+def backward_full(tape: list[StepRecord] | None, model: GrnnModel) -> GradientAccumulator:
+    """Exact reverse-mode sweep across the entire epoch."""
     if tape is None:
         raise StructuralError("backward pass needs the tape of a forward pass with record=True")
-
-
-def backward_full(tape: EventTape, model: GrnnModel) -> GradientAccumulator:
-    """Exact reverse-mode sweep across the entire epoch."""
-    _check_tape(tape)
     acc = GradientAccumulator(model)
-    _backward_records(tape.records, model, acc.buffers, truncate=False)
-    acc.event_count = len(tape.records)
-    acc.loss_total = sum(rec.loss for rec in tape.records)
-    return acc
-
-
-def backward_truncated(tape: EventTape, model: GrnnModel) -> GradientAccumulator:
-    """Per-batch sweeps with cross-boundary flow cut after one producing hop."""
-    _check_tape(tape)
-    acc = GradientAccumulator(model)
-    for group in tape.batch_groups():
-        _backward_records(group, model, acc.buffers, truncate=True)
-    acc.event_count = len(tape.records)
-    acc.loss_total = sum(rec.loss for rec in tape.records)
+    _backward_records(tape, model, acc.buffers, truncate=False)
     return acc
 
 
@@ -422,7 +378,8 @@ def train_epoch(
 
     The summed epoch loss drives gradients; the mean per-event loss is what
     gets reported. step_per_batch switches t_bptt to an online regime with
-    one optimizer step per batch (off by default).
+    one optimizer step per batch (off by default). The returned "gradient"
+    holds the buffers the last optimizer step applied.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown training mode {mode!r}")
@@ -435,6 +392,7 @@ def train_epoch(
         store.reset()
     params = model.named_params()
     n_events = len(events)
+    online = step_per_batch and mode == "t_bptt"
 
     if mode == "f_bptt":
         fw = forward_epoch(
@@ -446,18 +404,15 @@ def train_epoch(
         acc = backward_full(fw.tape, model)
         peak_live = len(fw.tape)
         total_loss = fw.total_loss
-        grad_norm = acc.grad_norm()
-        adamw_step(optimizer, params, acc.buffers)
     else:
         # streaming truncated training: backward each batch as soon as it is
         # forwarded, then release its records. Only the per-node producing
         # records (one GRU cache each) stay alive for the one-hop tails.
         producers: dict[int, Slot] = {}
         live: dict[int, int] = {}  # id(record) -> nodes whose current state it produced
-        acc = GradientAccumulator(model)
+        acc = stepped = GradientAccumulator(model)
         total_loss = 0.0
         peak_live = 0
-        grad_norms: list[float] = []
         for records, batch_loss in _forward_batches(
             events, model, store, batching, producers,
             record=True, task=task, training=True,
@@ -465,20 +420,15 @@ def train_epoch(
             mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
         ):
             total_loss += batch_loss
-            acc.event_count += len(records)
-            acc.loss_total += batch_loss
             _backward_records(records, model, acc.buffers, truncate=True)
             _count_producers(records, live)
             peak_live = max(peak_live, len(records) + len(live))
-            if step_per_batch:
-                grad_norms.append(acc.grad_norm())
+            if online:
                 adamw_step(optimizer, params, acc.buffers)
-                acc.zero()
-        if step_per_batch:
-            grad_norm = grad_norms[-1] if grad_norms else 0.0
-        else:
-            grad_norm = acc.grad_norm()
-            adamw_step(optimizer, params, acc.buffers)
+                stepped, acc = acc, GradientAccumulator(model)
+    if not online:
+        adamw_step(optimizer, params, acc.buffers)
+        stepped = acc
 
     for name, p in params.items():
         if not np.all(np.isfinite(p)):
@@ -486,7 +436,8 @@ def train_epoch(
     return {
         "mean_loss": total_loss / n_events if n_events else 0.0,
         "total_loss": total_loss,
-        "grad_norm": grad_norm,
+        "grad_norm": stepped.grad_norm(),
+        "gradient": stepped.buffers,
         "n_events": n_events,
         "peak_live_records": peak_live,
     }

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParameterError, StructuralError
+from .errors import ParameterError, StructuralError
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,20 +28,6 @@ class Event:
     def __post_init__(self):
         if self.src == self.dst:
             raise ParameterError(f"event {self.index}: self-loop on node {self.src}")
-
-
-def validate_stream(events: list[Event]) -> None:
-    """Timestamps must be non-decreasing and feature dims constant."""
-    prev_t = -np.inf
-    dim = None
-    for ev in events:
-        if ev.time < prev_t:
-            raise DataError(f"event {ev.index}: timestamp decreases ({ev.time} < {prev_t})")
-        prev_t = ev.time
-        if dim is None:
-            dim = ev.features.size
-        elif ev.features.size != dim:
-            raise DataError(f"event {ev.index}: feature dim {ev.features.size} != {dim}")
 
 
 @dataclass

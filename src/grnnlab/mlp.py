@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dropout import check_rate
 from .errors import StructuralError
 from .rng import Rng
 from .gru import uniform_matrix
@@ -69,10 +70,12 @@ def mlp_forward(
     a1 = np.maximum(pre1, 0.0)
     mask = None
     scale = 1.0
-    if training and dropout_rate > 0.0:
-        mask = rng.keep_mask(a1.size, dropout_rate)
-        scale = 1.0 / (1.0 - dropout_rate)
-        a1 = a1 * mask * scale
+    if training:
+        check_rate(dropout_rate, "mlp dropout")
+        if dropout_rate > 0.0:
+            mask = rng.keep_mask(a1.size, dropout_rate)
+            scale = 1.0 / (1.0 - dropout_rate)
+            a1 = a1 * mask * scale
     logit = float(params.w2 @ a1 + params.b2[0])
     return logit, MlpCache(x=x, pre1=pre1, a1=a1, drop_mask=mask, drop_scale=scale)
 

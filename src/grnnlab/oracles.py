@@ -73,20 +73,13 @@ def _tbatch_indices(events: list[Event]) -> list[list[int]]:
     return buckets
 
 
-def epoch_loss_reference(
-    params: dict[str, np.ndarray],
-    events: list[Event],
-    num_nodes: int,
-    m: int,
-    strategy: str,
-    batch_size: int | None,
-    dtype=np.float64,
-) -> float:
-    """Total regression loss of an epoch, recomputed from first principles.
+def _reference_pass(params, events, num_nodes, m, strategy, batch_size, dtype, tails=None):
+    """One straight-line forward over the epoch: (total loss, tails).
 
-    Predictions read the states each event's batch semantics expose
-    (live states when sequential, batch-start states otherwise); parallel
-    batches apply only each node's last in-batch update.
+    tails[pos] holds, for the src and dst reads of event pos, the inputs
+    (own pre-state, GRU input) of the update that produced the state read,
+    when that update ran in an earlier batch, else None. Passing tails back
+    in recomputes each such read from those fixed inputs under params.
     """
     params = {k.split(".", 1)[-1] if "." in k else k: v for k, v in params.items()}
     gru_w = {k: params[k] for k in ("wz", "wr", "wn", "bz", "br", "bn")}
@@ -102,42 +95,78 @@ def epoch_loss_reference(
             for i in range(0, len(events), batch_size)
         ]
 
+    sequential = strategy == "sequential"
     states = np.zeros((num_nodes, m), dtype=dtype)
+    made: dict[int, tuple] = {}  # node -> (batch, own pre-state, GRU input) of its last update
+    read_tails: list = [None] * len(events)
     total = dtype(0.0)
-    for group in groups:
-        if strategy == "sequential":
-            for pos in group:
-                ev = events[pos]
-                h_s = states[ev.src].copy()
-                h_d = states[ev.dst].copy()
-                feats = np.asarray(ev.features, dtype=dtype)
-                pred = mlp_forward_reference(mlp_w, np.concatenate((h_s, h_d, feats)), dtype)
-                total = total + (pred - dtype(ev.y)) ** 2
-                states[ev.src] = gru_forward_reference(
-                    gru_w, h_s, np.concatenate((h_d, feats)), dtype
-                )
-                states[ev.dst] = gru_forward_reference(
-                    gru_w, h_d, np.concatenate((h_s, feats)), dtype
-                )
-        else:
-            snapshot = states.copy()
-            last_of_node: dict[int, int] = {}
-            for pos in group:
-                last_of_node[events[pos].src] = pos
-                last_of_node[events[pos].dst] = pos
-            for pos in group:
-                ev = events[pos]
-                h_s = snapshot[ev.src]
-                h_d = snapshot[ev.dst]
-                feats = np.asarray(ev.features, dtype=dtype)
-                pred = mlp_forward_reference(mlp_w, np.concatenate((h_s, h_d, feats)), dtype)
-                total = total + (pred - dtype(ev.y)) ** 2
-                if last_of_node[ev.src] == pos:
-                    states[ev.src] = gru_forward_reference(
-                        gru_w, h_s, np.concatenate((h_d, feats)), dtype
-                    )
-                if last_of_node[ev.dst] == pos:
-                    states[ev.dst] = gru_forward_reference(
-                        gru_w, h_d, np.concatenate((h_s, feats)), dtype
-                    )
-    return total
+    for b, group in enumerate(groups):
+        # sequential batches read live states; parallel ones the batch start,
+        # and apply only each node's last in-batch update
+        read_states, read_made = (states, made) if sequential else (states.copy(), dict(made))
+        last_of_node: dict[int, int] = {}
+        for pos in group:
+            last_of_node[events[pos].src] = pos
+            last_of_node[events[pos].dst] = pos
+        for pos in group:
+            ev = events[pos]
+            feats = np.asarray(ev.features, dtype=dtype)
+            pre, read_tails[pos] = [], []
+            for k, node in enumerate((ev.src, ev.dst)):
+                prod = read_made.get(node)
+                read_tails[pos].append(prod[1:] if prod is not None and prod[0] != b else None)
+                if tails is not None and tails[pos][k] is not None:
+                    pre.append(gru_forward_reference(gru_w, *tails[pos][k], dtype))
+                else:
+                    pre.append(read_states[node].copy())
+            h_s, h_d = pre
+            pred = mlp_forward_reference(mlp_w, np.concatenate((h_s, h_d, feats)), dtype)
+            total = total + (pred - dtype(ev.y)) ** 2
+            for node, h_own, h_other in ((ev.src, h_s, h_d), (ev.dst, h_d, h_s)):
+                if sequential or last_of_node[node] == pos:
+                    x_in = np.concatenate((h_other, feats))
+                    states[node] = gru_forward_reference(gru_w, h_own, x_in, dtype)
+                    made[node] = (b, h_own, x_in)
+    return total, read_tails
+
+
+def epoch_loss_reference(
+    params: dict[str, np.ndarray],
+    events: list[Event],
+    num_nodes: int,
+    m: int,
+    strategy: str,
+    batch_size: int | None,
+    dtype=np.float64,
+) -> float:
+    """Total regression loss of an epoch, recomputed from first principles.
+
+    Predictions read the states each event's batch semantics expose
+    (live states when sequential, batch-start states otherwise); parallel
+    batches apply only each node's last in-batch update.
+    """
+    return _reference_pass(params, events, num_nodes, m, strategy, batch_size, dtype)[0]
+
+
+def truncated_loss_reference(
+    params: dict[str, np.ndarray],
+    params0: dict[str, np.ndarray],
+    events: list[Event],
+    num_nodes: int,
+    m: int,
+    strategy: str,
+    batch_size: int | None,
+    dtype=np.float64,
+) -> float:
+    """Epoch loss whose gradient at params0 is the one-hop truncated one.
+
+    The forward reruns at params with one change: a state read across a
+    batch boundary is recomputed as GRU_params(producer's own pre-state at
+    params0, [counterparty pre-state at params0, features]), so it depends
+    on the parameters only through the single update that produced it -
+    the BPTT(h; h') family of Williams & Peng (1990), applied per node.
+    """
+    _, tails = _reference_pass(params0, events, num_nodes, m, strategy, batch_size, dtype)
+    return _reference_pass(
+        params, events, num_nodes, m, strategy, batch_size, dtype, tails
+    )[0]

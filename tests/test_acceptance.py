@@ -29,8 +29,6 @@ from grnnlab.evalbench import (
     run_trial,
     write_synthetic_linkstream,
 )
-from grnnlab.oracles import epoch_loss_reference
-
 from helpers import params_equal
 from test_evalbench import one_hot_identity_model
 from grnnlab.evalbench import compute_metrics, rank_true_destination
@@ -41,8 +39,9 @@ def report(criterion, detail):
 
 
 def test_criterion_1_gradient_exactness():
-    """backward_full matches central finite differences (rel err <= 1e-5) on
-    20 random graphs (<= 20 events, m <= 8) across all three strategies."""
+    """The F-BPTT gradient training applies matches central finite
+    differences (rel err <= 1e-5) on 20 random graphs (<= 20 events, m <= 8)
+    across all three strategies."""
     t0 = time.time()
     strategies = ["sequential", "t_batch", "fixed_parallel"]
     worst = 0.0
@@ -52,9 +51,6 @@ def test_criterion_1_gradient_exactness():
         n_events = 5 + rng.randrange(16)
         n_nodes = 4 + rng.randrange(5)
         memory = 1 + rng.randrange(3)
-        cfg = g.SyntheticConfig(memory=memory, num_nodes=n_nodes, edges_per_epoch=n_events)
-        events = g.generate_epoch(cfg, rng.substream("data"))
-        model = g.init_model(rng.substream("init"), m, 1, "regression")
         strategy = strategies[i % 3]
         if strategy == "sequential":
             size = 3 if i % 2 else None
@@ -63,17 +59,7 @@ def test_criterion_1_gradient_exactness():
         else:
             size = 1 + rng.randrange(6)
         batching = g.BatchingConfig(strategy=strategy, batch_size=size)
-        store = g.NodeStateStore.zeros(n_nodes, m)
-        fw = g.forward_epoch(events, model, store, batching, record=True)
-        acc = g.backward_full(fw.tape, model)
-        ref = {k: np.asarray(v, dtype=np.longdouble) for k, v in model.named_params().items()}
-
-        def loss():
-            return epoch_loss_reference(
-                ref, events, n_nodes, m, strategy, size, dtype=np.longdouble
-            )
-
-        err = g.finite_diff_check(loss, ref, acc.buffers, eps=1e-5)
+        err, _ = g.epoch_gradient_check(rng, m, memory, n_nodes, n_events, batching, "f_bptt")
         worst = max(worst, err)
         assert err <= 1e-5, (i, strategy, err)
     elapsed = time.time() - t0
@@ -82,18 +68,19 @@ def test_criterion_1_gradient_exactness():
 
 
 def test_criterion_2_truncation_vacuity():
-    """One epoch-spanning batch: T-BPTT and F-BPTT give bit-identical
-    gradients and, under identical seeds, bit-identical trajectories."""
+    """One epoch-spanning batch: the F-BPTT and T-BPTT gradients training
+    applies are bit-identical (and pass their finite-difference checks) and,
+    under identical seeds, the trajectories are bit-identical."""
     cfg = g.SyntheticConfig(memory=2, num_nodes=12, edges_per_epoch=60)
     batching = g.BatchingConfig("sequential", None)
 
-    events = g.generate_epoch(cfg, g.Rng(5).substream("data"))
-    model = g.init_model(g.Rng(5).substream("init"), 6, 1, "regression")
-    store = g.NodeStateStore.zeros(12, 6)
-    fw = g.forward_epoch(events, model, store, batching, record=True)
-    full = g.backward_full(fw.tape, model)
-    trunc = g.backward_truncated(fw.tape, model)
-    assert params_equal(full.buffers, trunc.buffers)
+    grads = {}
+    for mode in ("f_bptt", "t_bptt"):
+        err, grads[mode] = g.epoch_gradient_check(
+            g.Rng(5), 6, 2, 12, 60, batching, mode, max_coords_per_tensor=5
+        )
+        assert err <= 1e-5, (mode, err)
+    assert params_equal(grads["f_bptt"], grads["t_bptt"])
 
     trajectories = {}
     for mode in ("f_bptt", "t_bptt"):

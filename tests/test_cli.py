@@ -4,10 +4,14 @@ import subprocess
 import sys
 import time
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grnnlab
-from grnnlab.cli import load_config, main
+from grnnlab.cli import SynthConfig, load_config, main
 from grnnlab.evalbench import write_synthetic_linkstream
 
 
@@ -161,6 +165,44 @@ def test_cli_flag_overrides_env(tmp_path, monkeypatch):
     assert effective["mode"] == "t_bptt"
 
 
+# each key's values, and whether a command-line flag can set it
+_LAYERED_KEYS = {
+    "mode": (st.sampled_from(["f_bptt", "t_bptt", "both"]), True),
+    "seeds": (st.lists(st.integers(0, 10**6), min_size=1, max_size=1), True),
+    "out_dir": (st.text(alphabet="abxyz_/", min_size=1, max_size=8), True),
+    "epochs": (st.integers(1, 10**6), False),
+    "learning_rate": (st.floats(1e-6, 1.0), False),
+    "step_per_batch": (st.booleans(), False),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_config_precedence_defaults_file_env_flags(data):
+    file, env, flags, expected = {"command": "synth"}, {}, {}, {}
+    for key, (values, has_flag) in _LAYERED_KEYS.items():
+        expected[key] = getattr(SynthConfig(), key)
+        for layer in ("file", "env", "flag"):
+            if (layer == "flag" and not has_flag) or not data.draw(st.booleans()):
+                continue
+            value = data.draw(values)
+            if layer == "file":
+                file[key] = value
+            elif layer == "env":
+                # string fields read raw text, the others parse it as JSON
+                raw = value if isinstance(value, str) else json.dumps(value)
+                env["GRNNLAB_" + key.upper()] = raw
+            else:
+                flags[key] = value
+            expected[key] = value  # later layers win
+    with mock.patch.dict(os.environ):
+        for name in [name for name in os.environ if name.startswith("GRNNLAB_")]:
+            del os.environ[name]
+        os.environ.update(env)
+        cfg = load_config("synth", file, flags)
+    assert {key: getattr(cfg, key) for key in expected} == expected
+
+
 def bench_config(tmp_path, stream_path, **extra):
     cfg = {
         "command": "bench",
@@ -236,7 +278,10 @@ def test_gradcheck_minimal_config_under_ten_seconds(tmp_path, capsys):
     assert main(["gradcheck", "--config", str(path)]) == 0
     assert time.time() - t0 < 10.0
     out = capsys.readouterr().out
-    assert "epoch_full_bptt_fd_sequential" in out
+    for strategy in ("sequential", "t_batch", "fixed_parallel"):
+        assert f"epoch_full_bptt_fd_{strategy}" in out
+        assert f"epoch_truncated_bptt_fd_{strategy}" in out
+    assert "truncation_vacuity" in out
 
 
 def test_gradcheck_detects_injected_fault(tmp_path):

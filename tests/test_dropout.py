@@ -91,9 +91,9 @@ def test_masks_equal_scalar_bernoulli_draws(rate, n):
     v = vec(n, seed=6)
     prev = vec(n, seed=7)
     expected = scalar_keep_mask(21, n, rate)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 1/(1-rate) at rate 1
+    if rate < 1.0:  # regular dropout rejects rate 1 (see below)
         _, mask = regular_dropout(v, rate, g.Rng(21))
-    assert np.array_equal(mask, expected)
+        assert np.array_equal(mask, expected)
     _, keep = recurrent_mix(v, prev, rate, g.Rng(21))
     assert np.array_equal(keep, expected)
 
@@ -104,3 +104,16 @@ def test_bad_mask_rate_raises(rate):
         regular_dropout(vec(8), rate, g.Rng(0))
     with pytest.raises(g.ParameterError):
         recurrent_mix(vec(8), vec(8, seed=1), rate, g.Rng(0))
+
+
+@pytest.mark.parametrize("rate", [float("nan"), -0.1, 1.0])
+def test_dropout_rates_outside_unit_interval_raise(rate):
+    # one [0, 1) check guards every dropout that rescales or can be configured
+    with pytest.raises(g.ParameterError, match="out of"):
+        regular_dropout(vec(8), rate, g.Rng(0))
+    for kind in ("regular", "recurrent"):
+        with pytest.raises(g.ParameterError, match="out of"):
+            g.StateDropout(rate, kind, g.Rng(0))
+    params = g.init_mlp_parameters(g.Rng(0), 4, 3)
+    with pytest.raises(g.ParameterError, match="out of"):
+        g.mlp_forward(params, np.zeros(4), dropout_rate=rate, rng=g.Rng(0), training=True)

@@ -159,15 +159,3 @@ def test_event_self_loop_rejected():
     with pytest.raises(g.ParameterError):
         g.Event(index=0, src=3, dst=3, time=0.0, features=np.zeros(1))
 
-
-def test_stream_validation():
-    from grnnlab.events import validate_stream
-
-    good = make_events([(0, 1), (1, 2)])
-    validate_stream(good)
-    bad = [
-        g.Event(index=0, src=0, dst=1, time=5.0, features=np.zeros(1)),
-        g.Event(index=1, src=1, dst=2, time=4.0, features=np.zeros(1)),
-    ]
-    with pytest.raises(g.DataError):
-        validate_stream(bad)

@@ -10,6 +10,12 @@ from grnnlab.oracles import epoch_loss_reference
 from helpers import events_from_pairs, params_equal, random_instance
 
 
+def epoch_gradient(events, model, mode, batching, **kwargs):
+    """The gradient train_epoch applies in mode, taken on a copy of model."""
+    return g.train_epoch(events, model.copy(), AdamwState(), mode, batching,
+                         **kwargs)["gradient"]
+
+
 # losses ----------------------------------------------------------------------
 
 
@@ -40,7 +46,7 @@ def test_forward_empty_epoch():
     model = g.init_model(g.Rng(0), 3, 1, "regression")
     store = g.NodeStateStore.zeros(2, 3)
     fw = g.forward_epoch([], model, store, g.BatchingConfig("sequential", None))
-    assert fw.total_loss == 0.0 and fw.losses == [] and len(fw.tape) == 0
+    assert fw.total_loss == 0.0 and len(fw.tape) == 0
 
 
 def test_zero_weight_model_predicts_zero_loss_is_baseline():
@@ -78,39 +84,26 @@ def test_forward_nan_loss_reports_event_index():
 
 
 def test_backward_full_matches_finite_differences_ten_events():
-    cfg = g.SyntheticConfig(memory=2, num_nodes=6, edges_per_epoch=10)
-    events = g.generate_epoch(cfg, g.Rng(3).substream("data"))
-    model = g.init_model(g.Rng(3).substream("init"), 4, 1, "regression")
-    batching = g.BatchingConfig("sequential", None)
-    store = g.NodeStateStore.zeros(6, 4)
-    fw = g.forward_epoch(events, model, store, batching, record=True)
-    acc = g.backward_full(fw.tape, model)
-    ref = {k: np.asarray(v, dtype=np.longdouble) for k, v in model.named_params().items()}
-
-    def loss():
-        return epoch_loss_reference(ref, events, 6, 4, "sequential", None, dtype=np.longdouble)
-
-    assert g.finite_diff_check(loss, ref, acc.buffers, eps=1e-5) <= 1e-5
+    err, _ = g.epoch_gradient_check(g.Rng(3), 4, 2, 6, 10,
+                                    g.BatchingConfig("sequential", None), "f_bptt")
+    assert err <= 1e-5
 
 
 def test_single_event_truncated_equals_full():
     events = events_from_pairs([(0, 1)], [1.3], memory=1)
     model = g.init_model(g.Rng(4), 3, 1, "regression")
-    store = g.NodeStateStore.zeros(2, 3)
-    fw = g.forward_epoch(events, model, store, g.BatchingConfig("sequential", 1), record=True)
-    full = g.backward_full(fw.tape, model)
-    trunc = g.backward_truncated(fw.tape, model)
-    assert params_equal(full.buffers, trunc.buffers)
+    batching = g.BatchingConfig("sequential", 1)
+    full = epoch_gradient(events, model, "f_bptt", batching, num_nodes=2)
+    trunc = epoch_gradient(events, model, "t_bptt", batching, num_nodes=2)
+    assert params_equal(full, trunc)
 
 
 def test_one_spanning_batch_truncated_equals_full_bitwise():
     cfg, events, model, _ = random_instance(42)
     batching = g.BatchingConfig("sequential", None)
-    store = g.NodeStateStore.zeros(cfg.num_nodes, model.m)
-    fw = g.forward_epoch(events, model, store, batching, record=True)
-    full = g.backward_full(fw.tape, model)
-    trunc = g.backward_truncated(fw.tape, model)
-    assert params_equal(full.buffers, trunc.buffers)
+    full = epoch_gradient(events, model, "f_bptt", batching, num_nodes=cfg.num_nodes)
+    trunc = epoch_gradient(events, model, "t_bptt", batching, num_nodes=cfg.num_nodes)
+    assert params_equal(full, trunc)
 
 
 def test_gradient_additivity_over_disconnected_components():
@@ -121,9 +114,7 @@ def test_gradient_additivity_over_disconnected_components():
     batching = g.BatchingConfig("sequential", None)
 
     def grads(events, n_nodes):
-        store = g.NodeStateStore.zeros(n_nodes, 3)
-        fw = g.forward_epoch(events, model, store, batching, record=True)
-        return g.backward_full(fw.tape, model).buffers
+        return epoch_gradient(events, model, "f_bptt", batching, num_nodes=n_nodes)
 
     both = events_from_pairs(pairs_a + pairs_b, xs_a + xs_b, memory=1)
     # reindex to keep timestamps/order valid while interleaving is irrelevant here
@@ -139,17 +130,15 @@ def test_per_edge_truncation_diverges_from_full_on_20_events():
     events = g.generate_epoch(cfg, g.Rng(6).substream("data"))
     model = g.init_model(g.Rng(6).substream("init"), 4, 1, "regression")
     batching = g.BatchingConfig("sequential", 1)  # per-edge batches
-    store = g.NodeStateStore.zeros(5, 4)
-    fw = g.forward_epoch(events, model, store, batching, record=True)
-    full = g.backward_full(fw.tape, model)
-    trunc = g.backward_truncated(fw.tape, model)
-    va = np.concatenate([full.buffers[k].ravel() for k in sorted(full.buffers)])
-    vt = np.concatenate([trunc.buffers[k].ravel() for k in sorted(trunc.buffers)])
+    full = epoch_gradient(events, model, "f_bptt", batching, num_nodes=5)
+    trunc = epoch_gradient(events, model, "t_bptt", batching, num_nodes=5)
+    va = np.concatenate([full[k].ravel() for k in sorted(full)])
+    vt = np.concatenate([trunc[k].ravel() for k in sorted(trunc)])
     cos = float(va @ vt / (np.linalg.norm(va) * np.linalg.norm(vt)))
     assert cos < 1.0 - 1e-6
     # one-hop tails keep the recurrent cell trainable under truncation
     gru_norm = math.sqrt(sum(float((v * v).sum())
-                             for k, v in trunc.buffers.items() if k.startswith("gru")))
+                             for k, v in trunc.items() if k.startswith("gru")))
     assert gru_norm > 0.0
 
 
@@ -157,12 +146,11 @@ def test_truncation_vacuous_when_batches_share_no_nodes():
     # batch 0 touches {0,1}, batch 1 touches {2,3}: no cross-batch reads
     events = events_from_pairs([(0, 1), (0, 1), (2, 3), (3, 2)], [1.0, -0.5, 0.3, 0.8], memory=1)
     model = g.init_model(g.Rng(8), 3, 1, "regression")
-    store = g.NodeStateStore.zeros(4, 3)
-    fw = g.forward_epoch(events, model, store, g.BatchingConfig("sequential", 2), record=True)
-    full = g.backward_full(fw.tape, model)
-    trunc = g.backward_truncated(fw.tape, model)
-    for k in full.buffers:
-        assert np.allclose(full.buffers[k], trunc.buffers[k], atol=1e-12), k
+    batching = g.BatchingConfig("sequential", 2)
+    full = epoch_gradient(events, model, "f_bptt", batching, num_nodes=4)
+    trunc = epoch_gradient(events, model, "t_bptt", batching, num_nodes=4)
+    for k in full:
+        assert np.allclose(full[k], trunc[k], atol=1e-12), k
 
 
 def test_backward_requires_recorded_tape():
@@ -177,20 +165,27 @@ def test_backward_requires_recorded_tape():
 def test_backward_exact_across_all_strategies_random_instances():
     for seed in (11, 12, 13, 14, 15, 16):
         cfg, events, model, batching = random_instance(seed, max_events=14, max_m=5)
-        store = g.NodeStateStore.zeros(cfg.num_nodes, model.m)
-        fw = g.forward_epoch(events, model, store, batching, record=True)
-        acc = g.backward_full(fw.tape, model)
-        ref = {k: np.asarray(v, dtype=np.longdouble) for k, v in model.named_params().items()}
-
-        def loss():
-            return epoch_loss_reference(
-                ref, events, cfg.num_nodes, model.m,
-                batching.strategy, batching.batch_size, dtype=np.longdouble,
-            )
-
-        err = g.finite_diff_check(loss, ref, acc.buffers, eps=1e-5,
-                                  max_coords_per_tensor=20, rng=g.Rng(seed))
+        err, _ = g.epoch_gradient_check(
+            g.Rng(seed), model.m, cfg.memory, cfg.num_nodes, len(events), batching,
+            "f_bptt", max_coords_per_tensor=20,
+        )
         assert err <= 1e-5, (seed, batching, err)
+
+
+@pytest.mark.parametrize("strategy,size", [("sequential", 1), ("sequential", 3),
+                                           ("t_batch", None), ("fixed_parallel", 2),
+                                           ("fixed_parallel", 3)])
+def test_truncated_gradient_matches_one_hop_oracle(strategy, size):
+    # the T-BPTT gradient training applies equals the gradient of the one-hop
+    # truncated reference loss; the F-BPTT gradient must fail the same check,
+    # since every batching here has reads two or more batches downstream
+    batching = g.BatchingConfig(strategy, size)
+    err, trunc = g.epoch_gradient_check(g.Rng(3), 4, 2, 6, 10, batching, "t_bptt")
+    assert err <= 1e-5
+    err_full, full = g.epoch_gradient_check(g.Rng(3), 4, 2, 6, 10, batching, "f_bptt",
+                                            oracle="t_bptt")
+    assert err_full > 0.1
+    assert not params_equal(full, trunc)
 
 
 # training loop -----------------------------------------------------------------
@@ -225,27 +220,6 @@ def test_modes_identical_with_single_spanning_batch():
         results[mode] = (curve, {k: v.copy() for k, v in model.named_params().items()})
     assert results["f_bptt"][0] == results["t_bptt"][0]
     assert params_equal(results["f_bptt"][1], results["t_bptt"][1])
-
-
-def test_streaming_truncated_training_equals_offline_truncated_backward():
-    cfg = g.SyntheticConfig(memory=2, num_nodes=7, edges_per_epoch=18)
-    events = g.generate_epoch(cfg, g.Rng(21).substream("data"))
-    batching = g.BatchingConfig("fixed_parallel", 4)
-
-    model_a = g.init_model(g.Rng(21).substream("init"), 3, 1, "regression")
-    model_b = model_a.copy()
-
-    opt_a = AdamwState(lr=1e-3, weight_decay=1e-4)
-    g.train_epoch(events, model_a, opt_a, "t_bptt", batching, num_nodes=7)
-
-    store = g.NodeStateStore.zeros(7, 3)
-    fw = g.forward_epoch(events, model_b, store, batching, record=True)
-    acc = g.backward_truncated(fw.tape, model_b)
-    opt_b = AdamwState(lr=1e-3, weight_decay=1e-4)
-    from grnnlab.adamw import adamw_step
-
-    adamw_step(opt_b, model_b.named_params(), acc.buffers)
-    assert params_equal(model_a.named_params(), model_b.named_params())
 
 
 def test_determinism_bit_identical_loss_curves():
@@ -359,15 +333,14 @@ def test_link_task_gradient_matches_finite_differences():
             store.states[n] = [0.1 * warm_rng.standard_normal() for _ in range(3)]
         return store
 
-    fw = g.forward_epoch(events, model, warmed_store(), batching, record=True,
-                         rng=g.Rng(13), neg_universe=universe)
-    acc = g.backward_full(fw.tape, model)
+    gradient = epoch_gradient(events, model, "f_bptt", batching, store=warmed_store(),
+                              reset_store=False, rng=g.Rng(13), neg_universe=universe)
 
     def loss():
         return g.forward_epoch(events, model, warmed_store(), batching, record=False,
                                rng=g.Rng(13), neg_universe=universe).total_loss
 
-    err = g.finite_diff_check(loss, model.named_params(), acc.buffers, eps=1e-5,
+    err = g.finite_diff_check(loss, model.named_params(), gradient, eps=1e-5,
                               max_coords_per_tensor=25, rng=g.Rng(1))
     # float64 forward noise dominates near-zero coordinates; a wrong negative
     # path or routing bug shows up as O(1) error, not 1e-4
@@ -380,7 +353,7 @@ def test_link_task_gradient_matches_finite_differences():
 def test_state_dropout_gradient_matches_finite_differences(kind, strategy, size):
     # Fresh, identically seeded rngs on every forward pass repeat the same
     # negatives and dropout masks, so the loss is a smooth function of the
-    # parameters and backward_full must match its finite differences. The
+    # parameters and the F-BPTT gradient must match its finite differences. The
     # warm-up states are larger than in the test above: at 0.1 some ReLU
     # inputs sit within eps of the kink and some gradients near 1e-7, where
     # central differences measure float64 noise instead of the gradient.
@@ -392,22 +365,25 @@ def test_state_dropout_gradient_matches_finite_differences(kind, strategy, size)
     universe = np.array([3, 4])
     batching = g.BatchingConfig(strategy, size)
 
-    def forward(record):
+    def inputs():
         store = g.NodeStateStore.zeros(5, 3)
         warm_rng = g.Rng(99)
         for n in range(5):
             store.states[n] = [0.5 * warm_rng.standard_normal() for _ in range(3)]
         dropout_rng = g.Rng(41)
-        return g.forward_epoch(
-            events, model, store, batching, record=record, training=True,
-            rng=g.Rng(13), neg_universe=universe,
-            state_dropout=g.StateDropout(0.3, kind, dropout_rng),
-            mlp_dropout=0.2, dropout_rng=dropout_rng,
-        )
+        return dict(store=store, rng=g.Rng(13), neg_universe=universe,
+                    state_dropout=g.StateDropout(0.3, kind, dropout_rng),
+                    mlp_dropout=0.2, dropout_rng=dropout_rng)
 
-    acc = g.backward_full(forward(True).tape, model)
-    err = g.finite_diff_check(lambda: forward(False).total_loss, model.named_params(),
-                              acc.buffers, eps=1e-5, max_coords_per_tensor=25, rng=g.Rng(1))
+    gradient = epoch_gradient(events, model, "f_bptt", batching, reset_store=False, **inputs())
+
+    def loss():
+        kw = inputs()
+        return g.forward_epoch(events, model, kw.pop("store"), batching, record=False,
+                               training=True, **kw).total_loss
+
+    err = g.finite_diff_check(loss, model.named_params(), gradient, eps=1e-5,
+                              max_coords_per_tensor=25, rng=g.Rng(1))
     assert err <= 1e-3
 
 
@@ -417,8 +393,6 @@ def test_grad_accumulator_zero_and_norm():
     assert acc.grad_norm() == 0.0
     acc.buffers["mlp.b2"] += 3.0
     assert abs(acc.grad_norm() - 3.0) < 1e-12
-    acc.zero()
-    assert acc.grad_norm() == 0.0
 
 
 def test_asymmetric_mode_gradients_are_exact():
@@ -428,15 +402,13 @@ def test_asymmetric_mode_gradients_are_exact():
     model = g.init_model(g.Rng(14).substream("init"), 3, 1, "regression", symmetric=False)
     assert not model.symmetric
     batching = g.BatchingConfig("sequential", None)
-    store = g.NodeStateStore.zeros(5, 3)
-    fw = g.forward_epoch(events, model, store, batching, record=True)
-    acc = g.backward_full(fw.tape, model)
-    assert any(k.startswith("gru_dst.") for k in acc.buffers)
+    gradient = epoch_gradient(events, model, "f_bptt", batching, num_nodes=5)
+    assert any(k.startswith("gru_dst.") for k in gradient)
 
     def loss():
         st = g.NodeStateStore.zeros(5, 3)
         return g.forward_epoch(events, model, st, batching, record=False).total_loss
 
-    err = g.finite_diff_check(loss, model.named_params(), acc.buffers, eps=1e-5,
+    err = g.finite_diff_check(loss, model.named_params(), gradient, eps=1e-5,
                               max_coords_per_tensor=15, rng=g.Rng(2))
     assert err <= 1e-4

@@ -1,4 +1,5 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -90,6 +91,68 @@ def test_loader_max_events_slice(tmp_path):
     rows = [f"u{k % 3},i{k % 2},{float(k)},0,0.5" for k in range(10)]
     ds = load_jodie_csv(write_csv(tmp_path, rows), max_events=4)
     assert len(ds.events) == 4
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def jodie_rows(draw):
+    """(user, item, timestamp, features) rows with non-decreasing timestamps
+    and one feature dimension."""
+    dim = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n))
+    start = draw(st.floats(-1e6, 1e6))
+    rows, t = [], start
+    for gap in gaps:
+        t += gap
+        rows.append((f"u{draw(st.integers(0, 4))}", f"i{draw(st.integers(0, 4))}", t,
+                     draw(st.lists(_finite, min_size=dim, max_size=dim))))
+    return rows
+
+
+def _csv_lines(rows):
+    return [",".join([user, item, repr(t), "0", *map(repr, feats)])
+            for user, item, t, feats in rows]
+
+
+def _load_lines(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w") as fh:
+            fh.write(HEADER + "\n" + "\n".join(lines) + "\n")
+        return load_jodie_csv(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(jodie_rows())
+def test_loader_valid_rows_round_trip(rows):
+    ds = _load_lines(_csv_lines(rows))
+    assert len(ds.events) == len(rows)
+    assert ds.feat_dim == len(rows[0][3])
+    for k, (ev, (user, item, t, feats)) in enumerate(zip(ds.events, rows)):
+        assert ev.index == k and ev.y is None
+        assert ev.src == ds.source_map[user] and ev.dst == ds.dest_map[item]
+        assert ev.time == t
+        assert ev.features.tolist() == feats
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=jodie_rows(), data=st.data(),
+       bad=st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999", "banana", "", "1.0.0"]))
+def test_loader_bad_numeric_field_names_its_line(rows, data, bad):
+    # any timestamp or feature that is non-finite or not a number is an
+    # ingestion error carrying the 1-based line number (the header is line 1)
+    lines = _csv_lines(rows)
+    k = data.draw(st.integers(0, len(rows) - 1))
+    fields = lines[k].split(",")
+    col = data.draw(st.sampled_from([2] + list(range(4, len(fields)))))
+    fields[col] = bad
+    lines[k] = ",".join(fields)
+    with pytest.raises(g.IngestionError, match=f"line {k + 2}:") as info:
+        _load_lines(lines)
+    assert info.value.line_no == k + 2
 
 
 @pytest.mark.skipif(

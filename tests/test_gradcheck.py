@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import grnnlab as g
+from grnnlab.adamw import AdamwState
 from helpers import epoch_loss_fn
 
 
@@ -63,11 +64,10 @@ def test_epoch_level_full_bptt_check():
     events = g.generate_epoch(cfg, g.Rng(3).substream("data"))
     model = g.init_model(g.Rng(3).substream("init"), 4, 1, "regression")
     batching = g.BatchingConfig(strategy="sequential", batch_size=None)
-    store = g.NodeStateStore.zeros(cfg.num_nodes, 4)
-    fw = g.forward_epoch(events, model, store, batching, record=True)
-    acc = g.backward_full(fw.tape, model)
+    gradient = g.train_epoch(events, model.copy(), AdamwState(), "f_bptt", batching,
+                             num_nodes=cfg.num_nodes)["gradient"]
     err = g.finite_diff_check(
         epoch_loss_fn(events, model, cfg.num_nodes, batching),
-        model.named_params(), acc.buffers, eps=1e-5,
+        model.named_params(), gradient, eps=1e-5,
     )
     assert err <= 1e-5

@@ -1,0 +1,43 @@
+"""The benchmark in perfbench/ drives grnnlab through its public API. These
+tests run each workload's operations at toy size, so a library change that
+breaks that API fails here and not only when the benchmark runs."""
+
+import importlib
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+
+import harness  # noqa: E402
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+class SmallLinkrank(workloads.Linkrank):
+    num_events = 300
+
+
+def test_wrapped_call_sites_resolve():
+    for module, attr, _ in spans.WRAPPED:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_tracer_selftest_passes():
+    assert harness.selftest() == []
+
+
+@pytest.mark.parametrize("make", [lambda: workloads.Synth(hidden=4, edges=20, num_nodes=10),
+                                  SmallLinkrank], ids=["synth", "linkrank"])
+def test_workload_operations_report_no_problems(make, tmp_path):
+    wl = make()
+    for mode in ("f_bptt", "t_bptt"):
+        run = wl.setup(1, str(tmp_path))
+        before = run.model.copy()
+        events, stats = wl.train(run, mode)
+        assert wl.check_train(events, stats, before, mode) == []
+        assert wl.check_validation(run, wl.validate(run)) == []
+    fw = wl.tape_forward(wl.setup(1, str(tmp_path)))()
+    assert len(fw.tape) > 0
