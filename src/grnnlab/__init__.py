@@ -6,12 +6,12 @@ strategies, plus a synthetic memory-horizon task and a link-ranking
 benchmark pipeline.
 """
 
+from .accumulator import GradientAccumulator
 from .adamw import AdamwState, adamw_step
 from .batching import make_batches_fixed, make_batches_tbatch
 from .dynamics import StateDropout, StepRecord, run_batch
 from .engine import (
     BatchingConfig,
-    GradientAccumulator,
     backward_full,
     build_batches,
     forward_epoch,

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -184,6 +185,14 @@ def _validate_config(command: str, cfg) -> None:
             raise ConfigError("memory_values must all be >= 1")
         if any(h < 1 for h in cfg.hidden_sizes):
             raise ConfigError("hidden_sizes must all be >= 1")
+        if cfg.num_nodes < 2:
+            raise ConfigError("num_nodes must be >= 2")
+        if cfg.edges_per_epoch < 1 or cfg.tbptt_batch_size < 1:
+            raise ConfigError("edges_per_epoch and tbptt_batch_size must be >= 1")
+        if not 0.0 < cfg.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be > 0 and finite, got {cfg.learning_rate}")
+        if not 0.0 <= cfg.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {cfg.weight_decay}")
     elif command == "bench":
         if not cfg.dataset_path:
             raise ConfigError("bench needs a dataset_path")
@@ -192,6 +201,10 @@ def _validate_config(command: str, cfg) -> None:
     elif command == "gradcheck":
         if cfg.eps <= 0 or cfg.tolerance <= 0:
             raise ConfigError("eps and tolerance must be positive")
+        if cfg.hidden_size < 1 or cfg.memory < 1 or cfg.events < 1:
+            raise ConfigError("hidden_size, memory and events must be >= 1")
+        if cfg.num_nodes < 2:
+            raise ConfigError("num_nodes must be >= 2")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -249,6 +262,7 @@ def _run_synth_cell(cfg: SynthConfig, memory: int, mode: str, hidden: int, seed:
                     "epoch": epoch,
                     "mean_loss": stats["mean_loss"],
                     "grad_norm": stats["grad_norm"],
+                    "peak_live_records": stats["peak_live_records"],
                 },
                 sort_keys=True,
             )
@@ -317,6 +331,7 @@ def _run_bench_trial(cfg: BenchConfig, dataset, trial, mode, seed, trial_index) 
                     "epoch": epoch,
                     "mean_loss": stats["mean_loss"],
                     "grad_norm": stats["grad_norm"],
+                    "peak_live_records": stats["peak_live_records"],
                     "val_mrr": val_metrics["mrr"],
                     "val_recall_at_10": val_metrics["recall_at_10"],
                 },
@@ -447,7 +462,7 @@ def cmd_gradcheck(cfg: GradcheckConfig) -> int:
         )
         return out @ w_probe  # keep extended precision through the difference
 
-    err = finite_diff_check(gru_loss, ref_params, acc, eps=cfg.eps)
+    err = finite_diff_check(gru_loss, ref_params, acc.buffers, eps=cfg.eps)
     checks.append(("gru_backward_fd", err, cfg.cell_tolerance))
 
     # cell-level: MLP
@@ -467,8 +482,8 @@ def cmd_gradcheck(cfg: GradcheckConfig) -> int:
             xm, dtype=np.longdouble,
         )
 
-    checks.append(("mlp_backward_fd", finite_diff_check(mlp_loss, mref_params, macc, eps=cfg.eps),
-                   cfg.cell_tolerance))
+    err = finite_diff_check(mlp_loss, mref_params, macc.buffers, eps=cfg.eps)
+    checks.append(("mlp_backward_fd", err, cfg.cell_tolerance))
 
     # epoch-level: the gradient training applies, in both modes, against
     # finite differences of the full or one-hop truncated reference loss

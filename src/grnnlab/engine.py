@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accumulator import GradientAccumulator
 from .adamw import AdamwState, adamw_step
 from .batching import make_batches_fixed, make_batches_tbatch
 from .dynamics import Slot, StateDropout, StepRecord, run_batch
@@ -78,20 +79,6 @@ def build_batches(events: list[Event], cfg: BatchingConfig) -> list[Batch]:
             raise ConfigError("fixed_parallel batching requires a batch size")
         return make_batches_fixed(events, cfg.batch_size)
     raise ConfigError(f"unknown batching strategy {cfg.strategy!r}")
-
-
-# ---------------------------------------------------------------------------
-# accumulator
-
-
-class GradientAccumulator:
-    """Parameter-shaped gradient buffers."""
-
-    def __init__(self, model: GrnnModel):
-        self.buffers = {name: np.zeros_like(p) for name, p in model.named_params().items()}
-
-    def grad_norm(self) -> float:
-        return math.sqrt(sum(float((b * b).sum()) for b in self.buffers.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +239,10 @@ def _backward_update(
     role: str,
     g_out: np.ndarray,
     model: GrnnModel,
-    buffers: dict[str, np.ndarray],
+    acc: GradientAccumulator,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Backward through one endpoint update: its state dropout, then its GRU
-    application, whose parameter gradients go into buffers.
+    application, whose parameter gradients go into acc.
 
     Returns the gradients onto the own pre-update state (through the GRU,
     then the recurrent-mix passthrough or None) and onto the counterparty's.
@@ -267,14 +254,14 @@ def _backward_update(
         g_out, getattr(rec, "drop_mask_" + role), rec.drop_kind, rec.drop_rate
     )
     params, prefix = model.gru_for_role(role)
-    _, gh_prev, gx_in = gru_backward(params, cache, g_new, buffers, prefix)
+    _, gh_prev, gx_in = gru_backward(params, cache, g_new, acc, prefix)
     return gh_prev, g_pass, gx_in[: model.m]
 
 
 def _backward_records(
     records: list[StepRecord],
     model: GrnnModel,
-    buffers: dict[str, np.ndarray],
+    acc: GradientAccumulator,
     truncate: bool,
 ) -> None:
     """Reverse sweep over one contiguous record span (a batch, or the whole
@@ -287,11 +274,11 @@ def _backward_records(
 
         # prediction path
         if rec.pred_cache is not None:
-            _, gx = mlp_backward(model.mlp, rec.pred_cache, rec.grad_logit_pred, buffers, "mlp.")
+            _, gx = mlp_backward(model.mlp, rec.pred_cache, rec.grad_logit_pred, acc, "mlp.")
             g_pre["src"] = gx[:m].copy()
             g_pre["dst"] = gx[m : 2 * m].copy()
         if rec.neg_cache is not None:
-            _, gx = mlp_backward(model.mlp, rec.neg_cache, rec.grad_logit_neg, buffers, "mlp.")
+            _, gx = mlp_backward(model.mlp, rec.neg_cache, rec.grad_logit_neg, acc, "mlp.")
             g_pre["src"] = _add(g_pre["src"], gx[:m])
             g_extra = gx[m : 2 * m].copy()
 
@@ -300,7 +287,7 @@ def _backward_records(
             g_out = slot_grads.pop((id(rec), role), None)
             if g_out is None:
                 continue
-            gh_prev, g_pass, g_other = _backward_update(rec, role, g_out, model, buffers)
+            gh_prev, g_pass, g_other = _backward_update(rec, role, g_out, model, acc)
             g_pre[role] = _add(g_pre[role], gh_prev)
             if g_pass is not None:
                 g_pre[role] = _add(g_pre[role], g_pass)
@@ -322,15 +309,15 @@ def _backward_records(
             else:
                 # cross-boundary one-hop tail: the producing update adds its
                 # parameter gradients, but its state inputs are constants
-                _backward_update(prod, role, g, model, buffers)
+                _backward_update(prod, role, g, model, acc)
 
 
 def backward_full(tape: list[StepRecord] | None, model: GrnnModel) -> GradientAccumulator:
     """Exact reverse-mode sweep across the entire epoch."""
     if tape is None:
         raise StructuralError("backward pass needs the tape of a forward pass with record=True")
-    acc = GradientAccumulator(model)
-    _backward_records(tape, model, acc.buffers, truncate=False)
+    acc = GradientAccumulator(model.named_params())
+    _backward_records(tape, model, acc, truncate=False)
     return acc
 
 
@@ -410,7 +397,7 @@ def train_epoch(
         # records (one GRU cache each) stay alive for the one-hop tails.
         producers: dict[int, Slot] = {}
         live: dict[int, int] = {}  # id(record) -> nodes whose current state it produced
-        acc = stepped = GradientAccumulator(model)
+        acc = stepped = GradientAccumulator(params)
         total_loss = 0.0
         peak_live = 0
         for records, batch_loss in _forward_batches(
@@ -420,12 +407,12 @@ def train_epoch(
             mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
         ):
             total_loss += batch_loss
-            _backward_records(records, model, acc.buffers, truncate=True)
+            _backward_records(records, model, acc, truncate=True)
             _count_producers(records, live)
             peak_live = max(peak_live, len(records) + len(live))
             if online:
                 adamw_step(optimizer, params, acc.buffers)
-                stepped, acc = acc, GradientAccumulator(model)
+                stepped, acc = acc, GradientAccumulator(params)
     if not online:
         adamw_step(optimizer, params, acc.buffers)
         stepped = acc

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accumulator import GradientAccumulator
 from .errors import StructuralError
 from .rng import Rng
 
@@ -112,13 +113,14 @@ def gru_backward(
     params: GruParameters,
     cache: GruCache,
     grad_h_new: np.ndarray,
-    acc: dict[str, np.ndarray] | None = None,
+    acc: GradientAccumulator | None = None,
     prefix: str = "gru.",
-) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+) -> tuple[GradientAccumulator, np.ndarray, np.ndarray]:
     """Exact gradients of gru_forward.
 
     Accumulates parameter gradients into acc (created if None) under
-    prefix + {wz, wr, wn, bz, br, bn}; returns (acc, grad_h_prev, grad_x_in).
+    prefix + {wz, wr, wn, bz, br, bn}, staging the weight-matrix terms as
+    tile rows; returns (acc, grad_h_prev, grad_x_in).
     """
     m = params.m
     if cache.h_prev.shape != (m,):
@@ -126,34 +128,31 @@ def gru_backward(
     if grad_h_new.shape != (m,):
         raise StructuralError(f"gru_backward: grad_h_new shape {grad_h_new.shape}")
     if acc is None:
-        acc = {name: np.zeros_like(p) for name, p in params.named(prefix).items()}
+        acc = GradientAccumulator(params.named(prefix))
 
     h_prev, x_in, z, r, n = cache.h_prev, cache.x_in, cache.z, cache.r, cache.n
-    xc = np.concatenate((h_prev, x_in))
-    xn = np.concatenate((r * h_prev, x_in))
 
     # h_new = (1 - z) * h_prev + z * n
     grad_z = grad_h_new * (n - h_prev)
     grad_n = grad_h_new * z
     grad_h_prev = grad_h_new * (1.0 - z)
 
-    # candidate path: n = tanh(wn @ xn + bn)
+    # candidate path: n = tanh(wn @ xn + bn), xn = concat(r * h_prev, x_in)
     gn = grad_n * (1.0 - n * n)
-    acc[prefix + "wn"] += np.outer(gn, xn)
-    acc[prefix + "bn"] += gn
+    acc.stage((prefix + "wn",), (gn,), (r * h_prev, x_in))
+    acc.add(prefix + "bn", gn)
     grad_xn = params.wn.T @ gn
     grad_rh = grad_xn[:m]
     grad_x_in = grad_xn[m:].copy()
     grad_r = grad_rh * h_prev
     grad_h_prev = grad_h_prev + grad_rh * r
 
-    # gate pre-activations through the shared input xc
+    # gate pre-activations through the shared input xc = concat(h_prev, x_in)
     gr = grad_r * r * (1.0 - r)
-    acc[prefix + "wr"] += np.outer(gr, xc)
-    acc[prefix + "br"] += gr
     gz = grad_z * z * (1.0 - z)
-    acc[prefix + "wz"] += np.outer(gz, xc)
-    acc[prefix + "bz"] += gz
+    acc.stage((prefix + "wz", prefix + "wr"), (gz, gr), (h_prev, x_in))
+    acc.add(prefix + "br", gr)
+    acc.add(prefix + "bz", gz)
 
     grad_xc = params.wr.T @ gr + params.wz.T @ gz
     grad_h_prev = grad_h_prev + grad_xc[:m]

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .accumulator import GradientAccumulator
 from .dropout import check_rate
 from .errors import StructuralError
 from .rng import Rng
@@ -84,20 +85,21 @@ def mlp_backward(
     params: MlpParameters,
     cache: MlpCache,
     grad_logit: float,
-    acc: dict[str, np.ndarray] | None = None,
+    acc: GradientAccumulator | None = None,
     prefix: str = "mlp.",
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Exact gradients of mlp_forward; returns (acc, grad_x)."""
+) -> tuple[GradientAccumulator, np.ndarray]:
+    """Exact gradients of mlp_forward, accumulated into acc (created if
+    None), w1's as a tile row; returns (acc, grad_x)."""
     if acc is None:
-        acc = {name: np.zeros_like(p) for name, p in params.named(prefix).items()}
-    acc[prefix + "w2"] += grad_logit * cache.a1
-    acc[prefix + "b2"] += grad_logit
+        acc = GradientAccumulator(params.named(prefix))
+    acc.add(prefix + "w2", grad_logit * cache.a1)
+    acc.add(prefix + "b2", grad_logit)
     grad_a1 = grad_logit * params.w2
     if cache.drop_mask is not None:
         grad_a1 = grad_a1 * cache.drop_mask * cache.drop_scale
     grad_pre1 = grad_a1 * (cache.pre1 > 0.0)
-    acc[prefix + "w1"] += np.outer(grad_pre1, cache.x)
-    acc[prefix + "b1"] += grad_pre1
+    acc.stage((prefix + "w1",), (grad_pre1,), (cache.x,))
+    acc.add(prefix + "b1", grad_pre1)
     grad_x = params.w1.T @ grad_pre1
     return acc, grad_x
 

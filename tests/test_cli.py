@@ -51,7 +51,7 @@ def test_synth_smoke_and_summary_schema(tmp_path):
     # telemetry excludes wall-clock fields so reruns are byte-identical
     tele = read(os.path.join(cfg["out_dir"], "synth_M1_t_bptt_h4_s0.jsonl"))
     record = json.loads(tele.splitlines()[0])
-    assert set(record) == {"epoch", "mean_loss", "grad_norm"}
+    assert set(record) == {"epoch", "mean_loss", "grad_norm", "peak_live_records"}
 
 
 def test_synth_rerun_is_byte_identical(tmp_path):
@@ -94,6 +94,28 @@ def test_invalid_mode_is_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"command": "synth", "mode": "sideways"}))
     assert main(["synth", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("synth", {"edges_per_epoch": 0}),
+    ("synth", {"num_nodes": 1}),
+    ("synth", {"mode": "t_bptt", "tbptt_batch_size": 0}),
+    ("synth", {"learning_rate": -1.0}),
+    ("synth", {"weight_decay": -1.0}),
+    ("gradcheck", {"hidden_size": 0}),
+    ("gradcheck", {"memory": 0}),
+    ("gradcheck", {"events": 0}),
+    ("gradcheck", {"num_nodes": 1}),
+])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, command, extra):
+    if command == "synth":
+        path, _ = smoke_synth_config(tmp_path, **extra)
+    else:
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"command": command, **extra}))
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and list(extra)[-1] in err
 
 
 @pytest.mark.parametrize("key,value", [("epochs", "5"), ("epochs", True),
@@ -240,6 +262,9 @@ def test_bench_smoke_both_modes(tmp_path):
     )
     trial = json.loads(read(os.path.join(cfg["out_dir"], "trial_f_bptt_s0_t0.json")))
     assert {"dataset", "mode", "seed", "trial", "mrr", "recall_at_10", "epochs"} <= set(trial)
+    tele = read(os.path.join(cfg["out_dir"], "trial_t_bptt_s0_t0.jsonl"))
+    assert set(json.loads(tele.splitlines()[0])) == {
+        "epoch", "mean_loss", "grad_norm", "peak_live_records", "val_mrr", "val_recall_at_10"}
 
 
 def test_bench_missing_dataset_is_data_error(tmp_path):

@@ -389,7 +389,7 @@ def test_state_dropout_gradient_matches_finite_differences(kind, strategy, size)
 
 def test_grad_accumulator_zero_and_norm():
     model = g.init_model(g.Rng(0), 2, 1, "regression")
-    acc = g.GradientAccumulator(model)
+    acc = g.GradientAccumulator(model.named_params())
     assert acc.grad_norm() == 0.0
     acc.buffers["mlp.b2"] += 3.0
     assert abs(acc.grad_norm() - 3.0) < 1e-12

@@ -58,7 +58,7 @@ def test_backward_zero_upstream_gives_zero_gradients():
     params = g.init_gru_parameters(rng, 3, 4)
     _, cache = g.gru_forward(params, random_vec(rng, 3), random_vec(rng, 4))
     acc, gh, gx = g.gru_backward(params, cache, np.zeros(3))
-    assert all(np.all(v == 0) for v in acc.values())
+    assert all(np.all(v == 0) for v in acc.buffers.values())
     assert np.all(gh == 0) and np.all(gx == 0)
 
 
@@ -93,7 +93,7 @@ def test_backward_matches_finite_differences(m):
             return out @ w  # stays longdouble; rounding here would drown tiny coords
 
         err = g.finite_diff_check(
-            f, ref, acc, eps=1e-5, max_coords_per_tensor=8, rng=g.Rng(seed)
+            f, ref, acc.buffers, eps=1e-5, max_coords_per_tensor=8, rng=g.Rng(seed)
         )
         assert err <= 1e-5, (m, seed, err)
 
@@ -109,8 +109,8 @@ def test_backward_gradients_accumulate_across_calls():
     acc, _, _ = g.gru_backward(params, c2, gB, acc)
     solo1, _, _ = g.gru_backward(params, c1, gA)
     solo2, _, _ = g.gru_backward(params, c2, gB)
-    for k in acc:
-        assert np.allclose(acc[k], solo1[k] + solo2[k], atol=1e-15)
+    for k, v in acc.buffers.items():
+        assert np.allclose(v, solo1.buffers[k] + solo2.buffers[k], atol=1e-15)
 
 
 def test_shape_validation():

@@ -38,7 +38,7 @@ def test_backward_matches_finite_differences():
             {k: ref["mlp." + k] for k in ("w1", "b1", "w2", "b2")}, x, dtype=np.longdouble
         )
 
-    assert g.finite_diff_check(f, ref, acc, eps=1e-5) <= 1e-6
+    assert g.finite_diff_check(f, ref, acc.buffers, eps=1e-5) <= 1e-6
 
 
 def test_zero_upstream_gradient_gives_zero_gradients():
@@ -47,7 +47,7 @@ def test_zero_upstream_gradient_gives_zero_gradients():
     x = np.array([rng.standard_normal() for _ in range(4)])
     _, cache = g.mlp_forward(params, x)
     acc, gx = g.mlp_backward(params, cache, 0.0)
-    assert all(np.all(v == 0) for v in acc.values())
+    assert all(np.all(v == 0) for v in acc.buffers.values())
     assert np.all(gx == 0)
 
 

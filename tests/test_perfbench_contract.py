@@ -41,3 +41,16 @@ def test_workload_operations_report_no_problems(make, tmp_path):
         assert wl.check_validation(run, wl.validate(run)) == []
     fw = wl.tape_forward(wl.setup(1, str(tmp_path)))()
     assert len(fw.tape) > 0
+
+
+def test_probes_trace_the_backward_kernels(tmp_path):
+    # the per-layer evidence reads these spans; a kernel reached through
+    # another name would leave them at zero
+    wl = workloads.Synth(hidden=4, edges=20, num_nodes=10)
+    run = wl.setup(1, str(tmp_path))
+    tracer = spans.Tracer()
+    with spans.Probes(tracer).installed(), tracer.root("f_bptt"):
+        events, _ = wl.train(run, "f_bptt", tracer.span)
+    (_, row), = tracer.per_root()
+    assert row["mlp.backward_calls"] == len(events)
+    assert row["gru.backward_calls"] > 0
