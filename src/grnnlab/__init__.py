@@ -12,7 +12,6 @@ from .batching import make_batches_fixed, make_batches_tbatch
 from .dynamics import StateDropout, StepRecord, run_batch
 from .engine import (
     BatchingConfig,
-    backward_full,
     build_batches,
     forward_epoch,
     loss_bce,

@@ -1,8 +1,9 @@
 """Command-line entry point: synth, bench, and gradcheck experiments.
 
 Config precedence: dataclass defaults < JSON config file < GRNNLAB_* env
-vars < explicit CLI flags. Unknown config keys are rejected. Every command
-writes an effective_config.json that reproduces the run byte-for-byte.
+vars < explicit CLI flags. Unknown config keys are rejected. synth and bench
+write their outputs under --out, including an effective_config.json that
+reproduces the run byte-for-byte; gradcheck only prints its checks.
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 numerical failure.
 """
@@ -64,7 +65,6 @@ class SynthConfig:
     mode: str = "both"
     tbptt_batch_size: int = 1
     summary_window: int = 100
-    step_per_batch: bool = False
     out_dir: str = "out_synth"
 
 
@@ -82,7 +82,6 @@ class BenchConfig:
     train_frac: float = 0.70
     val_frac: float = 0.15
     max_events: int | None = None
-    symmetric_updates: bool = True
     out_dir: str = "out_bench"
 
 
@@ -97,7 +96,6 @@ class GradcheckConfig:
     cell_tolerance: float = 1e-6
     seed: int = 0
     inject_gradient_fault: bool = False
-    out_dir: str = ""
 
 
 _CONFIG_TYPES = {"synth": SynthConfig, "bench": BenchConfig, "gradcheck": GradcheckConfig}
@@ -198,6 +196,10 @@ def _validate_config(command: str, cfg) -> None:
             raise ConfigError("bench needs a dataset_path")
         if cfg.trials < 1 or cfg.max_epochs < 1 or cfg.batch_size < 1:
             raise ConfigError("trials, max_epochs and batch_size must be >= 1")
+        if cfg.hidden_size < 1:
+            raise ConfigError(f"hidden_size must be >= 1, got {cfg.hidden_size}")
+        if not cfg.seeds:
+            raise ConfigError("seeds must not be empty")
     elif command == "gradcheck":
         if cfg.eps <= 0 or cfg.tolerance <= 0:
             raise ConfigError("eps and tolerance must be positive")
@@ -250,10 +252,7 @@ def _run_synth_cell(cfg: SynthConfig, memory: int, mode: str, hidden: int, seed:
     t_start = time.time()
     for epoch in range(cfg.epochs):
         events = generate_epoch(scfg, data_rng)
-        stats = train_epoch(
-            events, model, optimizer, mode, batching,
-            store=store, step_per_batch=cfg.step_per_batch and mode == "t_bptt",
-        )
+        stats = train_epoch(events, model, optimizer, mode, batching, store=store)
         losses.append(stats["mean_loss"])
         baselines.append(baseline_mse(events))
         telemetry_lines.append(
@@ -348,7 +347,6 @@ def _run_bench_trial(cfg: BenchConfig, dataset, trial, mode, seed, trial_index) 
         patience=cfg.patience,
         train_frac=cfg.train_frac,
         val_frac=cfg.val_frac,
-        symmetric=cfg.symmetric_updates,
         trial_index=trial_index,
         epoch_callback=on_epoch,
     )
@@ -532,9 +530,10 @@ def main(argv: list[str] | None = None, config: dict | None = None) -> int:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="root seed")
-        p.add_argument("--mode", default=None, choices=["f_bptt", "t_bptt", "both"])
+        if name != "gradcheck":
+            p.add_argument("--out", default=None, help="output directory")
+            p.add_argument("--mode", default=None, choices=["f_bptt", "t_bptt", "both"])
         if name == "bench":
             p.add_argument("--dataset", default=None, help="dataset CSV path")
 
@@ -545,17 +544,16 @@ def main(argv: list[str] | None = None, config: dict | None = None) -> int:
         stream=sys.stderr,
     )
 
-    overrides: dict = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.mode is not None and args.command != "gradcheck":
-        overrides["mode"] = args.mode
-    if args.seed is not None:
-        if args.command == "gradcheck":
-            overrides["seed"] = args.seed
-        else:
-            overrides["seeds"] = [args.seed]
-    if args.command == "bench" and args.dataset is not None:
+    # flags left unset (None) do not override
+    if args.command == "gradcheck":
+        overrides: dict = {"seed": args.seed}
+    else:
+        overrides = {
+            "out_dir": args.out,
+            "mode": args.mode,
+            "seeds": None if args.seed is None else [args.seed],
+        }
+    if args.command == "bench":
         overrides["dataset_path"] = args.dataset
 
     try:

@@ -164,8 +164,7 @@ def _update_step(
         node, h_own, h_other = ev.src, rec.h_src_pre, rec.h_dst_pre
     else:
         node, h_own, h_other = ev.dst, rec.h_dst_pre, rec.h_src_pre
-    params, _ = model.gru_for_role(role)
-    h_new, cache = gru_forward(params, h_own, np.concatenate((h_other, ev.features)))
+    h_new, cache = gru_forward(model.gru, h_own, np.concatenate((h_other, ev.features)))
     h_new, mask = _apply_state_dropout(h_new, h_own, state_dropout)
     setattr(rec, "h_" + role + "_post", h_new)
     setattr(rec, "drop_mask_" + role, mask)

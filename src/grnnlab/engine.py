@@ -5,12 +5,16 @@ reads the pre-update states captured by the dynamics layer, so parallel
 strategies score from the batch-start snapshot and sequential scoring sees
 all earlier updates.
 
-Full backward is an exact reverse sweep over the whole tape: per-event loss
-gradients flow through the prediction head and, via the producer slots, back
-across every batch boundary to the epoch-initial states.
+train_epoch forwards the epoch once, batch by batch, in both modes, and
+takes one optimizer step at its end.
 
-Truncated backward streams inside train_epoch: each batch is swept as soon
-as it is forwarded. Within a batch gradients flow freely; a gradient that
+Full backward (f_bptt) keeps every batch's records on one tape and sweeps
+it once, exactly, in reverse after the last batch: per-event loss gradients
+flow through the prediction head and, via the producer slots, back across
+every batch boundary to the epoch-initial states.
+
+Truncated backward (t_bptt) sweeps each batch as soon as it is forwarded
+and then releases it. Within a batch gradients flow freely; a gradient that
 reaches a state produced in an *earlier* batch still enters the single GRU
 update that produced it (so the recurrent cell keeps a one-hop learning
 signal, as in standard lazy-update training), but that update's own state
@@ -253,8 +257,7 @@ def _backward_update(
     g_new, g_pass = _dropout_backward(
         g_out, getattr(rec, "drop_mask_" + role), rec.drop_kind, rec.drop_rate
     )
-    params, prefix = model.gru_for_role(role)
-    _, gh_prev, gx_in = gru_backward(params, cache, g_new, acc, prefix)
+    _, gh_prev, gx_in = gru_backward(model.gru, cache, g_new, acc)
     return gh_prev, g_pass, gx_in[: model.m]
 
 
@@ -312,15 +315,6 @@ def _backward_records(
                 _backward_update(prod, role, g, model, acc)
 
 
-def backward_full(tape: list[StepRecord] | None, model: GrnnModel) -> GradientAccumulator:
-    """Exact reverse-mode sweep across the entire epoch."""
-    if tape is None:
-        raise StructuralError("backward pass needs the tape of a forward pass with record=True")
-    acc = GradientAccumulator(model.named_params())
-    _backward_records(tape, model, acc, truncate=False)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -359,18 +353,15 @@ def train_epoch(
     store: NodeStateStore | None = None,
     num_nodes: int | None = None,
     reset_store: bool = True,
-    step_per_batch: bool = False,
 ) -> dict:
     """One epoch: forward, backward per the mode, one optimizer step.
 
     The summed epoch loss drives gradients; the mean per-event loss is what
-    gets reported. step_per_batch switches t_bptt to an online regime with
-    one optimizer step per batch (off by default). The returned "gradient"
-    holds the buffers the last optimizer step applied.
+    gets reported. The returned "gradient" holds the buffers the optimizer
+    step applied.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown training mode {mode!r}")
-    task = task or model.task
     if store is None:
         if num_nodes is None:
             raise ConfigError("train_epoch needs a store or num_nodes")
@@ -378,53 +369,41 @@ def train_epoch(
     if reset_store:
         store.reset()
     params = model.named_params()
-    n_events = len(events)
-    online = step_per_batch and mode == "t_bptt"
-
-    if mode == "f_bptt":
-        fw = forward_epoch(
-            events, model, store, batching,
-            record=True, task=task, rng=rng, neg_universe=neg_universe,
-            state_dropout=state_dropout, mlp_dropout=mlp_dropout,
-            dropout_rng=dropout_rng, training=True,
-        )
-        acc = backward_full(fw.tape, model)
-        peak_live = len(fw.tape)
-        total_loss = fw.total_loss
-    else:
-        # streaming truncated training: backward each batch as soon as it is
-        # forwarded, then release its records. Only the per-node producing
-        # records (one GRU cache each) stay alive for the one-hop tails.
-        producers: dict[int, Slot] = {}
-        live: dict[int, int] = {}  # id(record) -> nodes whose current state it produced
-        acc = stepped = GradientAccumulator(params)
-        total_loss = 0.0
-        peak_live = 0
-        for records, batch_loss in _forward_batches(
-            events, model, store, batching, producers,
-            record=True, task=task, training=True,
-            rng=rng, neg_universe=neg_universe, state_dropout=state_dropout,
-            mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
-        ):
-            total_loss += batch_loss
+    acc = GradientAccumulator(params)
+    truncate = mode == "t_bptt"
+    tape: list[StepRecord] = []
+    live: dict[int, int] = {}  # t_bptt: id(record) -> nodes whose current state it produced
+    total_loss = 0.0
+    peak_live = 0
+    for records, batch_loss in _forward_batches(
+        events, model, store, batching, {},
+        record=True, task=task or model.task, training=True,
+        rng=rng, neg_universe=neg_universe, state_dropout=state_dropout,
+        mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
+    ):
+        total_loss += batch_loss
+        if truncate:
+            # only the per-node producing records (one GRU cache each) stay
+            # alive past their batch, for the one-hop tails
             _backward_records(records, model, acc, truncate=True)
             _count_producers(records, live)
             peak_live = max(peak_live, len(records) + len(live))
-            if online:
-                adamw_step(optimizer, params, acc.buffers)
-                stepped, acc = acc, GradientAccumulator(params)
-    if not online:
-        adamw_step(optimizer, params, acc.buffers)
-        stepped = acc
+        else:
+            tape.extend(records)
+    if not truncate:
+        _backward_records(tape, model, acc, truncate=False)
+        peak_live = len(tape)
+    adamw_step(optimizer, params, acc.buffers)
 
     for name, p in params.items():
         if not np.all(np.isfinite(p)):
             raise NumericalError(f"non-finite parameter {name} after optimizer step")
+    n_events = len(events)
     return {
         "mean_loss": total_loss / n_events if n_events else 0.0,
         "total_loss": total_loss,
-        "grad_norm": stepped.grad_norm(),
-        "gradient": stepped.buffers,
+        "grad_norm": acc.grad_norm(),
+        "gradient": acc.buffers,
         "n_events": n_events,
         "peak_live_records": peak_live,
     }

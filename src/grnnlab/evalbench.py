@@ -44,23 +44,17 @@ class Dataset:
         return len(self.destinations)
 
 
-def load_jodie_csv(
-    path: str,
-    has_target: bool = False,
-    max_events: int | None = None,
-    name: str = "",
-) -> Dataset:
+def load_jodie_csv(path: str, max_events: int | None = None, name: str = "") -> Dataset:
     """Ingest the published interaction-stream schema.
 
     Expected header then rows: user_id, item_id, timestamp, state_label,
     comma-separated float features. state_label is ignored (the tasks here
-    use only edges and features). has_target treats the final column as a
-    regression target instead of a feature.
+    use only edges and features).
     """
     source_map: dict[str, int] = {}
     dest_keys: list[str] = []
     dest_seen: dict[str, int] = {}
-    rows: list[tuple[int, int, float, list[float], float | None]] = []
+    rows: list[tuple[int, int, float, list[float]]] = []
     feat_dim = None
     prev_t = -math.inf
     with open(path, newline="") as fh:
@@ -80,11 +74,6 @@ def load_jodie_csv(
                 raise IngestionError(line_no, f"non-numeric field ({exc})") from None
             if not (math.isfinite(t) and all(math.isfinite(v) for v in values)):
                 raise IngestionError(line_no, "non-finite timestamp or feature")
-            target = None
-            if has_target:
-                if not values:
-                    raise IngestionError(line_no, "target column missing")
-                target = values.pop()
             if t < prev_t:
                 raise DataError(f"line {line_no}: timestamp decreases ({t} < {prev_t})")
             prev_t = t
@@ -99,7 +88,7 @@ def load_jodie_csv(
             if item not in dest_seen:
                 dest_seen[item] = len(dest_keys)
                 dest_keys.append(item)
-            rows.append((source_map[user], dest_seen[item], t, values, target))
+            rows.append((source_map[user], dest_seen[item], t, values))
 
     num_sources = len(source_map)
     dest_map = {key: num_sources + i for i, key in enumerate(dest_keys)}
@@ -110,9 +99,8 @@ def load_jodie_csv(
             dst=num_sources + dst_local,
             time=t,
             features=np.asarray(feats, dtype=np.float64),
-            y=target,
         )
-        for k, (src, dst_local, t, feats, target) in enumerate(rows)
+        for k, (src, dst_local, t, feats) in enumerate(rows)
     ]
     return Dataset(
         events=events,
@@ -206,20 +194,17 @@ def evaluate_ranking(
     batching: BatchingConfig,
 ) -> list[int]:
     """Batched evaluation: every edge in a batch is ranked against the store
-    as it stood at batch start, then the batch's updates are applied."""
+    as it stood at batch start, then the batch's updates are applied. A
+    sequential stream is ranked one event per batch, so each edge sees every
+    earlier update."""
+    if batching.strategy == "sequential":
+        batching = BatchingConfig("sequential", 1)
     producers: dict[int, Slot] = {}
     ranks: list[int] = []
     for batch in build_batches(events, batching):
-        if batch.strategy == "sequential":
-            for ev in batch.events:
-                ranks.append(rank_true_destination(model, store, ev, universe))
-                run_batch(store, producers,
-                          type(batch)(events=[ev], strategy="sequential", index=batch.index),
-                          model)
-        else:
-            for ev in batch.events:
-                ranks.append(rank_true_destination(model, store, ev, universe))
-            run_batch(store, producers, batch, model)
+        for ev in batch.events:
+            ranks.append(rank_true_destination(model, store, ev, universe))
+        run_batch(store, producers, batch, model)
     return ranks
 
 
@@ -321,23 +306,17 @@ def run_trial(
     patience: int = 250,
     train_frac: float = 0.70,
     val_frac: float = 0.15,
-    symmetric: bool = True,
     trial_index: int = 0,
     epoch_callback=None,
 ) -> TrialResult:
     """Train one configuration to early stopping; returns test metrics at the
-    best-validation-MRR checkpoint (both metrics reported there).
-
-    symmetric=False switches to separate GRU parameter sets for the source
-    and destination roles (off by default; the shared cell is the standard
-    setup)."""
+    best-validation-MRR checkpoint (both metrics reported there)."""
     train_events, val_events, test_events = chrono_split(
         dataset.events, train_frac, val_frac
     )
     batching = BatchingConfig(strategy="fixed_parallel", batch_size=batch_size)
     root = Rng(seed)
-    model = init_model(root.substream("init"), hidden_size, dataset.feat_dim,
-                       "link_ranking", symmetric=symmetric)
+    model = init_model(root.substream("init"), hidden_size, dataset.feat_dim, "link_ranking")
     optimizer = AdamwState(lr=trial.learning_rate, weight_decay=trial.weight_decay)
     neg_rng = root.substream("negatives")
     dropout_rng = root.substream("dropout")

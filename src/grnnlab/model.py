@@ -1,8 +1,8 @@
 """Model bundle: per-event GRU state updates plus an MLP prediction head.
 
-The same GRU serves both endpoint updates by default (symmetric dynamics);
-an asymmetric mode with a second parameter set for the destination role is
-available behind a flag but off by default.
+One GRU cell serves both endpoint updates of an event (source and
+destination share its parameters), so F-BPTT and T-BPTT train the same
+parameter set.
 """
 
 from __future__ import annotations
@@ -32,36 +32,18 @@ def mlp_input_dim(task: str, m: int, feat_dim: int) -> int:
 @dataclass
 class GrnnModel:
     gru: GruParameters
-    gru_dst: GruParameters | None  # None = shared (symmetric) dynamics
     mlp: MlpParameters
     m: int
     feat_dim: int
     task: str
 
-    @property
-    def symmetric(self) -> bool:
-        return self.gru_dst is None
-
-    def gru_for_role(self, role: str) -> tuple[GruParameters, str]:
-        """Returns (parameters, grad-buffer prefix) for an endpoint role."""
-        if role == "dst" and self.gru_dst is not None:
-            return self.gru_dst, "gru_dst."
-        return self.gru, "gru."
-
     def named_params(self) -> dict[str, np.ndarray]:
-        params = self.gru.named("gru.")
-        if self.gru_dst is not None:
-            params.update(self.gru_dst.named("gru_dst."))
-        params.update(self.mlp.named("mlp."))
-        return params
+        return {**self.gru.named("gru."), **self.mlp.named("mlp.")}
 
     def copy(self) -> "GrnnModel":
-        def cp(gp: GruParameters) -> GruParameters:
-            return GruParameters(*(a.copy() for a in (gp.wz, gp.wr, gp.wn, gp.bz, gp.br, gp.bn)))
-
+        gp = self.gru
         return GrnnModel(
-            gru=cp(self.gru),
-            gru_dst=None if self.gru_dst is None else cp(self.gru_dst),
+            gru=GruParameters(*(a.copy() for a in (gp.wz, gp.wr, gp.wn, gp.bz, gp.br, gp.bn))),
             mlp=MlpParameters(
                 self.mlp.w1.copy(), self.mlp.b1.copy(), self.mlp.w2.copy(), self.mlp.b2.copy()
             ),
@@ -71,14 +53,11 @@ class GrnnModel:
         )
 
 
-def init_model(
-    rng: Rng, m: int, feat_dim: int, task: str, symmetric: bool = True
-) -> GrnnModel:
+def init_model(rng: Rng, m: int, feat_dim: int, task: str) -> GrnnModel:
     """Fresh model; the GRU input is concat(counterparty state, edge features)."""
     if task not in TASKS:
         raise ConfigError(f"unknown task {task!r}")
     d_in = m + feat_dim
     gru = init_gru_parameters(rng, m, d_in)
-    gru_dst = None if symmetric else init_gru_parameters(rng, m, d_in)
     mlp = init_mlp_parameters(rng, mlp_input_dim(task, m, feat_dim), m)
-    return GrnnModel(gru=gru, gru_dst=gru_dst, mlp=mlp, m=m, feat_dim=feat_dim, task=task)
+    return GrnnModel(gru=gru, mlp=mlp, m=m, feat_dim=feat_dim, task=task)

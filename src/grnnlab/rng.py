@@ -151,6 +151,3 @@ class Rng:
         if n <= 0:
             raise ParameterError(f"randrange: need n >= 1, got {n}")
         return (self.next_u64() * n) >> 64
-
-    def choice(self, items):
-        return items[self.randrange(len(items))]

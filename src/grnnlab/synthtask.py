@@ -17,7 +17,6 @@ back a model must remember.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,15 +99,3 @@ def baseline_mse(events: list[Event]) -> float:
     if not events:
         return 0.0
     return float(np.mean([ev.y * ev.y for ev in events]))
-
-
-def export_epoch_csv(events: list[Event], path: str) -> None:
-    """Write an epoch in the benchmark CSV schema plus a trailing target
-    column, for cross-implementation checks."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write("user_id,item_id,timestamp,state_label,comma_separated_list_of_features\n")
-        for ev in events:
-            feats = ",".join(repr(float(v)) for v in ev.features)
-            fh.write(f"{ev.src},{ev.dst},{float(ev.time)!r},0,{feats},{float(ev.y)!r}\n")
-    os.replace(tmp, path)

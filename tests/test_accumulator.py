@@ -76,19 +76,6 @@ def test_epoch_stats_and_step_see_reduced_gradient(mode):
     assert params_equal(params, model.named_params())
 
 
-def test_single_batch_online_step_applies_same_bits():
-    events, model = tiny_epoch()
-    batching = g.BatchingConfig("sequential", None)
-    out = {}
-    for online in (False, True):
-        trained = model.copy()
-        stats = g.train_epoch(events, trained, AdamwState(), "t_bptt", batching,
-                              num_nodes=6, step_per_batch=online)
-        out[online] = stats["gradient"], trained.named_params()
-    assert params_equal(out[False][0], out[True][0])
-    assert params_equal(out[False][1], out[True][1])
-
-
 @pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
 def test_identical_epochs_give_identical_bits(mode):
     # 80 events stage several full tiles per weight matrix

@@ -85,6 +85,27 @@ def test_unknown_config_key_rejected(tmp_path):
     assert main(["synth", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("command,key,value", [("synth", "step_per_batch", True),
+                                               ("bench", "symmetric_updates", False),
+                                               ("gradcheck", "out_dir", "g_out")])
+def test_removed_config_key_rejected(tmp_path, capsys, command, key, value):
+    if command == "synth":
+        path, _ = smoke_synth_config(tmp_path, **{key: value})
+    else:
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"command": command, key: value}))
+    assert main([command, "--config", str(path)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--out", "g_out"], ["--mode", "f_bptt"]])
+def test_gradcheck_rejects_output_flags(flag):
+    # gradcheck writes nothing and checks both modes, so it has neither flag
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", *flag])
+    assert exc.value.code == 2
+
+
 def test_wrong_command_config_rejected(tmp_path):
     cfg_path, _ = smoke_synth_config(tmp_path)
     assert main(["bench", "--config", cfg_path]) == 1
@@ -106,10 +127,17 @@ def test_invalid_mode_is_config_error(tmp_path):
     ("gradcheck", {"memory": 0}),
     ("gradcheck", {"events": 0}),
     ("gradcheck", {"num_nodes": 1}),
+    ("bench", {"hidden_size": 0}),
+    ("bench", {"hidden_size": -1}),
+    ("bench", {"seeds": []}),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, extra):
     if command == "synth":
         path, _ = smoke_synth_config(tmp_path, **extra)
+    elif command == "bench":
+        stream = str(tmp_path / "stream.csv")
+        write_synthetic_linkstream(stream, num_events=200, num_users=10, num_items=5, seed=5)
+        path, _ = bench_config(tmp_path, stream, max_epochs=1, **extra)
     else:
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"command": command, **extra}))
@@ -127,11 +155,15 @@ def test_wrong_typed_file_value_is_config_error(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("var,raw", [("GRNNLAB_EPOCHS", '"5"'), ("GRNNLAB_EPOCHS", "five"),
-                                     ("GRNNLAB_STEP_PER_BATCH", "1")])
+                                     ("GRNNLAB_INJECT_GRADIENT_FAULT", "1")])
 def test_wrong_typed_env_value_is_config_error(tmp_path, monkeypatch, var, raw):
-    cfg_path, _ = smoke_synth_config(tmp_path)
     monkeypatch.setenv(var, raw)
-    assert main(["synth", "--config", cfg_path]) == 1
+    if var == "GRNNLAB_INJECT_GRADIENT_FAULT":
+        # 1 is not a JSON bool: exit 1 before any check runs (a fault run exits 3)
+        assert main(["gradcheck"]) == 1
+    else:
+        cfg_path, _ = smoke_synth_config(tmp_path)
+        assert main(["synth", "--config", cfg_path]) == 1
 
 
 def test_config_types_accept_int_as_float_and_optional_none(monkeypatch):
@@ -194,7 +226,7 @@ _LAYERED_KEYS = {
     "out_dir": (st.text(alphabet="abxyz_/", min_size=1, max_size=8), True),
     "epochs": (st.integers(1, 10**6), False),
     "learning_rate": (st.floats(1e-6, 1.0), False),
-    "step_per_batch": (st.booleans(), False),
+    "summary_window": (st.integers(1, 10**6), False),
 }
 
 

@@ -153,15 +153,6 @@ def test_truncation_vacuous_when_batches_share_no_nodes():
         assert np.allclose(full[k], trunc[k], atol=1e-12), k
 
 
-def test_backward_requires_recorded_tape():
-    events = events_from_pairs([(0, 1)], [1.0], memory=1)
-    model = g.init_model(g.Rng(0), 2, 1, "regression")
-    store = g.NodeStateStore.zeros(2, 2)
-    fw = g.forward_epoch(events, model, store, g.BatchingConfig("sequential", None), record=False)
-    with pytest.raises(g.StructuralError):
-        g.backward_full(fw.tape, model)
-
-
 def test_backward_exact_across_all_strategies_random_instances():
     for seed in (11, 12, 13, 14, 15, 16):
         cfg, events, model, batching = random_instance(seed, max_events=14, max_m=5)
@@ -279,16 +270,6 @@ def test_streaming_peak_live_records_matches_rescan(strategy, size):
     assert stats["peak_live_records"] == peak
 
 
-def test_step_per_batch_mode():
-    cfg = g.SyntheticConfig(memory=1, num_nodes=6, edges_per_epoch=20)
-    events = g.generate_epoch(cfg, g.Rng(3).substream("data"))
-    model = g.init_model(g.Rng(3).substream("init"), 3, 1, "regression")
-    opt = AdamwState(lr=1e-3, weight_decay=0.0)
-    g.train_epoch(events, model, opt, "t_bptt", g.BatchingConfig("fixed_parallel", 5),
-                  num_nodes=6, step_per_batch=True)
-    assert opt.step_count == 4  # one optimizer step per batch
-
-
 def test_train_epoch_rejects_unknown_mode():
     with pytest.raises(g.ConfigError):
         g.train_epoch([], g.init_model(g.Rng(0), 2, 1, "regression"),
@@ -393,22 +374,3 @@ def test_grad_accumulator_zero_and_norm():
     assert acc.grad_norm() == 0.0
     acc.buffers["mlp.b2"] += 3.0
     assert abs(acc.grad_norm() - 3.0) < 1e-12
-
-
-def test_asymmetric_mode_gradients_are_exact():
-    # separate source/destination GRUs behind the config flag
-    cfg = g.SyntheticConfig(memory=1, num_nodes=5, edges_per_epoch=8)
-    events = g.generate_epoch(cfg, g.Rng(14).substream("data"))
-    model = g.init_model(g.Rng(14).substream("init"), 3, 1, "regression", symmetric=False)
-    assert not model.symmetric
-    batching = g.BatchingConfig("sequential", None)
-    gradient = epoch_gradient(events, model, "f_bptt", batching, num_nodes=5)
-    assert any(k.startswith("gru_dst.") for k in gradient)
-
-    def loss():
-        st = g.NodeStateStore.zeros(5, 3)
-        return g.forward_epoch(events, model, st, batching, record=False).total_loss
-
-    err = g.finite_diff_check(loss, model.named_params(), gradient, eps=1e-5,
-                              max_coords_per_tensor=15, rng=g.Rng(2))
-    assert err <= 1e-4

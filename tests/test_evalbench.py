@@ -394,6 +394,23 @@ def test_evaluate_ranking_uses_batch_start_states(tmp_path):
     assert ranks == ranks2
 
 
+@pytest.mark.parametrize("size", [None, 1, 7])
+def test_sequential_evaluation_ranks_each_edge_after_every_earlier_update(tmp_path, size):
+    write_synthetic_linkstream(str(tmp_path / "s.csv"), num_events=120,
+                               num_users=12, num_items=6, seed=4)
+    ds = load_jodie_csv(str(tmp_path / "s.csv"))
+    model = g.init_model(g.Rng(6), 4, ds.feat_dim, "link_ranking")
+    store = g.NodeStateStore.zeros(ds.num_nodes, 4)
+    ranks = evaluate_ranking(model, store, ds.events, ds.destinations,
+                             g.BatchingConfig("sequential", size))
+    ref_store, producers, ref_ranks = g.NodeStateStore.zeros(ds.num_nodes, 4), {}, []
+    for k, ev in enumerate(ds.events):
+        ref_ranks.append(rank_true_destination(model, ref_store, ev, ds.destinations))
+        g.run_batch(ref_store, producers, g.Batch([ev], "sequential", k), model)
+    assert ranks == ref_ranks
+    assert np.array_equal(store.states, ref_store.states)
+
+
 def test_synthetic_linkstream_is_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_synthetic_linkstream(p1, num_events=500, seed=11)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grnnlab as g
-from grnnlab.synthtask import export_epoch_csv, sample_pair
+from grnnlab.synthtask import sample_pair
 
 from helpers import fifo_targets_bruteforce
 
@@ -186,18 +186,3 @@ def test_endpoint_symmetry():
     forward = fifo_targets_bruteforce(pairs, xs, 2)
     swapped = fifo_targets_bruteforce([(d, s) for s, d in pairs], xs, 2)
     assert forward == swapped
-
-
-def test_csv_export_roundtrip(tmp_path):
-    from grnnlab.evalbench import load_jodie_csv
-
-    cfg = g.SyntheticConfig(memory=1, num_nodes=6, edges_per_epoch=25)
-    events = g.generate_epoch(cfg, g.Rng(3).substream("data"))
-    path = str(tmp_path / "epoch.csv")
-    export_epoch_csv(events, path)
-    ds = load_jodie_csv(path, has_target=True)
-    assert len(ds.events) == 25
-    assert ds.feat_dim == 1
-    for orig, loaded in zip(events, ds.events):
-        assert loaded.y == orig.y
-        assert np.array_equal(loaded.features, orig.features)
