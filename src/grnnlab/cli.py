@@ -179,6 +179,9 @@ def _validate_config(command: str, cfg) -> None:
     if command == "synth":
         if cfg.epochs < 1 or cfg.summary_window < 1:
             raise ConfigError("epochs and summary_window must be >= 1")
+        for name in ("memory_values", "hidden_sizes", "seeds"):
+            if not getattr(cfg, name):
+                raise ConfigError(f"{name} must not be empty")
         if any(m < 1 for m in cfg.memory_values):
             raise ConfigError("memory_values must all be >= 1")
         if any(h < 1 for h in cfg.hidden_sizes):

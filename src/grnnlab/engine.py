@@ -20,6 +20,15 @@ update that produced it (so the recurrent cell keeps a one-hop learning
 signal, as in standard lazy-update training), but that update's own state
 inputs are treated as constants and the chain stops there. Per-parameter
 gradients from all batches are summed.
+
+A sweep walks its records by dependency level, highest first, as JODIE's
+t-batches walk them forward: the updates of one level are independent, so
+they run as stacked rows, at most accumulator.TILE per gru_backward call,
+and each row gets the bits it would get alone. The one-hop tails of t_bptt
+are copied into one pending TILE-row block that runs whenever it fills and
+once more before the optimizer step. The sweep order (level, event index)
+is a property of the dataflow graph, not of the batching, so the f_bptt
+gradient has the same bits under every batching strategy.
 """
 
 from __future__ import annotations
@@ -30,13 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulator import GradientAccumulator
+from .accumulator import TILE, GradientAccumulator
 from .adamw import AdamwState, adamw_step
 from .batching import make_batches_fixed, make_batches_tbatch
-from .dynamics import Slot, StateDropout, StepRecord, run_batch
+from .dynamics import ROLES, Slot, StateDropout, StepRecord, run_batch
 from .errors import ConfigError, NumericalError, StructuralError
 from .events import Batch, Event, NodeStateStore
-from .gru import gru_backward, stable_sigmoid
+from .gru import GruCache, gru_backward
 from .mlp import mlp_backward, mlp_forward
 from .model import GrnnModel
 from .rng import Rng
@@ -54,7 +63,8 @@ def loss_mse(y_hat: float, y: float) -> tuple[float, float]:
 def loss_bce(logit: float, label: float) -> tuple[float, float]:
     """Binary cross-entropy in stable logit form; gradient is sigmoid - label."""
     val = max(logit, 0.0) - logit * label + math.log1p(math.exp(-abs(logit)))
-    grad = float(stable_sigmoid(np.array([logit]))[0]) - label
+    e = np.exp(-abs(logit))  # stable_sigmoid's arithmetic, on one scalar
+    grad = float((1.0 if logit >= 0 else e) / (1.0 + e)) - label
     return val, grad
 
 
@@ -215,20 +225,58 @@ def advance_states(
 # backward
 
 
-def _dropout_backward(
-    g_out: np.ndarray, mask: np.ndarray | None, kind: str | None, rate: float
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Route a produced-state gradient through the state dropout that made it.
+class _UpdateRows:
+    """Up to TILE endpoint updates waiting for one gru_backward call: the
+    rows of their GRU caches, output gradients and state-dropout masks,
+    copied, so no record stays alive for them."""
 
-    Returns (gradient into the GRU output, extra gradient onto the pre-update
-    state) - the latter only for the recurrent mix, whose dropped elements
-    passed the previous state through.
-    """
-    if mask is None:
-        return g_out, None
-    if kind == "regular":
-        return g_out * mask / (1.0 - rate), None
-    return g_out * mask, g_out * ~mask
+    def __init__(self, model: GrnnModel):
+        m, d_in = model.m, model.gru.d_in
+        self.h_prev, self.z, self.r, self.n, self.g = (np.empty((TILE, m)) for _ in range(5))
+        self.x_in = np.empty((TILE, d_in))
+        self.mask = np.empty((TILE, m), dtype=bool)
+        self.dropout: tuple[str, float] | None = None  # (kind, rate) of the masks
+        self.k = 0
+
+    def add(self, rec: StepRecord, role: str, g_out: np.ndarray) -> None:
+        cache = getattr(rec, "cache_" + role)
+        if cache is None:
+            raise StructuralError("gradient reached an update whose GRU cache was not kept")
+        i = self.k
+        self.h_prev[i] = cache.h_prev
+        self.x_in[i] = cache.x_in
+        self.z[i] = cache.z
+        self.r[i] = cache.r
+        self.n[i] = cache.n
+        self.g[i] = g_out
+        mask = getattr(rec, "drop_mask_" + role)
+        if mask is not None:  # one StateDropout serves the whole epoch
+            self.mask[i] = mask
+            self.dropout = (rec.drop_kind, rec.drop_rate)
+        self.k = i + 1
+
+    def run(
+        self, model: GrnnModel, acc: GradientAccumulator
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Backward through the rows' state dropout, then one gru_backward
+        call, whose parameter gradients go into acc; empties the rows.
+
+        Returns, one row per update, the gradients onto the own pre-update
+        state through the GRU and through the recurrent-mix passthrough
+        (None without it), and onto the counterparty's pre-update state.
+        """
+        k, self.k = self.k, 0
+        g_new, g_pass = self.g[:k], None
+        if self.dropout is not None:
+            kind, rate = self.dropout
+            mask = self.mask[:k]
+            if kind == "regular":
+                g_new = g_new * mask / (1.0 - rate)
+            else:  # dropped elements passed the previous state through
+                g_new, g_pass = g_new * mask, g_new * ~mask
+        cache = GruCache(self.h_prev[:k], self.x_in[:k], self.z[:k], self.r[:k], self.n[:k])
+        _, gh_prev, gx_in = gru_backward(model.gru, cache, g_new, acc)
+        return gh_prev, g_pass, gx_in[:, : model.m]
 
 
 def _add(into: np.ndarray | None, g: np.ndarray) -> np.ndarray:
@@ -238,81 +286,91 @@ def _add(into: np.ndarray | None, g: np.ndarray) -> np.ndarray:
     return into
 
 
-def _backward_update(
-    rec: StepRecord,
-    role: str,
-    g_out: np.ndarray,
-    model: GrnnModel,
-    acc: GradientAccumulator,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Backward through one endpoint update: its state dropout, then its GRU
-    application, whose parameter gradients go into acc.
-
-    Returns the gradients onto the own pre-update state (through the GRU,
-    then the recurrent-mix passthrough or None) and onto the counterparty's.
-    """
-    cache = getattr(rec, "cache_" + role)
-    if cache is None:
-        raise StructuralError("gradient reached an update whose GRU cache was not kept")
-    g_new, g_pass = _dropout_backward(
-        g_out, getattr(rec, "drop_mask_" + role), rec.drop_kind, rec.drop_rate
-    )
-    _, gh_prev, gx_in = gru_backward(model.gru, cache, g_new, acc)
-    return gh_prev, g_pass, gx_in[: model.m]
-
-
 def _backward_records(
     records: list[StepRecord],
     model: GrnnModel,
     acc: GradientAccumulator,
-    truncate: bool,
+    rows: _UpdateRows,
+    tails: _UpdateRows,
 ) -> None:
     """Reverse sweep over one contiguous record span (a batch, or the whole
-    tape when called with truncate=False)."""
+    tape), one dependency level at a time.
+
+    A record's level is 1 plus the highest level among the span's records
+    that produced the states it read, so when a level runs, the gradients
+    on every state it produced are complete. Per level, in descending event
+    index: the prediction heads, the updates in chunks of `rows`, then the
+    state gradients go to their producers. A producer outside the span gets
+    a one-hop tail through `tails`: its update adds parameter gradients,
+    but its state inputs are constants.
+    """
     m = model.m
+    level: dict[int, int] = {}  # id(record) -> level, for the span's records
+    by_level: list[list[StepRecord]] = []
+    for rec in records:
+        lv = 0
+        for slot in (rec.src_slot, rec.dst_slot, rec.extra_slot):
+            if slot is not None:
+                lv = max(lv, level.get(id(slot[0]), -1) + 1)
+        level[id(rec)] = lv
+        if lv == len(by_level):
+            by_level.append([])
+        by_level[lv].append(rec)
+
     slot_grads: dict[tuple[int, str], np.ndarray] = {}  # produced-state grads
-    for rec in reversed(records):
-        g_pre = {"src": None, "dst": None}  # grads w.r.t. the pre-update states
-        g_extra = None
+    for recs in reversed(by_level):
+        recs.sort(key=lambda rec: rec.event.index, reverse=True)
+        # gradients onto each record's pre-update src, dst and extra states
+        grads: list[list[np.ndarray | None]] = []
+        for rec in recs:
+            g_src = g_dst = g_extra = None
+            if rec.pred_cache is not None:
+                _, gx = mlp_backward(model.mlp, rec.pred_cache, rec.grad_logit_pred, acc, "mlp.")
+                g_src = gx[:m].copy()
+                g_dst = gx[m : 2 * m].copy()
+            if rec.neg_cache is not None:
+                _, gx = mlp_backward(model.mlp, rec.neg_cache, rec.grad_logit_neg, acc, "mlp.")
+                g_src = _add(g_src, gx[:m])
+                g_extra = gx[m : 2 * m].copy()
+            grads.append([g_src, g_dst, g_extra])
 
-        # prediction path
-        if rec.pred_cache is not None:
-            _, gx = mlp_backward(model.mlp, rec.pred_cache, rec.grad_logit_pred, acc, "mlp.")
-            g_pre["src"] = gx[:m].copy()
-            g_pre["dst"] = gx[m : 2 * m].copy()
-        if rec.neg_cache is not None:
-            _, gx = mlp_backward(model.mlp, rec.neg_cache, rec.grad_logit_neg, acc, "mlp.")
-            g_pre["src"] = _add(g_pre["src"], gx[:m])
-            g_extra = gx[m : 2 * m].copy()
-
-        # own state updates (later records have finished adding to their slots)
-        for role, other in (("src", "dst"), ("dst", "src")):
-            g_out = slot_grads.pop((id(rec), role), None)
-            if g_out is None:
-                continue
-            gh_prev, g_pass, g_other = _backward_update(rec, role, g_out, model, acc)
-            g_pre[role] = _add(g_pre[role], gh_prev)
+        # the level's updates; later levels have finished adding to their slots
+        updates: list[tuple[int, int]] = []  # (position in recs, role index) per row
+        blocks = []  # rows.run's outputs, TILE rows each but the last
+        for pos, rec in enumerate(recs):
+            for i, role in enumerate(ROLES):
+                g_out = slot_grads.pop((id(rec), role), None)
+                if g_out is not None:
+                    rows.add(rec, role, g_out)
+                    updates.append((pos, i))
+                    if rows.k == TILE:
+                        blocks.append(rows.run(model, acc))
+        if rows.k:
+            blocks.append(rows.run(model, acc))
+        for j, (pos, i) in enumerate(updates):
+            gh_prev, g_pass, g_other = blocks[j // TILE]
+            g = grads[pos]
+            g[i] = _add(g[i], gh_prev[j % TILE])
             if g_pass is not None:
-                g_pre[role] = _add(g_pre[role], g_pass)
-            g_pre[other] = _add(g_pre[other], g_other)
+                g[i] = _add(g[i], g_pass[j % TILE])
+            g[1 - i] = _add(g[1 - i], g_other[j % TILE])
 
         # route gradients on consumed states to their producers
-        for slot, g in (
-            (rec.src_slot, g_pre["src"]), (rec.dst_slot, g_pre["dst"]), (rec.extra_slot, g_extra)
-        ):
-            if slot is None or g is None:
-                continue  # epoch-initial state (constant) or no gradient
-            prod, role = slot
-            if not truncate or prod.batch_index == rec.batch_index:
+        for rec, g in zip(recs, grads):
+            for slot, g_in in zip((rec.src_slot, rec.dst_slot, rec.extra_slot), g):
+                if slot is None or g_in is None:
+                    continue  # epoch-initial state (constant) or no gradient
+                prod, role = slot
+                if id(prod) not in level:
+                    tails.add(prod, role, g_in)
+                    if tails.k == TILE:
+                        tails.run(model, acc)
+                    continue
                 key = (id(prod), role)
                 if key in slot_grads:
-                    slot_grads[key] += g
+                    slot_grads[key] += g_in
                 else:
-                    slot_grads[key] = g
-            else:
-                # cross-boundary one-hop tail: the producing update adds its
-                # parameter gradients, but its state inputs are constants
-                _backward_update(prod, role, g, model, acc)
+                    slot_grads[key] = g_in
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +429,7 @@ def train_epoch(
     params = model.named_params()
     acc = GradientAccumulator(params)
     truncate = mode == "t_bptt"
+    rows, tails = _UpdateRows(model), _UpdateRows(model)
     tape: list[StepRecord] = []
     live: dict[int, int] = {}  # t_bptt: id(record) -> nodes whose current state it produced
     total_loss = 0.0
@@ -385,14 +444,16 @@ def train_epoch(
         if truncate:
             # only the per-node producing records (one GRU cache each) stay
             # alive past their batch, for the one-hop tails
-            _backward_records(records, model, acc, truncate=True)
+            _backward_records(records, model, acc, rows, tails)
             _count_producers(records, live)
             peak_live = max(peak_live, len(records) + len(live))
         else:
             tape.extend(records)
     if not truncate:
-        _backward_records(tape, model, acc, truncate=False)
+        _backward_records(tape, model, acc, rows, tails)
         peak_live = len(tape)
+    if tails.k:
+        tails.run(model, acc)
     adamw_step(optimizer, params, acc.buffers)
 
     for name, p in params.items():

@@ -21,12 +21,10 @@ from .rng import Rng
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) as 1 / (1 + e) for x >= 0 and e / (1 + e) below,
+    with e = exp(-|x|), so exp never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def uniform_matrix(rng: Rng, rows: int, cols: int, scale: float) -> np.ndarray:
@@ -109,6 +107,13 @@ def gru_forward(
     return h_new, GruCache(h_prev=h_prev, x_in=x_in, z=z, r=r, n=n)
 
 
+def _rows_times_transpose(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """w.T @ g for every row g of rows (n, m) -> (n, w.shape[1]). A stacked
+    matmul runs one matrix-vector product per row, so each row gets the bits
+    of w.T @ g alone."""
+    return np.matmul(w.T, rows[:, :, None])[:, :, 0]
+
+
 def gru_backward(
     params: GruParameters,
     cache: GruCache,
@@ -116,34 +121,40 @@ def gru_backward(
     acc: GradientAccumulator | None = None,
     prefix: str = "gru.",
 ) -> tuple[GradientAccumulator, np.ndarray, np.ndarray]:
-    """Exact gradients of gru_forward.
+    """Exact gradients of gru_forward, for one update or for n updates whose
+    cache fields and output gradients are stacked as rows (n, .).
 
     Accumulates parameter gradients into acc (created if None) under
-    prefix + {wz, wr, wn, bz, br, bn}, staging the weight-matrix terms as
-    tile rows; returns (acc, grad_h_prev, grad_x_in).
+    prefix + {wz, wr, wn, bz, br, bn}: the weight-matrix terms as tile rows
+    and the bias terms one row after another, both in row order, so n rows
+    in one call give the same bits as n one-row calls. Returns (acc,
+    grad_h_prev, grad_x_in), one row each per input row.
     """
     m = params.m
-    if cache.h_prev.shape != (m,):
+    if cache.h_prev.shape[-1] != m:
         raise StructuralError("gru_backward: cache does not match parameters")
-    if grad_h_new.shape != (m,):
+    if grad_h_new.shape != cache.h_prev.shape:
         raise StructuralError(f"gru_backward: grad_h_new shape {grad_h_new.shape}")
     if acc is None:
         acc = GradientAccumulator(params.named(prefix))
 
-    h_prev, x_in, z, r, n = cache.h_prev, cache.x_in, cache.z, cache.r, cache.n
+    shape = grad_h_new.shape
+    g, h_prev, x_in, z, r, n = (
+        a.reshape(-1, a.shape[-1])
+        for a in (grad_h_new, cache.h_prev, cache.x_in, cache.z, cache.r, cache.n)
+    )
 
     # h_new = (1 - z) * h_prev + z * n
-    grad_z = grad_h_new * (n - h_prev)
-    grad_n = grad_h_new * z
-    grad_h_prev = grad_h_new * (1.0 - z)
+    grad_z = g * (n - h_prev)
+    grad_n = g * z
+    grad_h_prev = g * (1.0 - z)
 
     # candidate path: n = tanh(wn @ xn + bn), xn = concat(r * h_prev, x_in)
     gn = grad_n * (1.0 - n * n)
     acc.stage((prefix + "wn",), (gn,), (r * h_prev, x_in))
-    acc.add(prefix + "bn", gn)
-    grad_xn = params.wn.T @ gn
-    grad_rh = grad_xn[:m]
-    grad_x_in = grad_xn[m:].copy()
+    acc.add_rows(prefix + "bn", gn)
+    grad_xn = _rows_times_transpose(params.wn, gn)
+    grad_rh = grad_xn[:, :m]
     grad_r = grad_rh * h_prev
     grad_h_prev = grad_h_prev + grad_rh * r
 
@@ -151,10 +162,10 @@ def gru_backward(
     gr = grad_r * r * (1.0 - r)
     gz = grad_z * z * (1.0 - z)
     acc.stage((prefix + "wz", prefix + "wr"), (gz, gr), (h_prev, x_in))
-    acc.add(prefix + "br", gr)
-    acc.add(prefix + "bz", gz)
+    acc.add_rows(prefix + "br", gr)
+    acc.add_rows(prefix + "bz", gz)
 
-    grad_xc = params.wr.T @ gr + params.wz.T @ gz
-    grad_h_prev = grad_h_prev + grad_xc[:m]
-    grad_x_in += grad_xc[m:]
-    return acc, grad_h_prev, grad_x_in
+    grad_xc = _rows_times_transpose(params.wr, gr) + _rows_times_transpose(params.wz, gz)
+    grad_h_prev = grad_h_prev + grad_xc[:, :m]
+    grad_x_in = grad_xn[:, m:] + grad_xc[:, m:]
+    return acc, grad_h_prev.reshape(shape), grad_x_in.reshape(shape[:-1] + (-1,))

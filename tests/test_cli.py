@@ -130,6 +130,9 @@ def test_invalid_mode_is_config_error(tmp_path):
     ("bench", {"hidden_size": 0}),
     ("bench", {"hidden_size": -1}),
     ("bench", {"seeds": []}),
+    ("synth", {"memory_values": []}),
+    ("synth", {"hidden_sizes": []}),
+    ("synth", {"seeds": []}),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, extra):
     if command == "synth":

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import grnnlab as g
+from grnnlab.accumulator import TILE
 from grnnlab.adamw import AdamwState
 from grnnlab.oracles import epoch_loss_reference
 
@@ -163,6 +164,20 @@ def test_backward_exact_across_all_strategies_random_instances():
         assert err <= 1e-5, (seed, batching, err)
 
 
+@pytest.mark.parametrize("seed", [21, 22, 23, 24, 25, 26])
+def test_full_gradient_does_not_depend_on_batching(seed):
+    # the reverse sweep runs in (dependency level, event index) order, which
+    # the batching does not change; no dropout, since negatives and masks are
+    # drawn in batch order
+    cfg, events, model, _ = random_instance(seed, max_events=40)
+    grads = [epoch_gradient(events, model, "f_bptt", g.BatchingConfig(strategy, size),
+                            num_nodes=cfg.num_nodes)
+             for strategy, size in (("sequential", None), ("sequential", 7), ("t_batch", None),
+                                    ("fixed_parallel", 1))]
+    for other in grads[1:]:
+        assert params_equal(grads[0], other)
+
+
 @pytest.mark.parametrize("strategy,size", [("sequential", 1), ("sequential", 3),
                                            ("t_batch", None), ("fixed_parallel", 2),
                                            ("fixed_parallel", 3)])
@@ -250,6 +265,27 @@ def test_memory_telemetry_full_vs_streaming():
     # streaming keeps the current batch plus at most one producer per node
     assert stats_stream["peak_live_records"] <= 5 + 6
     assert stats_stream["peak_live_records"] < len(events)
+
+
+@pytest.mark.parametrize("mode,batching", [("f_bptt", ("sequential", None)),
+                                          ("t_bptt", ("sequential", 1))])
+def test_backward_calls_take_at_most_a_tile_of_rows(monkeypatch, mode, batching):
+    # F-BPTT: level 0 of this sparse graph holds more than TILE updates;
+    # T-BPTT with batches of one runs every update as a cross-batch tail
+    rows = []
+    kernel = g.engine.gru_backward
+
+    def counting(params, cache, grad_h_new, acc):
+        rows.append(len(grad_h_new))
+        return kernel(params, cache, grad_h_new, acc)
+
+    monkeypatch.setattr(g.engine, "gru_backward", counting)
+    cfg = g.SyntheticConfig(memory=1, num_nodes=300, edges_per_epoch=400)
+    events = g.generate_epoch(cfg, g.Rng(5).substream("data"))
+    model = g.init_model(g.Rng(5).substream("init"), 3, 1, "regression")
+    g.train_epoch(events, model, AdamwState(), mode, g.BatchingConfig(*batching),
+                  num_nodes=cfg.num_nodes)
+    assert max(rows) == TILE
 
 
 @pytest.mark.parametrize("strategy,size", [("sequential", 1), ("sequential", 7),

@@ -17,8 +17,8 @@ EPOCHS = 3
 GOLDEN = {
     "synth_f_bptt": [
         "(0.4628958759402797, 26.7229584131799)",
-        "(0.3618528836271507, 12.984364204644185)",
-        "(0.32249157223659836, 22.75715269020517)",
+        "(0.3618528836271507, 12.984364204644189)",
+        "(0.32249157223659836, 22.757152690205167)",
     ],
     "synth_t_bptt": [
         "(0.4628958759402797, 26.69402249217206)",

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grnnlab as g
-from grnnlab.gru import GruParameters, uniform_matrix
+from grnnlab.gru import GruCache, GruParameters, stable_sigmoid, uniform_matrix
 from grnnlab.oracles import gru_forward_reference
 
 
@@ -151,3 +155,94 @@ def test_uniform_matrix_equals_scalar_uniform_loop(m):
         want = scalar_uniform_matrix(b, rows, cols, scale)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert a.next_u64() == b.next_u64()
+
+
+def masked_sigmoid(x):
+    """The boolean-masked sigmoid that stable_sigmoid replaced: the reference
+    its bits must match."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_stable_sigmoid_matches_masked_form_bitwise():
+    rng = np.random.default_rng(0)
+    cases = [np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 1e-320, -1e-320])]
+    cases += [rng.standard_normal(n) * scale
+              for n in (1, 2, 7, 31, 32, 33, 64, 129, 257) for scale in (1e-3, 1.0, 30.0, 800.0)]
+    for x in cases:
+        assert stable_sigmoid(x).tobytes() == masked_sigmoid(x).tobytes(), x
+
+
+def test_bce_gradient_matches_masked_sigmoid_bitwise():
+    logits = np.random.default_rng(1).standard_normal(12_000) * 20.0
+    for logit in [0.0, -0.0, 745.0, -745.0, *logits.tolist()]:
+        for label in (0.0, 1.0):
+            want = float(masked_sigmoid(np.array([logit]))[0]) - label
+            assert g.loss_bce(logit, label)[1] == want, logit
+
+
+def backward_rows(m, n, seed):
+    """A GRU, n forward caches and n output gradients."""
+    rng = np.random.default_rng(seed)
+    d_in = m + 3
+    params = g.init_gru_parameters(g.Rng(seed), m, d_in)
+    caches = [g.gru_forward(params, rng.standard_normal(m), rng.standard_normal(d_in))[1]
+              for _ in range(n)]
+    return params, caches, rng.standard_normal((n, m))
+
+
+def one_row_calls(params, caches, grads):
+    acc = g.GradientAccumulator(params.named())
+    outs = [g.gru_backward(params, c, w, acc)[1:] for c, w in zip(caches, grads)]
+    return acc, np.stack([gh for gh, _ in outs]), np.stack([gx for _, gx in outs])
+
+
+def stacked_call(params, caches, grads):
+    fields = ("h_prev", "x_in", "z", "r", "n")
+    stacked = GruCache(*(np.stack([getattr(c, f) for c in caches]) for f in fields))
+    return g.gru_backward(params, stacked, grads)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 300])
+@pytest.mark.parametrize("m", [1, 4, 5, 32, 64, 128])
+def test_stacked_rows_give_the_bits_of_one_row_calls(m, n):
+    params, caches, grads = backward_rows(m, n, seed=m * 1000 + n)
+    acc, gh, gx = stacked_call(params, caches, grads)
+    want_acc, want_gh, want_gx = one_row_calls(params, caches, grads)
+    assert gh.tobytes() == want_gh.tobytes()
+    assert gx.tobytes() == want_gx.tobytes()
+    want = want_acc.buffers
+    for name, buf in acc.buffers.items():
+        assert buf.tobytes() == want[name].tobytes(), name
+
+
+THREAD_PROBE = """
+import hashlib
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from test_gru import backward_rows, one_row_calls, stacked_call
+for run in (stacked_call, one_row_calls):
+    acc, gh, gx = run(*backward_rows(128, 65, seed=3))
+    parts = [gh, gx] + [acc.buffers[k] for k in sorted(acc.buffers)]
+    print(hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest())
+"""
+
+
+def test_stacked_rows_do_not_depend_on_blas_threads():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(g.__file__))
+    digests = {
+        threads: subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE, tests], capture_output=True, text=True,
+            check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout.split()
+        for threads in ("1", "2")
+    }
+    stacked, rows = digests["1"]
+    assert stacked == rows and digests["2"] == digests["1"]
