@@ -9,7 +9,7 @@ benchmark pipeline.
 from .accumulator import GradientAccumulator
 from .adamw import AdamwState, adamw_step
 from .batching import make_batches_fixed, make_batches_tbatch
-from .dynamics import StateDropout, StepRecord, run_batch
+from .dynamics import StateDropout, Tape, run_batch
 from .engine import (
     BatchingConfig,
     build_batches,

@@ -203,9 +203,12 @@ def _validate_config(command: str, cfg) -> None:
             raise ConfigError(f"hidden_size must be >= 1, got {cfg.hidden_size}")
         if not cfg.seeds:
             raise ConfigError("seeds must not be empty")
+        if cfg.patience < 0:
+            raise ConfigError(f"patience must be >= 0, got {cfg.patience}")
     elif command == "gradcheck":
-        if cfg.eps <= 0 or cfg.tolerance <= 0:
-            raise ConfigError("eps and tolerance must be positive")
+        for name in ("eps", "tolerance", "cell_tolerance"):
+            if not 0.0 < getattr(cfg, name) < math.inf:
+                raise ConfigError(f"{name} must be > 0 and finite, got {getattr(cfg, name)}")
         if cfg.hidden_size < 1 or cfg.memory < 1 or cfg.events < 1:
             raise ConfigError("hidden_size, memory and events must be >= 1")
         if cfg.num_nodes < 2:
@@ -219,12 +222,17 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _dump_effective_config(cfg, command: str, out_dir: str) -> None:
+def _make_out_dir(cfg, command: str) -> None:
+    """Create the output directory and write effective_config.json there."""
     payload = {"command": command, **dataclasses.asdict(cfg)}
-    _write_atomic(
-        os.path.join(out_dir, "effective_config.json"),
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-    )
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        _write_atomic(
+            os.path.join(cfg.out_dir, "effective_config.json"),
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {cfg.out_dir}: {exc}") from exc
 
 
 def _modes(cfg) -> list[str]:
@@ -292,8 +300,7 @@ def _run_synth_cell(cfg: SynthConfig, memory: int, mode: str, hidden: int, seed:
 
 
 def cmd_synth(cfg: SynthConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _dump_effective_config(cfg, "synth", cfg.out_dir)
+    _make_out_dir(cfg, "synth")
     grid = [
         (memory, mode, hidden, seed)
         for memory in cfg.memory_values
@@ -378,15 +385,14 @@ def _run_bench_trial(cfg: BenchConfig, dataset, trial, mode, seed, trial_index) 
 
 
 def cmd_bench(cfg: BenchConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _dump_effective_config(cfg, "bench", cfg.out_dir)
+    _make_out_dir(cfg, "bench")
     try:
         dataset = load_jodie_csv(
             cfg.dataset_path, max_events=cfg.max_events,
             name=cfg.dataset_name or os.path.basename(cfg.dataset_path),
         )
-    except FileNotFoundError:
-        raise DataError(f"dataset not readable: {cfg.dataset_path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"dataset not readable: {cfg.dataset_path} ({exc})") from None
     log.info(
         "dataset %s: %d events, %d sources, %d destinations, feat_dim=%d",
         dataset.name, len(dataset.events), dataset.num_sources,
@@ -506,10 +512,9 @@ def cmd_gradcheck(cfg: GradcheckConfig) -> int:
 
     failed = False
     for name, err, tol in checks:
-        status = "ok" if err <= tol else "FAIL"
-        if err > tol:
-            failed = True
-        print(f"{name}: max_rel_err={err:.3e} tolerance={tol:g} {status}")
+        ok = err <= tol  # False for a NaN error
+        failed = failed or not ok
+        print(f"{name}: max_rel_err={err:.3e} tolerance={tol:g} {'ok' if ok else 'FAIL'}")
     return 3 if failed else 0
 
 

@@ -14,9 +14,10 @@ Three update regimes share one entry point, run_batch:
 Within one event the two endpoint updates are coupled but simultaneous:
 both consume the pre-update states of both endpoints.
 
-Every state read is tagged with the step record that produced the value
-(or None for the epoch-initial zero state), which is what lets the engine
-run exact reverse-mode sweeps across batch boundaries.
+With a Tape, every update leaves one row of GRU cache, and every state read
+names the row that produced the value (or -1 for the epoch-initial state),
+which is what lets the engine run exact reverse-mode sweeps across batch
+boundaries.
 """
 
 from __future__ import annotations
@@ -26,15 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dropout import check_rate, recurrent_mix, regular_dropout
-from .errors import ParameterError
+from .errors import ParameterError, StructuralError
 from .events import Batch, Event, NodeStateStore
 from .gru import GruCache, gru_forward
 from .mlp import MlpCache
 from .model import GrnnModel
 from .rng import Rng
-
-ROLES = ("src", "dst")
-Slot = tuple["StepRecord", str]  # (producing record, role)
 
 
 @dataclass
@@ -51,40 +49,83 @@ class StateDropout:
         check_rate(self.rate, "state dropout")
 
 
-@dataclass(eq=False)
-class StepRecord:
-    """Everything the forward pass of one event leaves behind.
+class Tape:
+    """What the forward pass leaves for the reverse sweep, as arrays.
 
-    Identity (not value) semantics: records double as dataflow-graph nodes,
-    keyed by id() during backward sweeps.
+    Row u of h_prev, x_in, z, r and n (column blocks of `cells`) and of keep
+    is endpoint update u's GRU cache and state-dropout keep mask; owner[u]
+    is the index of its event. Event e keeps reads[e], the rows that
+    produced its src, dst and extra pre-update states (-1: an epoch-initial
+    state), writes[e], the rows of its src and dst updates (-1: none), and
+    index[e] (column blocks of `links`), and heads[e], one (MlpCache, loss
+    gradient) pair per prediction head, which the engine appends.
+
+    A tape holds `events` events, two rows each, above its first `base`
+    rows. Truncated training sets base to the node count: releasing a batch
+    carries each node's producing row into the node's own row, so the tape
+    holds the nodes plus one batch.
     """
 
-    event: Event
-    batch_index: int
-    h_src_pre: np.ndarray
-    h_dst_pre: np.ndarray
-    src_slot: Slot | None
-    dst_slot: Slot | None
-    # update payloads, one per role; None when this event does not update
-    # that endpoint
-    cache_src: GruCache | None = None
-    cache_dst: GruCache | None = None
-    h_src_post: np.ndarray | None = None
-    h_dst_post: np.ndarray | None = None
-    # state-dropout bookkeeping (masks are keep-masks over the new state)
-    drop_kind: str | None = None
-    drop_rate: float = 0.0
-    drop_mask_src: np.ndarray | None = None
-    drop_mask_dst: np.ndarray | None = None
-    # extra read-only state capture (negative destination during training)
-    h_extra_pre: np.ndarray | None = None
-    extra_slot: Slot | None = None
-    # prediction-side payloads, filled by the engine
-    loss: float = 0.0
-    pred_cache: MlpCache | None = None
-    grad_logit_pred: float = 0.0
-    neg_cache: MlpCache | None = None
-    grad_logit_neg: float = 0.0
+    def __init__(self, model: GrnnModel, events: int, base: int = 0):
+        m, d_in, rows = model.m, model.gru.d_in, base + 2 * events
+        self._cuts = np.cumsum((m, d_in, m, m))  # h_prev | x_in | z | r | n
+        self.cells = np.empty((rows, 4 * m + d_in))
+        self.keep = np.empty((rows, m), dtype=bool)
+        self.owner = np.empty(rows, dtype=np.int64)
+        self.links = np.empty((events, 6), dtype=np.int64)  # reads | writes | index
+        self.reads, self.writes, self.index = self.links[:, :3], self.links[:, 3:5], self.links[:, 5]
+        self.heads: list[tuple[tuple[MlpCache, float], ...]] = []
+        self.producer: dict[int, int] = {}  # node -> row that produced its state
+        self.base = self.n_rows = base
+        self.n_events = 0
+
+    def __len__(self) -> int:
+        return self.n_events
+
+    def gru_cache(self, rows) -> GruCache:
+        """The GRU caches of rows (an index array or a slice), stacked."""
+        return GruCache(*np.split(self.cells[rows], self._cuts, axis=1))
+
+    def read(self, ev: Event, extra: int | None) -> None:
+        """Add ev as the next event, with the rows behind its pre-update
+        states."""
+        e = self.n_events
+        if e == len(self.index):
+            raise StructuralError(f"tape is full at {e} events")
+        self.n_events = e + 1
+        get = self.producer.get
+        extra_row = -1 if extra is None else get(extra, -1)
+        self.links[e] = get(ev.src, -1), get(ev.dst, -1), extra_row, -1, -1, ev.index
+
+    def write(self, e: int, ev: Event, role: int, cache: GruCache, keep) -> None:
+        """Add the update of ev's src (role 0) or dst (role 1), made by event
+        number e, as the next row."""
+        u = self.n_rows
+        self.n_rows = u + 1
+        np.concatenate((cache.h_prev, cache.x_in, cache.z, cache.r, cache.n), out=self.cells[u])
+        if keep is not None:
+            self.keep[u] = keep
+        self.owner[u] = ev.index
+        self.writes[e, role] = u
+        self.producer[ev.dst if role else ev.src] = u
+
+    def copy_row(self, i: int, src: Tape, j: int) -> None:
+        """Row i of this tape becomes a copy of row j of src."""
+        self.cells[i] = src.cells[j]
+        self.keep[i] = src.keep[j]
+        self.owner[i] = src.owner[j]
+
+    def release(self, events: list[Event]) -> None:
+        """Drop every event and row above base, after carrying the rows that
+        produced the current states of the events' nodes into the nodes'
+        own rows."""
+        for ev in events:
+            for node in (ev.src, ev.dst):
+                if self.producer.get(node, -1) >= self.base:
+                    self.copy_row(node, self, self.producer[node])
+                    self.producer[node] = node
+        self.heads.clear()
+        self.n_events, self.n_rows = 0, self.base
 
 
 def _apply_state_dropout(
@@ -99,76 +140,47 @@ def _apply_state_dropout(
 
 def run_batch(
     store: NodeStateStore,
-    producers: dict[int, Slot],
     batch: Batch,
     model: GrnnModel,
-    record: bool = False,
+    tape: Tape | None = None,
     state_dropout: StateDropout | None = None,
-    extra_reads: list[int | None] | None = None,
-) -> list[StepRecord]:
-    """Process one batch, mutating the store; returns one record per event.
+    extra_reads: list[int] | None = None,
+) -> np.ndarray:
+    """Process one batch, mutating the store and, if given, adding its events
+    and updates to the tape. Returns the events' pre-update src, dst and
+    (with extra_reads, one node per event) extra states, (events, 2|3, m)."""
+    events = batch.events
+    pre = np.empty((len(events), 2 if extra_reads is None else 3, store.m))
+    e0 = 0 if tape is None else len(tape)
 
-    producers maps node id -> slot that wrote its current state; it is
-    maintained across batches within an epoch and must start empty at reset.
-    """
+    def update(pos: int, ev: Event, role: int) -> None:
+        """Update one endpoint (role 0: src, 1: dst); the GRU input is the
+        counterparty's pre-update state."""
+        node, h_own = (ev.dst if role else ev.src), pre[pos, role]
+        x_in = np.concatenate((pre[pos, 1 - role], ev.features))
+        h_new, cache = gru_forward(model.gru, h_own, x_in)
+        h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
+        store.set_state(node, h_new, ev.index)
+        if tape is not None:
+            tape.write(e0 + pos, ev, role, cache, keep)
+
+    # read pass: capture pre-update states and the rows that produced them
     sequential = batch.strategy == "sequential"
-    records: list[StepRecord] = []
-
-    # read pass: capture pre-update states and their provenance
-    for pos, ev in enumerate(batch.events):
-        store.check_node(ev.src)
-        store.check_node(ev.dst)
-        rec = StepRecord(
-            event=ev,
-            batch_index=batch.index,
-            h_src_pre=store.states[ev.src].copy(),
-            h_dst_pre=store.states[ev.dst].copy(),
-            src_slot=producers.get(ev.src),
-            dst_slot=producers.get(ev.dst),
-        )
-        if state_dropout is not None:
-            rec.drop_kind = state_dropout.kind
-            rec.drop_rate = state_dropout.rate
-        if extra_reads is not None and extra_reads[pos] is not None:
-            node = extra_reads[pos]
+    for pos, ev in enumerate(events):
+        extra = None if extra_reads is None else extra_reads[pos]
+        for k, node in enumerate((ev.src, ev.dst) if extra is None else (ev.src, ev.dst, extra)):
             store.check_node(node)
-            rec.h_extra_pre = store.states[node].copy()
-            rec.extra_slot = producers.get(node)
-        records.append(rec)
+            pre[pos, k] = store.states[node]
+        if tape is not None:
+            tape.read(ev, extra)
         if sequential:
-            for role in ROLES:
-                _update_step(store, producers, rec, model, record, state_dropout, role)
+            update(pos, ev, 0)
+            update(pos, ev, 1)
 
     if not sequential:
         last = batch.last_event_per_node
-        for pos, rec in enumerate(records):
-            for role, node in zip(ROLES, (rec.event.src, rec.event.dst)):
+        for pos, ev in enumerate(events):
+            for role, node in enumerate((ev.src, ev.dst)):
                 if last[node] == pos:
-                    _update_step(store, producers, rec, model, record, state_dropout, role)
-    return records
-
-
-def _update_step(
-    store: NodeStateStore,
-    producers: dict[int, Slot],
-    rec: StepRecord,
-    model: GrnnModel,
-    record: bool,
-    state_dropout: StateDropout | None,
-    role: str,
-) -> None:
-    """Update one endpoint of rec's event and fill rec's fields for that
-    role; the GRU input is the counterparty's pre-update state."""
-    ev = rec.event
-    if role == "src":
-        node, h_own, h_other = ev.src, rec.h_src_pre, rec.h_dst_pre
-    else:
-        node, h_own, h_other = ev.dst, rec.h_dst_pre, rec.h_src_pre
-    h_new, cache = gru_forward(model.gru, h_own, np.concatenate((h_other, ev.features)))
-    h_new, mask = _apply_state_dropout(h_new, h_own, state_dropout)
-    setattr(rec, "h_" + role + "_post", h_new)
-    setattr(rec, "drop_mask_" + role, mask)
-    if record:
-        setattr(rec, "cache_" + role, cache)
-    store.set_state(node, h_new, ev.index)
-    producers[node] = (rec, role)
+                    update(pos, ev, role)
+    return pre

@@ -8,20 +8,21 @@ all earlier updates.
 train_epoch forwards the epoch once, batch by batch, in both modes, and
 takes one optimizer step at its end.
 
-Full backward (f_bptt) keeps every batch's records on one tape and sweeps
-it once, exactly, in reverse after the last batch: per-event loss gradients
-flow through the prediction head and, via the producer slots, back across
-every batch boundary to the epoch-initial states.
+Full backward (f_bptt) keeps the whole epoch on one dynamics.Tape and
+sweeps it once, exactly, in reverse after the last batch: per-event loss
+gradients flow through the prediction head and, via the tape rows that
+produced the states each event read, back across every batch boundary to
+the epoch-initial states.
 
 Truncated backward (t_bptt) sweeps each batch as soon as it is forwarded
-and then releases it. Within a batch gradients flow freely; a gradient that
-reaches a state produced in an *earlier* batch still enters the single GRU
-update that produced it (so the recurrent cell keeps a one-hop learning
-signal, as in standard lazy-update training), but that update's own state
-inputs are treated as constants and the chain stops there. Per-parameter
-gradients from all batches are summed.
+and then releases it, keeping one producing row per node. Within a batch
+gradients flow freely; a gradient that reaches a state produced in an
+*earlier* batch still enters the single GRU update that produced it (so the
+recurrent cell keeps a one-hop learning signal, as in standard lazy-update
+training), but that update's own state inputs are treated as constants and
+the chain stops there. Per-parameter gradients from all batches are summed.
 
-A sweep walks its records by dependency level, highest first, as JODIE's
+A sweep walks its events by dependency level, highest first, as JODIE's
 t-batches walk them forward: the updates of one level are independent, so
 they run as stacked rows, at most accumulator.TILE per gru_backward call,
 and each row gets the bits it would get alone. The one-hop tails of t_bptt
@@ -42,10 +43,10 @@ import numpy as np
 from .accumulator import TILE, GradientAccumulator
 from .adamw import AdamwState, adamw_step
 from .batching import make_batches_fixed, make_batches_tbatch
-from .dynamics import ROLES, Slot, StateDropout, StepRecord, run_batch
-from .errors import ConfigError, NumericalError, StructuralError
+from .dynamics import StateDropout, Tape, run_batch
+from .errors import ConfigError, NumericalError
 from .events import Batch, Event, NodeStateStore
-from .gru import GruCache, gru_backward
+from .gru import gru_backward
 from .mlp import mlp_backward, mlp_forward
 from .model import GrnnModel
 from .rng import Rng
@@ -102,55 +103,55 @@ def build_batches(events: list[Event], cfg: BatchingConfig) -> list[Batch]:
 @dataclass
 class EpochForward:
     total_loss: float
-    tape: list[StepRecord] | None
+    tape: Tape | None
+
+
+def sample_negative(universe: np.ndarray, rng: Rng) -> int:
+    """A negative destination, uniform over the universe (it may be the true
+    one), from one rng draw."""
+    return int(universe[rng.randrange(len(universe))])
 
 
 def _predict_and_score(
-    records: list[StepRecord],
+    events: list[Event],
+    pre: np.ndarray,
+    tape: Tape | None,
     model: GrnnModel,
     task: str,
     training: bool,
     mlp_dropout: float,
     dropout_rng: Rng | None,
 ) -> float:
-    """Fill prediction caches and losses on freshly produced records."""
+    """Score each event from its pre-update states; the prediction heads'
+    caches and loss gradients go onto the tape."""
+    loss_fn = loss_mse if task == "regression" else loss_bce
     batch_loss = 0.0
-    for rec in records:
-        ev = rec.event
+    for ev, h in zip(events, pre):
         if task == "regression":
-            x = np.concatenate((rec.h_src_pre, rec.h_dst_pre, ev.features))
-            y_hat, cache = mlp_forward(
+            heads = ((np.concatenate((h[0], h[1], ev.features)), ev.y),)
+        else:  # link_ranking: positive edge vs one sampled negative
+            heads = ((np.concatenate((h[0], h[1])), 1.0), (np.concatenate((h[0], h[2])), 0.0))
+        loss, taped = 0.0, []
+        for x, target in heads:
+            out, cache = mlp_forward(
                 model.mlp, x, dropout_rate=mlp_dropout, rng=dropout_rng, training=training
             )
-            rec.loss, rec.grad_logit_pred = loss_mse(y_hat, ev.y)
-            rec.pred_cache = cache
-        else:  # link_ranking: positive edge vs one sampled negative
-            x_pos = np.concatenate((rec.h_src_pre, rec.h_dst_pre))
-            logit_pos, cache_pos = mlp_forward(
-                model.mlp, x_pos, dropout_rate=mlp_dropout, rng=dropout_rng, training=training
-            )
-            loss_pos, rec.grad_logit_pred = loss_bce(logit_pos, 1.0)
-            rec.pred_cache = cache_pos
-            x_neg = np.concatenate((rec.h_src_pre, rec.h_extra_pre))
-            logit_neg, cache_neg = mlp_forward(
-                model.mlp, x_neg, dropout_rate=mlp_dropout, rng=dropout_rng, training=training
-            )
-            loss_neg, rec.grad_logit_neg = loss_bce(logit_neg, 0.0)
-            rec.neg_cache = cache_neg
-            rec.loss = loss_pos + loss_neg
-        if not math.isfinite(rec.loss):
+            value, grad = loss_fn(out, target)
+            loss += value
+            taped.append((cache, grad))
+        if not math.isfinite(loss):
             raise NumericalError(f"non-finite loss at event {ev.index}")
-        batch_loss += rec.loss
+        batch_loss += loss
+        if tape is not None:
+            tape.heads.append(tuple(taped))
     return batch_loss
 
 
 def _forward_batches(
-    events: list[Event],
+    batches: list[Batch],
     model: GrnnModel,
     store: NodeStateStore,
-    batching: BatchingConfig,
-    producers: dict[int, Slot],
-    record: bool,
+    tape: Tape | None,
     task: str | None,
     training: bool = False,
     rng: Rng | None = None,
@@ -158,24 +159,19 @@ def _forward_batches(
     state_dropout: StateDropout | None = None,
     mlp_dropout: float = 0.0,
     dropout_rng: Rng | None = None,
-) -> Iterator[tuple[list[StepRecord], float]]:
-    """The epoch's batch loop: yields each batch's records and summed loss
-    as soon as the batch is forwarded. task None runs the state dynamics
-    only (no negatives, no predictions)."""
+) -> Iterator[tuple[Batch, float]]:
+    """The epoch's batch loop: yields each batch and its summed loss as soon
+    as the batch is forwarded onto the tape (if any). task None runs the
+    state dynamics only (no negatives, no predictions)."""
     if task == "link_ranking" and (neg_universe is None or rng is None):
         raise ConfigError("link_ranking forward needs a negative universe and rng")
-    for batch in build_batches(events, batching):
+    for batch in batches:
         extra = None
         if task == "link_ranking":
-            extra = [int(neg_universe[rng.randrange(len(neg_universe))]) for _ in batch.events]
-        records = run_batch(
-            store, producers, batch, model,
-            record=record,
-            state_dropout=state_dropout,
-            extra_reads=extra,
-        )
-        yield records, 0.0 if task is None else _predict_and_score(
-            records, model, task, training, mlp_dropout, dropout_rng
+            extra = [sample_negative(neg_universe, rng) for _ in batch.events]
+        pre = run_batch(store, batch, model, tape, state_dropout, extra)
+        yield batch, 0.0 if task is None else _predict_and_score(
+            batch.events, pre, tape, model, task, training, mlp_dropout, dropout_rng
         )
 
 
@@ -194,18 +190,16 @@ def forward_epoch(
     training: bool = False,
 ) -> EpochForward:
     """Process all batches, returning the summed loss and the tape."""
-    tape: list[StepRecord] | None = [] if record else None
+    tape = Tape(model, len(events)) if record else None
     total = 0.0
-    for records, batch_loss in _forward_batches(
-        events, model, store, batching, {},
-        record=record, task=task or model.task, training=training,
+    for _, batch_loss in _forward_batches(
+        build_batches(events, batching), model, store, tape,
+        task=task or model.task, training=training,
         rng=rng, neg_universe=neg_universe,
         state_dropout=state_dropout if training else None,
         mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
     ):
         total += batch_loss
-        if record:
-            tape.extend(records)
     return EpochForward(total_loss=total, tape=tape)
 
 
@@ -217,7 +211,7 @@ def advance_states(
 ) -> None:
     """Run the state dynamics only (no predictions, no tape); used to warm
     stores before evaluation."""
-    for _ in _forward_batches(events, model, store, batching, {}, record=False, task=None):
+    for _ in _forward_batches(build_batches(events, batching), model, store, None, task=None):
         pass
 
 
@@ -225,58 +219,51 @@ def advance_states(
 # backward
 
 
-class _UpdateRows:
-    """Up to TILE endpoint updates waiting for one gru_backward call: the
-    rows of their GRU caches, output gradients and state-dropout masks,
-    copied, so no record stays alive for them."""
+def _gru_rows(
+    tape: Tape, rows, g: np.ndarray, model: GrnnModel, acc: GradientAccumulator,
+    state_dropout: StateDropout | None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Backward through the state dropout, then one gru_backward call (into
+    acc) for the tape's rows (an index array or a slice) with output
+    gradients g. Returns, one row per update, the gradients onto the own
+    pre-update state through the GRU and through the recurrent-mix
+    passthrough (None without it), and onto the counterparty's state."""
+    g_pass = None
+    if state_dropout is not None and state_dropout.rate != 0.0:
+        keep = tape.keep[rows]
+        if state_dropout.kind == "regular":
+            g = g * keep / (1.0 - state_dropout.rate)
+        else:  # dropped elements passed the previous state through
+            g, g_pass = g * keep, g * ~keep
+    _, gh_prev, gx_in = gru_backward(model.gru, tape.gru_cache(rows), g, acc)
+    return gh_prev, g_pass, gx_in[:, : model.m]
 
-    def __init__(self, model: GrnnModel):
-        m, d_in = model.m, model.gru.d_in
-        self.h_prev, self.z, self.r, self.n, self.g = (np.empty((TILE, m)) for _ in range(5))
-        self.x_in = np.empty((TILE, d_in))
-        self.mask = np.empty((TILE, m), dtype=bool)
-        self.dropout: tuple[str, float] | None = None  # (kind, rate) of the masks
-        self.k = 0
 
-    def add(self, rec: StepRecord, role: str, g_out: np.ndarray) -> None:
-        cache = getattr(rec, "cache_" + role)
-        if cache is None:
-            raise StructuralError("gradient reached an update whose GRU cache was not kept")
-        i = self.k
-        self.h_prev[i] = cache.h_prev
-        self.x_in[i] = cache.x_in
-        self.z[i] = cache.z
-        self.r[i] = cache.r
-        self.n[i] = cache.n
-        self.g[i] = g_out
-        mask = getattr(rec, "drop_mask_" + role)
-        if mask is not None:  # one StateDropout serves the whole epoch
-            self.mask[i] = mask
-            self.dropout = (rec.drop_kind, rec.drop_rate)
-        self.k = i + 1
+class _Tails:
+    """The pending one-hop tails of t_bptt: up to TILE updates of earlier
+    batches that a gradient reached, copied off the tape with that gradient
+    and run together once TILE are waiting. Their state inputs are
+    constants."""
 
-    def run(
-        self, model: GrnnModel, acc: GradientAccumulator
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """Backward through the rows' state dropout, then one gru_backward
-        call, whose parameter gradients go into acc; empties the rows.
+    def __init__(self, model: GrnnModel, acc: GradientAccumulator,
+                 state_dropout: StateDropout | None):
+        self.rows = Tape(model, TILE // 2)  # TILE rows
+        self.g = np.empty((TILE, model.m))
+        self.model, self.acc, self.state_dropout = model, acc, state_dropout
 
-        Returns, one row per update, the gradients onto the own pre-update
-        state through the GRU and through the recurrent-mix passthrough
-        (None without it), and onto the counterparty's pre-update state.
-        """
-        k, self.k = self.k, 0
-        g_new, g_pass = self.g[:k], None
-        if self.dropout is not None:
-            kind, rate = self.dropout
-            mask = self.mask[:k]
-            if kind == "regular":
-                g_new = g_new * mask / (1.0 - rate)
-            else:  # dropped elements passed the previous state through
-                g_new, g_pass = g_new * mask, g_new * ~mask
-        cache = GruCache(self.h_prev[:k], self.x_in[:k], self.z[:k], self.r[:k], self.n[:k])
-        _, gh_prev, gx_in = gru_backward(model.gru, cache, g_new, acc)
-        return gh_prev, g_pass, gx_in[:, : model.m]
+    def add(self, tape: Tape, row: int, g: np.ndarray) -> None:
+        k = self.rows.n_rows
+        self.rows.copy_row(k, tape, row)
+        self.g[k] = g
+        self.rows.n_rows = k + 1
+        if k + 1 == TILE:
+            self.run()
+
+    def run(self) -> None:
+        k, self.rows.n_rows = self.rows.n_rows, 0
+        if k:
+            _gru_rows(self.rows, slice(0, k), self.g[:k], self.model, self.acc,
+                      self.state_dropout)
 
 
 def _add(into: np.ndarray | None, g: np.ndarray) -> np.ndarray:
@@ -287,90 +274,81 @@ def _add(into: np.ndarray | None, g: np.ndarray) -> np.ndarray:
 
 
 def _backward_records(
-    records: list[StepRecord],
+    tape: Tape,
     model: GrnnModel,
     acc: GradientAccumulator,
-    rows: _UpdateRows,
-    tails: _UpdateRows,
+    tails: _Tails,
+    state_dropout: StateDropout | None,
 ) -> None:
-    """Reverse sweep over one contiguous record span (a batch, or the whole
-    tape), one dependency level at a time.
+    """Reverse sweep over the tape's events and rows above its base (a batch,
+    or the whole epoch), one dependency level at a time.
 
-    A record's level is 1 plus the highest level among the span's records
-    that produced the states it read, so when a level runs, the gradients
-    on every state it produced are complete. Per level, in descending event
-    index: the prediction heads, the updates in chunks of `rows`, then the
-    state gradients go to their producers. A producer outside the span gets
-    a one-hop tail through `tails`: its update adds parameter gradients,
-    but its state inputs are constants.
+    An event's level is 1 plus the highest level among the events on the
+    tape that produced the states it read, so when a level runs, the
+    gradients on every state it produced are complete. Per level, in
+    descending event index: the prediction heads, the updates in chunks of
+    at most TILE rows, then the state gradients go to the rows that
+    produced the states. A row below the base (an earlier batch's) gets a
+    one-hop tail through `tails`: its update adds parameter gradients, but
+    its state inputs are constants.
     """
-    m = model.m
-    level: dict[int, int] = {}  # id(record) -> level, for the span's records
-    by_level: list[list[StepRecord]] = []
-    for rec in records:
+    m, base = model.m, tape.base
+    n = tape.n_events
+    reads, writes, index = tape.reads[:n].tolist(), tape.writes[:n].tolist(), tape.index[:n].tolist()
+    row_level = [0] * (tape.n_rows - base)
+    by_level: list[list[int]] = []
+    for e in range(n):
         lv = 0
-        for slot in (rec.src_slot, rec.dst_slot, rec.extra_slot):
-            if slot is not None:
-                lv = max(lv, level.get(id(slot[0]), -1) + 1)
-        level[id(rec)] = lv
+        for row in reads[e]:
+            if row >= base:
+                lv = max(lv, row_level[row - base] + 1)
+        for row in writes[e]:
+            if row >= 0:
+                row_level[row - base] = lv
         if lv == len(by_level):
             by_level.append([])
-        by_level[lv].append(rec)
+        by_level[lv].append(e)
 
-    slot_grads: dict[tuple[int, str], np.ndarray] = {}  # produced-state grads
-    for recs in reversed(by_level):
-        recs.sort(key=lambda rec: rec.event.index, reverse=True)
-        # gradients onto each record's pre-update src, dst and extra states
+    produced: dict[int, np.ndarray] = {}  # row -> gradient on the state it produced
+    for evs in reversed(by_level):
+        evs.sort(key=index.__getitem__, reverse=True)
+        # gradients onto each event's pre-update src, dst and extra states
         grads: list[list[np.ndarray | None]] = []
-        for rec in recs:
-            g_src = g_dst = g_extra = None
-            if rec.pred_cache is not None:
-                _, gx = mlp_backward(model.mlp, rec.pred_cache, rec.grad_logit_pred, acc, "mlp.")
-                g_src = gx[:m].copy()
-                g_dst = gx[m : 2 * m].copy()
-            if rec.neg_cache is not None:
-                _, gx = mlp_backward(model.mlp, rec.neg_cache, rec.grad_logit_neg, acc, "mlp.")
-                g_src = _add(g_src, gx[:m])
-                g_extra = gx[m : 2 * m].copy()
-            grads.append([g_src, g_dst, g_extra])
+        for e in evs:
+            g = [None, None, None]
+            # head 0 reads the (src, dst) states, a negative head (src, extra)
+            for k, (cache, grad) in enumerate(tape.heads[e]):
+                _, gx = mlp_backward(model.mlp, cache, grad, acc, "mlp.")
+                g[0] = _add(g[0], gx[:m])
+                g[1 + k] = gx[m : 2 * m]
+            grads.append(g)
 
-        # the level's updates; later levels have finished adding to their slots
-        updates: list[tuple[int, int]] = []  # (position in recs, role index) per row
-        blocks = []  # rows.run's outputs, TILE rows each but the last
-        for pos, rec in enumerate(recs):
-            for i, role in enumerate(ROLES):
-                g_out = slot_grads.pop((id(rec), role), None)
-                if g_out is not None:
-                    rows.add(rec, role, g_out)
-                    updates.append((pos, i))
-                    if rows.k == TILE:
-                        blocks.append(rows.run(model, acc))
-        if rows.k:
-            blocks.append(rows.run(model, acc))
-        for j, (pos, i) in enumerate(updates):
-            gh_prev, g_pass, g_other = blocks[j // TILE]
-            g = grads[pos]
-            g[i] = _add(g[i], gh_prev[j % TILE])
-            if g_pass is not None:
-                g[i] = _add(g[i], g_pass[j % TILE])
-            g[1 - i] = _add(g[1 - i], g_other[j % TILE])
+        # the level's updates; later levels have finished adding to their rows
+        updates = [(pos, role, row) for pos, e in enumerate(evs)
+                   for role, row in enumerate(writes[e]) if row in produced]
+        for lo in range(0, len(updates), TILE):
+            chunk = updates[lo : lo + TILE]
+            rows = np.array([row for _, _, row in chunk])
+            g_out = np.array([produced.pop(row) for _, _, row in chunk])
+            gh_prev, g_pass, g_other = _gru_rows(tape, rows, g_out, model, acc, state_dropout)
+            for j, (pos, role, _) in enumerate(chunk):
+                g = grads[pos]
+                g[role] = _add(g[role], gh_prev[j])
+                if g_pass is not None:
+                    g[role] = _add(g[role], g_pass[j])
+                g[1 - role] = _add(g[1 - role], g_other[j])
 
-        # route gradients on consumed states to their producers
-        for rec, g in zip(recs, grads):
-            for slot, g_in in zip((rec.src_slot, rec.dst_slot, rec.extra_slot), g):
-                if slot is None or g_in is None:
+        # route gradients on consumed states to the rows that produced them
+        for e, g in zip(evs, grads):
+            for row, g_in in zip(reads[e], g):
+                if row < 0 or g_in is None:
                     continue  # epoch-initial state (constant) or no gradient
-                prod, role = slot
-                if id(prod) not in level:
-                    tails.add(prod, role, g_in)
-                    if tails.k == TILE:
-                        tails.run(model, acc)
-                    continue
-                key = (id(prod), role)
-                if key in slot_grads:
-                    slot_grads[key] += g_in
+                if row < base:
+                    tails.add(tape, row, g_in)
+                elif row in produced:
+                    produced[row] += g_in
                 else:
-                    slot_grads[key] = g_in
+                    produced[row] = g_in
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +358,23 @@ def _backward_records(
 MODES = ("f_bptt", "t_bptt")
 
 
-def _count_producers(records: list[StepRecord], live: dict[int, int]) -> None:
-    """Move the producer refcounts past one batch's updates, in the order
-    they ran: each update releases the slot it read and takes one for its
-    record. Events have no self-loops, so the two roles touch two nodes."""
-    for rec in records:
-        for slot, post in ((rec.src_slot, rec.h_src_post), (rec.dst_slot, rec.h_dst_post)):
-            if post is None:  # this role did not update
+def _count_producers(tape: Tape, live: dict[int, int]) -> None:
+    """Move the producer refcounts, keyed by event index, past the tape's
+    updates in the order they ran: each update releases the event that
+    produced the state it read and takes one for its own event. Events have
+    no self-loops, so the two roles touch two nodes."""
+    n = tape.n_events
+    for reads, writes in zip(tape.reads[:n].tolist(), tape.writes[:n].tolist()):
+        for read, write in zip(reads, writes):  # src, dst; the extra read updates nothing
+            if write < 0:  # this role did not update
                 continue
-            if slot is not None:
-                key = id(slot[0])
+            if read >= 0:
+                key = int(tape.owner[read])
                 live[key] -= 1
                 if not live[key]:
                     del live[key]
-            live[id(rec)] = live.get(id(rec), 0) + 1
+            key = int(tape.owner[write])
+            live[key] = live.get(key, 0) + 1
 
 
 def train_epoch(
@@ -429,31 +410,34 @@ def train_epoch(
     params = model.named_params()
     acc = GradientAccumulator(params)
     truncate = mode == "t_bptt"
-    rows, tails = _UpdateRows(model), _UpdateRows(model)
-    tape: list[StepRecord] = []
-    live: dict[int, int] = {}  # t_bptt: id(record) -> nodes whose current state it produced
+    batches = build_batches(events, batching)
+    if truncate:  # one row per node, for the carried producers, plus one batch
+        most = max((len(batch.events) for batch in batches), default=0)
+        tape = Tape(model, most, base=store.num_nodes)
+    else:
+        tape = Tape(model, len(events))
+    tails = _Tails(model, acc, state_dropout)
+    live: dict[int, int] = {}  # t_bptt: event index -> nodes whose current state it produced
     total_loss = 0.0
     peak_live = 0
-    for records, batch_loss in _forward_batches(
-        events, model, store, batching, {},
-        record=True, task=task or model.task, training=True,
+    for batch, batch_loss in _forward_batches(
+        batches, model, store, tape,
+        task=task or model.task, training=True,
         rng=rng, neg_universe=neg_universe, state_dropout=state_dropout,
         mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
     ):
         total_loss += batch_loss
         if truncate:
-            # only the per-node producing records (one GRU cache each) stay
-            # alive past their batch, for the one-hop tails
-            _backward_records(records, model, acc, rows, tails)
-            _count_producers(records, live)
-            peak_live = max(peak_live, len(records) + len(live))
-        else:
-            tape.extend(records)
+            # only the nodes' producing rows (one GRU cache each) outlive
+            # their batch, for the one-hop tails
+            _backward_records(tape, model, acc, tails, state_dropout)
+            _count_producers(tape, live)
+            peak_live = max(peak_live, len(tape) + len(live))
+            tape.release(batch.events)
     if not truncate:
-        _backward_records(tape, model, acc, rows, tails)
+        _backward_records(tape, model, acc, tails, state_dropout)
         peak_live = len(tape)
-    if tails.k:
-        tails.run(model, acc)
+    tails.run()
     adamw_step(optimizer, params, acc.buffers)
 
     for name, p in params.items():

@@ -17,7 +17,7 @@ import numpy as np
 from .adamw import AdamwState
 from .dynamics import StateDropout
 from .engine import BatchingConfig, advance_states, build_batches, train_epoch
-from .dynamics import run_batch, Slot
+from .dynamics import run_batch
 from .errors import ConfigError, DataError, IngestionError, ParameterError
 from .events import Event, NodeStateStore
 from .mlp import mlp_score_batch
@@ -57,7 +57,7 @@ def load_jodie_csv(path: str, max_events: int | None = None, name: str = "") -> 
     rows: list[tuple[int, int, float, list[float]]] = []
     feat_dim = None
     prev_t = -math.inf
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader, start=1):
             if line_no == 1:
@@ -118,8 +118,8 @@ def chrono_split(
     events: list[Event], train_frac: float = 0.70, val_frac: float = 0.15
 ) -> tuple[list[Event], list[Event], list[Event]]:
     """Contiguous prefix / middle / suffix by event index, floor-then-remainder."""
-    if train_frac <= 0 or val_frac <= 0 or train_frac + val_frac >= 1:
-        raise ConfigError(f"bad split fractions ({train_frac}, {val_frac})")
+    if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):  # NaN fails
+        raise ConfigError(f"bad split fractions train_frac={train_frac}, val_frac={val_frac}")
     n = len(events)
     n_train = int(n * train_frac)
     n_val = int(n * val_frac)
@@ -130,13 +130,6 @@ def chrono_split(
         events[n_train : n_train + n_val],
         events[n_train + n_val :],
     )
-
-
-def sample_negative(edge: Event, dataset: Dataset, rng: Rng) -> int:
-    """Uniform over the full destination universe (may hit the true one)."""
-    if dataset.num_destinations == 0:
-        raise DataError("empty destination universe")
-    return int(dataset.destinations[rng.randrange(dataset.num_destinations)])
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +192,11 @@ def evaluate_ranking(
     earlier update."""
     if batching.strategy == "sequential":
         batching = BatchingConfig("sequential", 1)
-    producers: dict[int, Slot] = {}
     ranks: list[int] = []
     for batch in build_batches(events, batching):
         for ev in batch.events:
             ranks.append(rank_true_destination(model, store, ev, universe))
-        run_batch(store, producers, batch, model)
+        run_batch(store, batch, model)
     return ranks
 
 

@@ -112,18 +112,16 @@ def test_criterion_3_batching_equivalence():
         model = g.init_model(rng.substream("init"), m, 1, "regression")
 
         s_seq = g.NodeStateStore.zeros(n_nodes, m)
-        run_batch(s_seq, {}, g.Batch(events=list(events), strategy="sequential"), model)
+        run_batch(s_seq, g.Batch(events=list(events), strategy="sequential"), model)
 
         s_tb = g.NodeStateStore.zeros(n_nodes, m)
-        producers = {}
         for batch in make_batches_tbatch(events):
             assert_tbatch_valid(batch)
-            run_batch(s_tb, producers, batch, model)
+            run_batch(s_tb, batch, model)
 
         s_p1 = g.NodeStateStore.zeros(n_nodes, m)
-        producers = {}
         for batch in make_batches_fixed(events, 1):
-            run_batch(s_p1, producers, batch, model)
+            run_batch(s_p1, batch, model)
 
         assert np.array_equal(s_seq.states, s_tb.states)
         assert np.array_equal(s_seq.states, s_p1.states)

@@ -133,6 +133,12 @@ def test_invalid_mode_is_config_error(tmp_path):
     ("synth", {"memory_values": []}),
     ("synth", {"hidden_sizes": []}),
     ("synth", {"seeds": []}),
+    ("gradcheck", {"tolerance": float("nan")}),
+    ("gradcheck", {"eps": float("nan")}),
+    ("gradcheck", {"cell_tolerance": -1.0}),
+    ("gradcheck", {"cell_tolerance": float("inf")}),
+    ("bench", {"train_frac": float("nan")}),
+    ("bench", {"patience": -1}),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, extra):
     if command == "synth":
@@ -305,6 +311,25 @@ def test_bench_smoke_both_modes(tmp_path):
 def test_bench_missing_dataset_is_data_error(tmp_path):
     cfg_path, _ = bench_config(tmp_path, str(tmp_path / "nope.csv"))
     assert main(["bench", "--config", cfg_path]) == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_bench_unreadable_dataset_is_data_error(tmp_path, capsys, kind):
+    path = tmp_path / "data.csv"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"user_id,item_id,timestamp,state_label,f\nu\xff0,i0,0.0,0,1.0\n")
+    cfg_path, _ = bench_config(tmp_path, str(path))
+    assert main(["bench", "--config", cfg_path]) == 2
+    assert "dataset not readable" in capsys.readouterr().err
+
+
+def test_out_dir_under_a_file_is_config_error(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    cfg_path, _ = smoke_synth_config(tmp_path)
+    assert main(["synth", "--config", cfg_path, "--out", str(tmp_path / "file" / "out")]) == 1
+    assert "cannot write output directory" in capsys.readouterr().err
 
 
 def test_bench_malformed_dataset_is_data_error(tmp_path):

@@ -29,7 +29,7 @@ def sequential(events):
 def test_zero_weight_gru_keeps_zero_store_unchanged():
     model = zero_gru_model()
     store = g.NodeStateStore.zeros(4, 3)
-    run_batch(store, {}, sequential(make_events([(0, 1)])), model)
+    run_batch(store, sequential(make_events([(0, 1)])), model)
     assert np.all(store.states == 0)  # 0.5 * 0 stays 0
     assert store.last_update_event[0] == 0 and store.last_update_event[1] == 0
     assert store.last_update_event[2] == -1
@@ -40,22 +40,25 @@ def test_sequential_second_event_sees_first_update():
     model = g.init_model(rng, 2, 1, "regression")
     store = g.NodeStateStore.zeros(3, 2)
     events = make_events([(0, 1), (1, 2)])
-    recs = run_batch(store, {}, sequential(events), model)
-    assert np.array_equal(recs[1].h_src_pre, recs[0].h_dst_post)
-    assert recs[1].src_slot == (recs[0], "dst")
+    tape = g.Tape(model, len(events))
+    pre = run_batch(store, sequential(events), model, tape)
+    row = tape.writes[0, 1]  # event 0's update of node 1
+    assert tape.reads[1, 0] == row
+    c = tape.gru_cache([row])
+    assert np.array_equal(pre[1, 0], ((1.0 - c.z) * c.h_prev + c.z * c.n)[0])
 
 
 def test_parallel_reads_come_from_batch_start():
     rng = g.Rng(2)
     model = g.init_model(rng, 2, 1, "regression")
     store = g.NodeStateStore.zeros(3, 2)
-    run_batch(store, {}, sequential(make_events([(0, 1)])), model)  # make states nonzero
+    run_batch(store, sequential(make_events([(0, 1)])), model)  # make states nonzero
     snapshot = store.states.copy()
     events = make_events([(0, 1), (1, 2)])
     batch = make_batches_fixed(events, 10)[0]
-    recs = run_batch(store, {}, batch, model)
+    pre = run_batch(store, batch, model)
     # second event reads node 1 as it stood before the batch, not post-update
-    assert np.array_equal(recs[1].h_src_pre, snapshot[1])
+    assert np.array_equal(pre[1, 0], snapshot[1])
 
 
 def test_fixed_parallel_drops_all_but_last_update():
@@ -68,10 +71,11 @@ def test_fixed_parallel_drops_all_but_last_update():
         g.Event(index=1, src=0, dst=2, time=1.0, features=x2),
     ]
     batch = make_batches_fixed(events, 10)[0]
-    recs = run_batch(store, {}, batch, model)
-    assert recs[0].h_src_post is None and recs[0].cache_src is None  # dropped
-    assert recs[0].h_dst_post is not None  # node 1 still updates from event 0
-    assert recs[1].h_src_post is not None
+    tape = g.Tape(model, len(events))
+    run_batch(store, batch, model, tape)
+    assert tape.writes[0, 0] == -1 and tape.n_rows == 3  # dropped, never computed
+    assert tape.writes[0, 1] >= 0  # node 1 still updates from event 0
+    assert tape.writes[1, 0] >= 0
     # collision law: node 0's state comes from its last in-batch event alone,
     # computed against batch-start states
     expected, _ = gru_forward(model.gru, np.zeros(3), np.concatenate((np.zeros(3), x2)))
@@ -83,10 +87,10 @@ def test_parallel_without_repeats_equals_sequential():
     model = g.init_model(rng, 3, 1, "regression")
     events = make_events([(0, 1), (2, 3), (4, 5)])
     s1 = g.NodeStateStore.zeros(6, 3)
-    run_batch(s1, {}, sequential(events), model)
+    run_batch(s1, sequential(events), model)
     s2 = g.NodeStateStore.zeros(6, 3)
     batch = make_batches_fixed(events, 10)[0]
-    run_batch(s2, {}, batch, model)
+    run_batch(s2, batch, model)
     assert np.array_equal(s1.states, s2.states)
 
 
@@ -94,35 +98,28 @@ def test_parallel_without_repeats_equals_sequential():
 @given(st.integers(0, 10_000), st.integers(1, 30), st.integers(2, 8), st.integers(2, 5))
 def test_strategy_equivalence_bitwise(seed, n_events, n_nodes, m):
     """t-batched parallel, whole-stream sequential, and size-1 fixed batches
-    must produce bit-identical trajectories and per-event outputs."""
+    must produce bit-identical trajectories, pre-update states and GRU cache
+    rows."""
     events = make_events(random_pairs(seed, n_events, n_nodes))
     model = g.init_model(g.Rng(seed), m, 1, "regression")
 
-    s_seq = g.NodeStateStore.zeros(n_nodes, m)
-    recs_seq = run_batch(s_seq, {}, sequential(events), model)
+    def run(batches):
+        store, tape = g.NodeStateStore.zeros(n_nodes, m), g.Tape(model, n_events)
+        pre, cells = {}, {}
+        for batch in batches:
+            for ev, h in zip(batch.events, run_batch(store, batch, model, tape)):
+                pre[ev.index] = h
+        for e in range(len(tape)):
+            assert min(tape.writes[e]) >= 0  # no strategy here drops an update
+            cells[tape.index[e]] = tape.cells[tape.writes[e]]  # src row, dst row
+        return store.states, pre, cells
 
-    s_tb = g.NodeStateStore.zeros(n_nodes, m)
-    producers = {}
-    recs_tb = []
-    for batch in make_batches_tbatch(events):
-        recs_tb.extend(run_batch(s_tb, producers, batch, model))
-
-    s_p1 = g.NodeStateStore.zeros(n_nodes, m)
-    producers = {}
-    recs_p1 = []
-    for batch in make_batches_fixed(events, 1):
-        recs_p1.extend(run_batch(s_p1, producers, batch, model))
-
-    assert np.array_equal(s_seq.states, s_tb.states)
-    assert np.array_equal(s_seq.states, s_p1.states)
-    by_index = lambda recs: {r.event.index: r for r in recs}
-    a, b, c = by_index(recs_seq), by_index(recs_tb), by_index(recs_p1)
-    for k in a:
-        for other in (b, c):
-            assert np.array_equal(a[k].h_src_pre, other[k].h_src_pre)
-            assert np.array_equal(a[k].h_dst_pre, other[k].h_dst_pre)
-            assert np.array_equal(a[k].h_src_post, other[k].h_src_post)
-            assert np.array_equal(a[k].h_dst_post, other[k].h_dst_post)
+    seq = run([sequential(events)])
+    for other in (run(make_batches_tbatch(events)), run(make_batches_fixed(events, 1))):
+        assert np.array_equal(seq[0], other[0])
+        for k in range(n_events):
+            assert np.array_equal(seq[1][k], other[1][k])
+            assert np.array_equal(seq[2][k], other[2][k])
 
 
 def test_reset_semantics():
@@ -140,7 +137,7 @@ def test_unknown_node_id_raises():
     store = g.NodeStateStore.zeros(2, 2)
     events = [g.Event(index=0, src=0, dst=5, time=0.0, features=np.zeros(1))]
     with pytest.raises(g.StructuralError):
-        run_batch(store, {}, sequential(events), model)
+        run_batch(store, sequential(events), model)
 
 
 def test_last_update_event_strictly_increases():
@@ -149,7 +146,7 @@ def test_last_update_event_strictly_increases():
     store = g.NodeStateStore.zeros(5, 2)
     seen = {n: -1 for n in range(5)}
     for ev in events:
-        run_batch(store, {}, sequential([ev]), model)
+        run_batch(store, sequential([ev]), model)
         for n in (ev.src, ev.dst):
             assert store.last_update_event[n] > seen[n]
             seen[n] = store.last_update_event[n]

@@ -296,14 +296,37 @@ def test_streaming_peak_live_records_matches_rescan(strategy, size):
     model = g.init_model(g.Rng(4).substream("init"), 3, 1, "regression")
     batching = g.BatchingConfig(strategy, size)
     stats = g.train_epoch(events, model.copy(), AdamwState(), "t_bptt", batching, num_nodes=9)
-    # reference: after each batch, the batch's records plus every distinct
-    # record that still produces some node's current state
-    store, producers, peak = g.NodeStateStore.zeros(9, 3), {}, 0
+    # reference: after each batch, the batch's events plus every distinct
+    # event whose update produced some node's current state
+    store, tape, peak = g.NodeStateStore.zeros(9, 3), g.Tape(model, len(events)), 0
     for batch in g.build_batches(events, batching):
-        records = g.run_batch(store, producers, batch, model, record=True)
-        live = {id(slot[0]) for slot in producers.values()}
-        peak = max(peak, len(records) + len(live))
+        g.run_batch(store, batch, model, tape)
+        live = {int(tape.owner[row]) for row in tape.producer.values()}
+        peak = max(peak, len(batch.events) + len(live))
     assert stats["peak_live_records"] == peak
+
+
+@pytest.mark.parametrize("strategy,size", [("sequential", 7), ("t_batch", None),
+                                           ("fixed_parallel", 25)])
+def test_t_bptt_tape_holds_nodes_plus_one_batch(monkeypatch, strategy, size):
+    cfg = g.SyntheticConfig(memory=2, num_nodes=50, edges_per_epoch=400)
+    events = g.generate_epoch(cfg, g.Rng(6).substream("data"))
+    model = g.init_model(g.Rng(6).substream("init"), 3, 1, "regression")
+    batching = g.BatchingConfig(strategy, size)
+    batches = g.build_batches(events, batching)
+    bound = cfg.num_nodes + 2 * max(len(batch.events) for batch in batches)
+    seen = []  # (rows in use, rows allocated) at each batch's sweep
+    sweep = g.engine._backward_records
+
+    def watching(tape, *args):
+        seen.append((tape.n_rows, len(tape.cells)))
+        return sweep(tape, *args)
+
+    monkeypatch.setattr(g.engine, "_backward_records", watching)
+    g.train_epoch(events, model, AdamwState(), "t_bptt", batching, num_nodes=cfg.num_nodes)
+    assert len(seen) == len(batches)
+    assert max(used for used, _ in seen) <= bound
+    assert max(allocated for _, allocated in seen) <= bound
 
 
 def test_train_epoch_rejects_unknown_mode():

@@ -18,9 +18,9 @@ from grnnlab.evalbench import (
     random_search,
     rank_scores,
     rank_true_destination,
-    sample_negative,
     write_synthetic_linkstream,
 )
+from grnnlab.engine import sample_negative
 from grnnlab.mlp import MlpParameters
 
 
@@ -213,8 +213,7 @@ def fake_dataset(tmp_path, num_items=1000):
 
 def test_negative_sampling_universe_of_one(tmp_path):
     ds = load_jodie_csv(write_csv(tmp_path, ["u0,i0,0.0,0,1.0", "u1,i0,1.0,0,1.0"]))
-    edge = ds.events[0]
-    assert all(sample_negative(edge, ds, g.Rng(s)) == ds.destinations[0] for s in range(20))
+    assert all(sample_negative(ds.destinations, g.Rng(s)) == ds.destinations[0] for s in range(20))
 
 
 def test_negative_sampling_concentration(tmp_path):
@@ -222,14 +221,14 @@ def test_negative_sampling_concentration(tmp_path):
     rng = g.Rng(42)
     counts = np.zeros(1000, dtype=int)
     for _ in range(100_000):
-        counts[sample_negative(ds.events[0], ds, rng) - ds.num_sources] += 1
+        counts[sample_negative(ds.destinations, rng) - ds.num_sources] += 1
     assert counts.min() >= 60 and counts.max() <= 140  # 100 +/- 40
 
 
 def test_negative_sampling_determinism(tmp_path):
     ds = fake_dataset(tmp_path, num_items=50)
-    a = [sample_negative(ds.events[0], ds, g.Rng(7)) for _ in range(100)]
-    b = [sample_negative(ds.events[0], ds, g.Rng(7)) for _ in range(100)]
+    a = [sample_negative(ds.destinations, g.Rng(7)) for _ in range(100)]
+    b = [sample_negative(ds.destinations, g.Rng(7)) for _ in range(100)]
     assert a == b
 
 
@@ -403,10 +402,10 @@ def test_sequential_evaluation_ranks_each_edge_after_every_earlier_update(tmp_pa
     store = g.NodeStateStore.zeros(ds.num_nodes, 4)
     ranks = evaluate_ranking(model, store, ds.events, ds.destinations,
                              g.BatchingConfig("sequential", size))
-    ref_store, producers, ref_ranks = g.NodeStateStore.zeros(ds.num_nodes, 4), {}, []
+    ref_store, ref_ranks = g.NodeStateStore.zeros(ds.num_nodes, 4), []
     for k, ev in enumerate(ds.events):
         ref_ranks.append(rank_true_destination(model, ref_store, ev, ds.destinations))
-        g.run_batch(ref_store, producers, g.Batch([ev], "sequential", k), model)
+        g.run_batch(ref_store, g.Batch([ev], "sequential", k), model)
     assert ranks == ref_ranks
     assert np.array_equal(store.states, ref_store.states)
 

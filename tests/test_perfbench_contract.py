@@ -39,8 +39,11 @@ def test_workload_operations_report_no_problems(make, tmp_path):
         events, stats = wl.train(run, mode)
         assert wl.check_train(events, stats, before, mode) == []
         assert wl.check_validation(run, wl.validate(run)) == []
-    fw = wl.tape_forward(wl.setup(1, str(tmp_path)))()
-    assert len(fw.tape) > 0
+    run = wl.setup(1, str(tmp_path))
+    fw = wl.tape_forward(run)()
+    # tape_bytes_per_event divides by len(fw.tape): one entry per forwarded event
+    forwarded = len(run.extra["train"]) if "train" in run.extra else wl.config.edges_per_epoch
+    assert len(fw.tape) == forwarded > 0
 
 
 def test_probes_trace_the_backward_kernels(tmp_path):
