@@ -25,14 +25,17 @@ def check_rate(rate: float, what: str) -> None:
 
 
 def regular_dropout(vec: np.ndarray, rate: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+    """vec of any shape; its mask is drawn in row-major order, so one (k, m)
+    call draws what k (m,) calls draw, row after row."""
     check_rate(rate, "regular dropout")
-    mask = rng.keep_mask(vec.size, rate)
+    mask = rng.keep_mask(vec.size, rate).reshape(vec.shape)
     return vec * mask / (1.0 - rate), mask
 
 
 def recurrent_mix(
     new: np.ndarray, prev: np.ndarray, rate: float, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise: prev where the mask drops, new where it keeps."""
-    keep = rng.keep_mask(new.size, rate)
+    """Elementwise: prev where the mask drops, new where it keeps. Any
+    shape; the mask is drawn as in regular_dropout."""
+    keep = rng.keep_mask(new.size, rate).reshape(new.shape)
     return np.where(keep, new, prev), keep

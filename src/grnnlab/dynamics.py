@@ -14,6 +14,13 @@ Three update regimes share one entry point, run_batch:
 Within one event the two endpoint updates are coupled but simultaneous:
 both consume the pre-update states of both endpoints.
 
+A sequential batch runs one GRU call per update. The updates of a parallel
+batch all read the batch-start snapshot, so they are independent, as in
+JODIE's t-batches (Kumar et al., KDD 2019): they run as stacked rows of one
+GRU call and one state-dropout call, in the order sequential processing
+would compute them, and each row gets the bits (and the dropout draws) it
+would get alone.
+
 With a Tape, every update leaves one row of GRU cache, and every state read
 names the row that produced the value (or -1 for the epoch-initial state),
 which is what lets the engine run exact reverse-mode sweeps across batch
@@ -60,14 +67,15 @@ class Tape:
     index[e] (column blocks of `links`), and heads[e], one (MlpCache, loss
     gradient) pair per prediction head, which the engine appends.
 
-    A tape holds `events` events, two rows each, above its first `base`
-    rows. Truncated training sets base to the node count: releasing a batch
-    carries each node's producing row into the node's own row, so the tape
-    holds the nodes plus one batch.
+    A tape holds `events` events and `rows` update rows above its first
+    `base` rows; Batch.updates gives the rows a batch needs. Truncated
+    training sets base to the node count: releasing a batch carries each
+    node's producing row into the node's own row, so the tape holds the
+    nodes plus one batch.
     """
 
-    def __init__(self, model: GrnnModel, events: int, base: int = 0):
-        m, d_in, rows = model.m, model.gru.d_in, base + 2 * events
+    def __init__(self, model: GrnnModel, events: int, rows: int, base: int = 0):
+        m, d_in, rows = model.m, model.gru.d_in, base + rows
         self._cuts = np.cumsum((m, d_in, m, m))  # h_prev | x_in | z | r | n
         self.cells = np.empty((rows, 4 * m + d_in))
         self.keep = np.empty((rows, m), dtype=bool)
@@ -97,17 +105,26 @@ class Tape:
         extra_row = -1 if extra is None else get(extra, -1)
         self.links[e] = get(ev.src, -1), get(ev.dst, -1), extra_row, -1, -1, ev.index
 
-    def write(self, e: int, ev: Event, role: int, cache: GruCache, keep) -> None:
-        """Add the update of ev's src (role 0) or dst (role 1), made by event
-        number e, as the next row."""
+    def write(self, e, role, nodes: list[int], cache: GruCache, keep) -> None:
+        """Add the updates of nodes, made by the tape's events number e in
+        role (0: src, 1: dst), as the next rows. One update passes ints and
+        vector cache fields; a block of k passes int arrays of k and its
+        cache fields and keep masks stacked as k rows."""
         u = self.n_rows
-        self.n_rows = u + 1
-        np.concatenate((cache.h_prev, cache.x_in, cache.z, cache.r, cache.n), out=self.cells[u])
+        v = u + len(nodes)
+        if v > len(self.owner):
+            raise StructuralError(f"tape is full at {u} rows")
+        self.n_rows = v
+        block = isinstance(e, np.ndarray)
+        rows = slice(u, v) if block else u
+        np.concatenate((cache.h_prev, cache.x_in, cache.z, cache.r, cache.n), axis=-1,
+                       out=self.cells[rows])
         if keep is not None:
-            self.keep[u] = keep
-        self.owner[u] = ev.index
-        self.writes[e, role] = u
-        self.producer[ev.dst if role else ev.src] = u
+            self.keep[rows] = keep
+        self.owner[rows] = self.index[e]
+        self.writes[e, role] = np.arange(u, v) if block else u
+        for row, node in enumerate(nodes, u):
+            self.producer[node] = row
 
     def copy_row(self, i: int, src: Tape, j: int) -> None:
         """Row i of this tape becomes a copy of row j of src."""
@@ -160,9 +177,10 @@ def run_batch(
         x_in = np.concatenate((pre[pos, 1 - role], ev.features))
         h_new, cache = gru_forward(model.gru, h_own, x_in)
         h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
-        store.set_state(node, h_new, ev.index)
+        store.states[node] = h_new  # the read pass checked the node
+        store.last_update_event[node] = ev.index
         if tape is not None:
-            tape.write(e0 + pos, ev, role, cache, keep)
+            tape.write(e0 + pos, role, [node], cache, keep)
 
     # read pass: capture pre-update states and the rows that produced them
     sequential = batch.strategy == "sequential"
@@ -177,10 +195,22 @@ def run_batch(
             update(pos, ev, 0)
             update(pos, ev, 1)
 
-    if not sequential:
+    if not sequential and events:
+        # each node's last in-batch update, in sequential order, as the rows
+        # of one stacked GRU call
         last = batch.last_event_per_node
-        for pos, ev in enumerate(events):
-            for role, node in enumerate((ev.src, ev.dst)):
-                if last[node] == pos:
-                    update(pos, ev, role)
+        todo = [(pos, role, node) for pos, ev in enumerate(events)
+                for role, node in enumerate((ev.src, ev.dst)) if last[node] == pos]
+        at, roles, nodes = (np.array(col) for col in zip(*todo))
+        updating = [events[pos] for pos in at.tolist()]
+        h_own = pre[at, roles]
+        x_in = np.concatenate(
+            (pre[at, 1 - roles], np.array([ev.features for ev in updating])), axis=1
+        )
+        h_new, cache = gru_forward(model.gru, h_own, x_in)
+        h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
+        store.states[nodes] = h_new
+        store.last_update_event[nodes] = [ev.index for ev in updating]
+        if tape is not None:
+            tape.write(e0 + at, roles, nodes.tolist(), cache, keep)
     return pre

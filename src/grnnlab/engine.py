@@ -190,10 +190,11 @@ def forward_epoch(
     training: bool = False,
 ) -> EpochForward:
     """Process all batches, returning the summed loss and the tape."""
-    tape = Tape(model, len(events)) if record else None
+    batches = build_batches(events, batching)
+    tape = Tape(model, len(events), sum(b.updates for b in batches)) if record else None
     total = 0.0
     for _, batch_loss in _forward_batches(
-        build_batches(events, batching), model, store, tape,
+        batches, model, store, tape,
         task=task or model.task, training=training,
         rng=rng, neg_universe=neg_universe,
         state_dropout=state_dropout if training else None,
@@ -247,7 +248,7 @@ class _Tails:
 
     def __init__(self, model: GrnnModel, acc: GradientAccumulator,
                  state_dropout: StateDropout | None):
-        self.rows = Tape(model, TILE // 2)  # TILE rows
+        self.rows = Tape(model, 0, TILE)
         self.g = np.empty((TILE, model.m))
         self.model, self.acc, self.state_dropout = model, acc, state_dropout
 
@@ -412,10 +413,10 @@ def train_epoch(
     truncate = mode == "t_bptt"
     batches = build_batches(events, batching)
     if truncate:  # one row per node, for the carried producers, plus one batch
-        most = max((len(batch.events) for batch in batches), default=0)
-        tape = Tape(model, most, base=store.num_nodes)
+        tape = Tape(model, max((len(b.events) for b in batches), default=0),
+                    max((b.updates for b in batches), default=0), base=store.num_nodes)
     else:
-        tape = Tape(model, len(events))
+        tape = Tape(model, len(events), sum(b.updates for b in batches))
     tails = _Tails(model, acc, state_dropout)
     live: dict[int, int] = {}  # t_bptt: event index -> nodes whose current state it produced
     total_loss = 0.0

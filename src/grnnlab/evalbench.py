@@ -117,14 +117,16 @@ def load_jodie_csv(path: str, max_events: int | None = None, name: str = "") -> 
 def chrono_split(
     events: list[Event], train_frac: float = 0.70, val_frac: float = 0.15
 ) -> tuple[list[Event], list[Event], list[Event]]:
-    """Contiguous prefix / middle / suffix by event index, floor-then-remainder."""
+    """Contiguous prefix / middle / suffix by event index, floor-then-remainder.
+    Bad fractions are a config error; valid fractions that leave a part of
+    the events empty mean the dataset is too short, a data error."""
     if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):  # NaN fails
         raise ConfigError(f"bad split fractions train_frac={train_frac}, val_frac={val_frac}")
     n = len(events)
     n_train = int(n * train_frac)
     n_val = int(n * val_frac)
     if n_train == 0 or n_val == 0 or n - n_train - n_val == 0:
-        raise ConfigError(f"split of {n} events leaves an empty part")
+        raise DataError(f"split of {n} events leaves an empty part")
     return (
         events[:n_train],
         events[n_train : n_train + n_val],

@@ -94,3 +94,11 @@ class Batch:
             for pos, ev in enumerate(self.events):
                 self.last_event_per_node[ev.src] = pos
                 self.last_event_per_node[ev.dst] = pos
+
+    @property
+    def updates(self) -> int:
+        """Endpoint updates the batch computes: both of every event when
+        sequential, one per node (from its last event) when parallel."""
+        if self.strategy == "sequential":
+            return 2 * len(self.events)
+        return len(self.last_event_per_node)

@@ -88,30 +88,35 @@ class GruCache:
     n: np.ndarray
 
 
+def _times(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w @ x for a vector x or for every row of x (n, w.shape[1]). The
+    stacked matmul runs one matrix-vector product per row, so each row gets
+    the bits of w @ x alone. A vector skips the reshapes, which would add
+    about 2 µs to each sequential update at m=32."""
+    if x.ndim == 1:
+        return w @ x
+    return np.matmul(w, x[..., None])[..., 0]
+
+
 def gru_forward(
     params: GruParameters, h_prev: np.ndarray, x_in: np.ndarray
 ) -> tuple[np.ndarray, GruCache]:
-    """One cell application. h_prev (m,), x_in (d_in,) -> h_new (m,)."""
+    """One cell application, h_prev (m,), x_in (d_in,) -> h_new (m,), or n
+    independent ones stacked as rows, (n, m), (n, d_in) -> (n, m); each row
+    gets the bits of a one-row call."""
     m = params.m
-    if h_prev.shape != (m,) or x_in.shape != (params.d_in,):
+    if h_prev.shape[-1:] != (m,) or x_in.shape != h_prev.shape[:-1] + (params.d_in,):
         raise StructuralError(
             f"gru_forward: h_prev {h_prev.shape}, x_in {x_in.shape} "
             f"incompatible with m={m}, d_in={params.d_in}"
         )
-    xc = np.concatenate((h_prev, x_in))
-    z = stable_sigmoid(params.wz @ xc + params.bz)
-    r = stable_sigmoid(params.wr @ xc + params.br)
-    xn = np.concatenate((r * h_prev, x_in))
-    n = np.tanh(params.wn @ xn + params.bn)
+    xc = np.concatenate((h_prev, x_in), axis=-1)
+    z = stable_sigmoid(_times(params.wz, xc) + params.bz)
+    r = stable_sigmoid(_times(params.wr, xc) + params.br)
+    xn = np.concatenate((r * h_prev, x_in), axis=-1)
+    n = np.tanh(_times(params.wn, xn) + params.bn)
     h_new = (1.0 - z) * h_prev + z * n
     return h_new, GruCache(h_prev=h_prev, x_in=x_in, z=z, r=r, n=n)
-
-
-def _rows_times_transpose(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """w.T @ g for every row g of rows (n, m) -> (n, w.shape[1]). A stacked
-    matmul runs one matrix-vector product per row, so each row gets the bits
-    of w.T @ g alone."""
-    return np.matmul(w.T, rows[:, :, None])[:, :, 0]
 
 
 def gru_backward(
@@ -153,7 +158,7 @@ def gru_backward(
     gn = grad_n * (1.0 - n * n)
     acc.stage((prefix + "wn",), (gn,), (r * h_prev, x_in))
     acc.add_rows(prefix + "bn", gn)
-    grad_xn = _rows_times_transpose(params.wn, gn)
+    grad_xn = _times(params.wn.T, gn)
     grad_rh = grad_xn[:, :m]
     grad_r = grad_rh * h_prev
     grad_h_prev = grad_h_prev + grad_rh * r
@@ -165,7 +170,7 @@ def gru_backward(
     acc.add_rows(prefix + "br", gr)
     acc.add_rows(prefix + "bz", gz)
 
-    grad_xc = _rows_times_transpose(params.wr, gr) + _rows_times_transpose(params.wz, gz)
+    grad_xc = _times(params.wr.T, gr) + _times(params.wz.T, gz)
     grad_h_prev = grad_h_prev + grad_xc[:, :m]
     grad_x_in = grad_xn[:, m:] + grad_xc[:, m:]
     return acc, grad_h_prev.reshape(shape), grad_x_in.reshape(shape[:-1] + (-1,))

@@ -332,6 +332,17 @@ def test_out_dir_under_a_file_is_config_error(tmp_path, capsys):
     assert "cannot write output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "user_id,item_id,timestamp,state_label,f\n"],
+                         ids=["empty", "header_only"])
+def test_bench_dataset_without_rows_is_data_error(tmp_path, capsys, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    cfg_path, _ = bench_config(tmp_path, str(path))
+    assert main(["bench", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: split of 0 events leaves an empty part\n"
+
+
 def test_bench_malformed_dataset_is_data_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("user_id,item_id,timestamp,state_label,f\nu0,i0,0.0,0,banana\n")

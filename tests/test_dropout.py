@@ -117,3 +117,20 @@ def test_dropout_rates_outside_unit_interval_raise(rate):
     params = g.init_mlp_parameters(g.Rng(0), 4, 3)
     with pytest.raises(g.ParameterError, match="out of"):
         g.mlp_forward(params, np.zeros(4), dropout_rate=rate, rng=g.Rng(0), training=True)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("k,m", [(1, 1), (3, 5), (65, 64)])
+def test_stacked_rows_equal_one_row_calls(k, m, rate):
+    # a parallel batch draws its state-dropout masks in one (k, m) call
+    rows, prev = vec(k * m, seed=8).reshape(k, m), vec(k * m, seed=9).reshape(k, m)
+    drops = {"regular": lambda x, p, r: regular_dropout(x, rate, r),
+             "recurrent": lambda x, p, r: recurrent_mix(x, p, rate, r)}
+    for kind, drop in drops.items():
+        stacked_rng, row_rng = g.Rng(11), g.Rng(11)
+        out, mask = drop(rows, prev, stacked_rng)
+        singles = [drop(x, p, row_rng) for x, p in zip(rows, prev)]
+        assert out.shape == mask.shape == (k, m)
+        assert out.tobytes() == np.stack([o for o, _ in singles]).tobytes(), kind
+        assert mask.tobytes() == np.stack([mk for _, mk in singles]).tobytes(), kind
+        assert stacked_rng.next_u64() == row_rng.next_u64(), kind

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import grnnlab as g
 from grnnlab.batching import make_batches_fixed, make_batches_tbatch
+from grnnlab.dropout import recurrent_mix, regular_dropout
 from grnnlab.dynamics import run_batch
 from grnnlab.gru import GruParameters, gru_forward
 
@@ -40,7 +41,7 @@ def test_sequential_second_event_sees_first_update():
     model = g.init_model(rng, 2, 1, "regression")
     store = g.NodeStateStore.zeros(3, 2)
     events = make_events([(0, 1), (1, 2)])
-    tape = g.Tape(model, len(events))
+    tape = g.Tape(model, len(events), 2 * len(events))
     pre = run_batch(store, sequential(events), model, tape)
     row = tape.writes[0, 1]  # event 0's update of node 1
     assert tape.reads[1, 0] == row
@@ -71,7 +72,7 @@ def test_fixed_parallel_drops_all_but_last_update():
         g.Event(index=1, src=0, dst=2, time=1.0, features=x2),
     ]
     batch = make_batches_fixed(events, 10)[0]
-    tape = g.Tape(model, len(events))
+    tape = g.Tape(model, len(events), batch.updates)
     run_batch(store, batch, model, tape)
     assert tape.writes[0, 0] == -1 and tape.n_rows == 3  # dropped, never computed
     assert tape.writes[0, 1] >= 0  # node 1 still updates from event 0
@@ -104,7 +105,7 @@ def test_strategy_equivalence_bitwise(seed, n_events, n_nodes, m):
     model = g.init_model(g.Rng(seed), m, 1, "regression")
 
     def run(batches):
-        store, tape = g.NodeStateStore.zeros(n_nodes, m), g.Tape(model, n_events)
+        store, tape = g.NodeStateStore.zeros(n_nodes, m), g.Tape(model, n_events, 2 * n_events)
         pre, cells = {}, {}
         for batch in batches:
             for ev, h in zip(batch.events, run_batch(store, batch, model, tape)):
@@ -120,6 +121,75 @@ def test_strategy_equivalence_bitwise(seed, n_events, n_nodes, m):
         for k in range(n_events):
             assert np.array_equal(seq[1][k], other[1][k])
             assert np.array_equal(seq[2][k], other[2][k])
+
+
+def per_update_reference(store, batches, model, state_dropout):
+    """Parallel batches one endpoint update at a time, in sequential order
+    (events in order, src then dst, each node's last in-batch update only):
+    the reference for run_batch's stacked rows. Returns the pre-update
+    states and the tape arrays a forward over the batches should leave."""
+    pres, cells, keep, owner, writes = [], [], [], [], []
+    for batch in batches:
+        pre = np.array([store.states[[ev.src, ev.dst]] for ev in batch.events])
+        for pos, ev in enumerate(batch.events):
+            writes.append([-1, -1])
+            for role, node in enumerate((ev.src, ev.dst)):
+                if batch.last_event_per_node[node] != pos:
+                    continue
+                h_own = pre[pos, role]
+                x_in = np.concatenate((pre[pos, 1 - role], ev.features))
+                h_new, c = gru_forward(model.gru, h_own, x_in)
+                if state_dropout is None:
+                    mask = None
+                elif state_dropout.kind == "regular":
+                    h_new, mask = regular_dropout(h_new, state_dropout.rate, state_dropout.rng)
+                else:
+                    h_new, mask = recurrent_mix(h_new, h_own, state_dropout.rate,
+                                                state_dropout.rng)
+                store.set_state(node, h_new, ev.index)
+                writes[-1][role] = len(cells)
+                cells.append(np.concatenate((c.h_prev, c.x_in, c.z, c.r, c.n)))
+                keep.append(mask)
+                owner.append(ev.index)
+        pres.append(pre)
+    return pres, np.array(cells), keep, np.array(owner), np.array(writes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 40), st.integers(2, 9), st.integers(1, 4),
+       st.one_of(st.none(), st.integers(1, 8)), st.sampled_from([None, "regular", "recurrent"]))
+def test_parallel_batches_match_per_update_loop(seed, n_events, n_nodes, m, size, kind):
+    """Stacked rows of one GRU call and one dropout call per batch give the
+    bits, rng draws and tape rows of one update at a time. size None is
+    t-batches; otherwise fixed_parallel batches, whose nodes repeat."""
+    rng = np.random.default_rng(seed)
+    events = [g.Event(index=k, src=s, dst=d, time=float(k), features=rng.standard_normal(2))
+              for k, (s, d) in enumerate(random_pairs(seed, n_events, n_nodes))]
+    batches = make_batches_tbatch(events) if size is None else make_batches_fixed(events, size)
+    model = g.init_model(g.Rng(seed), m, 2, "regression")
+    start = rng.standard_normal((n_nodes, m))
+
+    def fresh():
+        store = g.NodeStateStore.zeros(n_nodes, m)
+        store.states[:] = start
+        return store, None if kind is None else g.StateDropout(0.4, kind, g.Rng(seed + 1))
+
+    store, dropout = fresh()
+    tape = g.Tape(model, n_events, sum(batch.updates for batch in batches))
+    pres = [run_batch(store, batch, model, tape, dropout) for batch in batches]
+    ref_store, ref_dropout = fresh()
+    ref_pres, cells, keep, owner, writes = per_update_reference(ref_store, batches, model,
+                                                                ref_dropout)
+
+    assert store.states.tobytes() == ref_store.states.tobytes()
+    assert np.array_equal(store.last_update_event, ref_store.last_update_event)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(pres, ref_pres))
+    assert tape.n_rows == len(tape.cells) == len(cells)  # the tape was sized exactly
+    assert tape.cells.tobytes() == cells.tobytes()
+    assert np.array_equal(tape.owner, owner) and np.array_equal(tape.writes, writes)
+    if kind is not None:
+        assert np.array_equal(tape.keep, np.array(keep))
+        assert dropout.rng.next_u64() == ref_dropout.rng.next_u64()
 
 
 def test_reset_semantics():

@@ -298,7 +298,8 @@ def test_streaming_peak_live_records_matches_rescan(strategy, size):
     stats = g.train_epoch(events, model.copy(), AdamwState(), "t_bptt", batching, num_nodes=9)
     # reference: after each batch, the batch's events plus every distinct
     # event whose update produced some node's current state
-    store, tape, peak = g.NodeStateStore.zeros(9, 3), g.Tape(model, len(events)), 0
+    store, peak = g.NodeStateStore.zeros(9, 3), 0
+    tape = g.Tape(model, len(events), 2 * len(events))
     for batch in g.build_batches(events, batching):
         g.run_batch(store, batch, model, tape)
         live = {int(tape.owner[row]) for row in tape.producer.values()}
@@ -327,6 +328,9 @@ def test_t_bptt_tape_holds_nodes_plus_one_batch(monkeypatch, strategy, size):
     assert len(seen) == len(batches)
     assert max(used for used, _ in seen) <= bound
     assert max(allocated for _, allocated in seen) <= bound
+    # the rows are sized by the largest batch's computed updates
+    assert {allocated for _, allocated in seen} == {
+        cfg.num_nodes + max(batch.updates for batch in batches)}
 
 
 def test_train_epoch_rejects_unknown_mode():

@@ -198,7 +198,7 @@ def test_split_errors():
         chrono_split(make_events(10), 0.9, 0.2)
     with pytest.raises(g.ConfigError):
         chrono_split(make_events(10), 0.0, 0.5)
-    with pytest.raises(g.ConfigError):
+    with pytest.raises(g.DataError):  # valid fractions, too few events
         chrono_split(make_events(3), 0.34, 0.1)  # empty val part
 
 

@@ -121,6 +121,10 @@ def test_shape_validation():
     params = g.init_gru_parameters(g.Rng(0), 3, 2)
     with pytest.raises(g.StructuralError):
         g.gru_forward(params, np.zeros(4), np.zeros(2))
+    for h, x in (((5, 3), (4, 2)), ((5, 3), (2,)), ((3,), (5, 2)), ((5, 4), (5, 2)),
+                 ((5, 3), (5, 3)), ((), (2,))):
+        with pytest.raises(g.StructuralError):
+            g.gru_forward(params, np.zeros(h), np.zeros(x))
     _, cache = g.gru_forward(params, np.zeros(3), np.zeros(2))
     with pytest.raises(g.StructuralError):
         g.gru_backward(params, cache, np.zeros(5))
@@ -240,6 +244,74 @@ def test_stacked_rows_do_not_depend_on_blas_threads():
         threads: subprocess.run(
             [sys.executable, "-c", THREAD_PROBE, tests], capture_output=True, text=True,
             check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout.split()
+        for threads in ("1", "2")
+    }
+    stacked, rows = digests["1"]
+    assert stacked == rows and digests["2"] == digests["1"]
+
+
+def vector_forward(params, h_prev, x_in):
+    """gru_forward on one update, written with plain matrix-vector products:
+    the reference for the bits of every row of a stacked call."""
+    xc = np.concatenate((h_prev, x_in))
+    z = stable_sigmoid(params.wz @ xc + params.bz)
+    r = stable_sigmoid(params.wr @ xc + params.br)
+    n = np.tanh(params.wn @ np.concatenate((r * h_prev, x_in)) + params.bn)
+    return (1.0 - z) * h_prev + z * n, z, r, n
+
+
+def forward_rows(m, n, seed):
+    """A GRU with nonzero biases and n stacked inputs."""
+    rng = np.random.default_rng(seed)
+    d_in = 2 * m - 1 + (seed % 5)
+    params = g.init_gru_parameters(g.Rng(seed), m, d_in)
+    for b in (params.bz, params.br, params.bn):
+        b[:] = rng.standard_normal(m)
+    return params, rng.standard_normal((n, m)), rng.standard_normal((n, d_in))
+
+
+def stacked_forward_bytes(params, h, x):
+    h_new, cache = g.gru_forward(params, h, x)
+    return [a.tobytes() for a in (h_new, cache.z, cache.r, cache.n)]
+
+
+def row_forward_bytes(params, h, x):
+    outs = [g.gru_forward(params, hi, xi) for hi, xi in zip(h, x)]
+    return [np.stack(a).tobytes() for a in zip(*[(o, c.z, c.r, c.n) for o, c in outs])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 65, 200])
+@pytest.mark.parametrize("m", [1, 4, 5, 32, 64, 128])
+def test_stacked_forward_gives_the_bits_of_one_row_calls(m, n):
+    params, h, x = forward_rows(m, n, seed=m * 1000 + n)
+    stacked = stacked_forward_bytes(params, h, x)
+    assert stacked == row_forward_bytes(params, h, x)
+    reference = [np.stack(a).tobytes() for a in zip(*[vector_forward(params, hi, xi)
+                                                      for hi, xi in zip(h, x)])]
+    assert stacked == reference
+    _, cache = g.gru_forward(params, h, x)
+    assert cache.h_prev is h and cache.x_in is x
+
+
+FORWARD_THREAD_PROBE = """
+import hashlib
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_gru import forward_rows, row_forward_bytes, stacked_forward_bytes
+for run in (stacked_forward_bytes, row_forward_bytes):
+    print(hashlib.sha256(b"".join(run(*forward_rows(128, 200, seed=3)))).hexdigest())
+"""
+
+
+def test_stacked_forward_does_not_depend_on_blas_threads():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(g.__file__))
+    digests = {
+        threads: subprocess.run(
+            [sys.executable, "-c", FORWARD_THREAD_PROBE, tests], capture_output=True,
+            text=True, check=True, timeout=60,
             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
         ).stdout.split()
         for threads in ("1", "2")

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from grnnlab import engine
+
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 
@@ -57,3 +59,20 @@ def test_probes_trace_the_backward_kernels(tmp_path):
     (_, row), = tracer.per_root()
     assert row["mlp.backward_calls"] == len(events)
     assert row["gru.backward_calls"] > 0
+
+
+def test_probes_see_one_stacked_gru_call_per_parallel_batch(tmp_path):
+    # a parallel batch runs its updates as the rows of one gru_forward and
+    # one state-dropout call; a stacked path that bypassed the wrapped call
+    # sites would read zero here
+    wl = SmallLinkrank()
+    run = wl.setup(1, str(tmp_path))
+    assert run.train_kwargs["state_dropout"] is not None
+    tracer = spans.Tracer()
+    with spans.Probes(tracer).installed(), tracer.root("f_bptt"):
+        events, _ = wl.train(run, "f_bptt", tracer.span)
+    (_, row), = tracer.per_root()
+    batches = len(engine.build_batches(events, wl.batching))
+    assert row["batching.batches"] == batches > 1
+    assert row["gru.forward_calls"] == batches
+    assert row["dropout.state_calls"] == batches
