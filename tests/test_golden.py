@@ -45,6 +45,16 @@ GOLDEN = {
         "(1.3862069219657236, 1.9622523741491642)",
         "(1.3862665354265775, 0.7709453413002217)",
     ],
+    "link_f_bptt_tbatch": [
+        "(1.3863046461524429, 1.9513545938575094)",
+        "(1.3859545625811107, 1.0461612568332346)",
+        "(1.3860113685400144, 1.75193029801628)",
+    ],
+    "link_t_bptt_tbatch": [
+        "(1.3863046461524429, 1.863005645421183)",
+        "(1.3859627537406791, 0.9525107505526483)",
+        "(1.385870301774656, 1.140111188337879)",
+    ],
 }
 
 
@@ -64,7 +74,7 @@ def synth_curve(mode):
     return rows
 
 
-def link_curve(tmp_path, mode, kind):
+def link_curve(tmp_path, mode, kind, batching=g.BatchingConfig("fixed_parallel", 16)):
     path = str(tmp_path / "stream.csv")
     write_synthetic_linkstream(path, num_events=120, num_users=15, num_items=6,
                                feat_dim=2, seed=3)
@@ -79,7 +89,7 @@ def link_curve(tmp_path, mode, kind):
     rows = []
     for _ in range(EPOCHS):
         stats = g.train_epoch(
-            dataset.events, model, opt, mode, g.BatchingConfig("fixed_parallel", 16),
+            dataset.events, model, opt, mode, batching,
             task="link_ranking", rng=neg_rng, neg_universe=dataset.destinations,
             state_dropout=state_dropout, mlp_dropout=0.15, dropout_rng=dropout_rng,
             store=store,
@@ -97,3 +107,10 @@ def test_synth_golden_bits(mode):
 @pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
 def test_link_ranking_golden_bits(tmp_path, mode, kind):
     assert link_curve(tmp_path, mode, kind) == GOLDEN[f"link_{mode}_{kind}"]
+
+
+@pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
+def test_link_ranking_tbatch_golden_bits(tmp_path, mode):
+    # a second parallel strategy: conflict-free batches of varying size
+    curve = link_curve(tmp_path, mode, "regular", g.BatchingConfig("t_batch", None))
+    assert curve == GOLDEN[f"link_{mode}_tbatch"]
