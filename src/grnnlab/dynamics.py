@@ -16,15 +16,16 @@ both consume the pre-update states of both endpoints.
 
 A sequential batch runs one GRU call per update. The updates of a parallel
 batch all read the batch-start snapshot, so they are independent, as in
-JODIE's t-batches (Kumar et al., KDD 2019): they run as stacked rows of one
-GRU call and one state-dropout call, in the order sequential processing
-would compute them, and each row gets the bits (and the dropout draws) it
-would get alone.
+JODIE's t-batches (Kumar et al., KDD 2019): its reads are one gather from
+the store, and its updates run as stacked rows of one GRU call and one
+state-dropout call, in the order sequential processing would compute them;
+each row gets the bits (and the dropout draws) it would get alone.
 
 With a Tape, every update leaves one row of GRU cache, and every state read
 names the row that produced the value (or -1 for the epoch-initial state),
 which is what lets the engine run exact reverse-mode sweeps across batch
-boundaries.
+boundaries. The engine adds the prediction heads' caches to the tape, one
+entry per scoring call.
 """
 
 from __future__ import annotations
@@ -64,8 +65,11 @@ class Tape:
     is the index of its event. Event e keeps reads[e], the rows that
     produced its src, dst and extra pre-update states (-1: an epoch-initial
     state), writes[e], the rows of its src and dst updates (-1: none), and
-    index[e] (column blocks of `links`), and heads[e], one (MlpCache, loss
-    gradient) pair per prediction head, which the engine appends.
+    index[e] (column blocks of `links`). heads holds one (MlpCache, loss
+    gradients) entry per scoring call, which the engine adds with score: a
+    parallel batch's heads as the stacked rows of one entry, a sequential
+    batch's one entry per event; head_rows[e] names event e's entry and its
+    rows there.
 
     A tape holds `events` events and `rows` update rows above its first
     `base` rows; Batch.updates gives the rows a batch needs. Truncated
@@ -82,7 +86,8 @@ class Tape:
         self.owner = np.empty(rows, dtype=np.int64)
         self.links = np.empty((events, 6), dtype=np.int64)  # reads | writes | index
         self.reads, self.writes, self.index = self.links[:, :3], self.links[:, 3:5], self.links[:, 5]
-        self.heads: list[tuple[tuple[MlpCache, float], ...]] = []
+        self.heads: list[tuple[MlpCache, float | np.ndarray]] = []
+        self.head_rows: list[tuple[int, range]] = []  # event -> (heads entry, its rows there)
         self.producer: dict[int, int] = {}  # node -> row that produced its state
         self.base = self.n_rows = base
         self.n_events = 0
@@ -126,6 +131,49 @@ class Tape:
         for row, node in enumerate(nodes, u):
             self.producer[node] = row
 
+    def score(self, events: int, cache: MlpCache, grad: float | np.ndarray) -> None:
+        """Add one scoring call's prediction heads: those of the next
+        `events` events, each event's heads as consecutive rows of cache (a
+        vector cache is one head), with their loss gradients."""
+        call = len(self.heads)
+        self.heads.append((cache, grad))
+        if cache.x.ndim == 1:
+            self.head_rows.append((call, range(1)))
+        else:
+            heads = len(cache.x) // events
+            self.head_rows += [(call, range(k, k + heads)) for k in range(0, len(cache.x), heads)]
+
+    def heads_of(self, evs: list[int]) -> tuple[MlpCache, float | np.ndarray]:
+        """The head caches and loss gradients of events evs, stacked as rows
+        in that order, each event's heads in order. One event with one head
+        gets back the vector cache it was scored with."""
+        if len(evs) == 1:
+            entry = self.heads[self.head_rows[evs[0]][0]]
+            if entry[0].x.ndim == 1:
+                return entry
+        entries = []  # ((cache, grad), rows): evs in runs of one scoring call
+        last = -1
+        for e in evs:
+            call, rows = self.head_rows[e]
+            if call != last:
+                last = call
+                entries.append((self.heads[call], []))
+            entries[-1][1].extend(rows)
+        if all(cache.x.ndim == 1 for (cache, _), _ in entries):
+            # one vector head per event, as a sequential regression batch scores
+            parts, join = [(c.x, c.a1, c.drop_mask, grad) for (c, grad), _ in entries], np.array
+        else:  # blocks of rows, a vector cache a block of one
+            parts, join = [], np.concatenate
+            for (c, grad), rows in entries:
+                at = None if c.x.ndim == 1 else rows
+                parts.append((c.x[at], c.a1[at], None if c.drop_mask is None else c.drop_mask[at],
+                              np.array([grad]) if at is None else grad[at]))
+        x, a1, mask, grad = (
+            None if col[0] is None else col[0] if len(col) == 1 else join(col)
+            for col in zip(*parts)
+        )
+        return MlpCache(x, a1, mask, entries[0][0][0].drop_scale), grad
+
     def copy_row(self, i: int, src: Tape, j: int) -> None:
         """Row i of this tape becomes a copy of row j of src."""
         self.cells[i] = src.cells[j]
@@ -142,6 +190,7 @@ class Tape:
                     self.copy_row(node, self, self.producer[node])
                     self.producer[node] = node
         self.heads.clear()
+        self.head_rows.clear()
         self.n_events, self.n_rows = 0, self.base
 
 
@@ -167,50 +216,58 @@ def run_batch(
     and updates to the tape. Returns the events' pre-update src, dst and
     (with extra_reads, one node per event) extra states, (events, 2|3, m)."""
     events = batch.events
-    pre = np.empty((len(events), 2 if extra_reads is None else 3, store.m))
     e0 = 0 if tape is None else len(tape)
+    extras = [None] * len(events) if extra_reads is None else extra_reads
+    if batch.strategy == "sequential":
+        # each event reads the live store, after every earlier update
+        pre = np.empty((len(events), 2 if extra_reads is None else 3, store.m))
+        for pos, (ev, extra) in enumerate(zip(events, extras)):
+            for k, node in enumerate((ev.src, ev.dst) if extra is None else (ev.src, ev.dst, extra)):
+                store.check_node(node)
+                pre[pos, k] = store.states[node]
+            if tape is not None:
+                tape.read(ev, extra)
+            for role, node in enumerate((ev.src, ev.dst)):
+                # the GRU input is the counterparty's pre-update state
+                h_own = pre[pos, role]
+                x_in = np.concatenate((pre[pos, 1 - role], ev.features))
+                h_new, cache = gru_forward(model.gru, h_own, x_in)
+                h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
+                store.states[node] = h_new
+                store.last_update_event[node] = ev.index
+                if tape is not None:
+                    tape.write(e0 + pos, role, [node], cache, keep)
+        return pre
 
-    def update(pos: int, ev: Event, role: int) -> None:
-        """Update one endpoint (role 0: src, 1: dst); the GRU input is the
-        counterparty's pre-update state."""
-        node, h_own = (ev.dst if role else ev.src), pre[pos, role]
-        x_in = np.concatenate((pre[pos, 1 - role], ev.features))
-        h_new, cache = gru_forward(model.gru, h_own, x_in)
-        h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
-        store.states[node] = h_new  # the read pass checked the node
-        store.last_update_event[node] = ev.index
-        if tape is not None:
-            tape.write(e0 + pos, role, [node], cache, keep)
-
-    # read pass: capture pre-update states and the rows that produced them
-    sequential = batch.strategy == "sequential"
-    for pos, ev in enumerate(events):
-        extra = None if extra_reads is None else extra_reads[pos]
-        for k, node in enumerate((ev.src, ev.dst) if extra is None else (ev.src, ev.dst, extra)):
-            store.check_node(node)
-            pre[pos, k] = store.states[node]
-        if tape is not None:
+    # a parallel batch reads the batch-start snapshot: one range check (naming
+    # the first unknown node in event order) and one gather
+    read = np.array([(ev.src, ev.dst) if extra is None else (ev.src, ev.dst, extra)
+                     for ev, extra in zip(events, extras)], dtype=np.int64)
+    unknown = (read < 0) | (read >= store.num_nodes)
+    if unknown.any():
+        store.check_node(int(read.flat[unknown.argmax()]))
+    pre = store.states[read]
+    if tape is not None:
+        for ev, extra in zip(events, extras):
             tape.read(ev, extra)
-        if sequential:
-            update(pos, ev, 0)
-            update(pos, ev, 1)
 
-    if not sequential and events:
-        # each node's last in-batch update, in sequential order, as the rows
-        # of one stacked GRU call
-        last = batch.last_event_per_node
-        todo = [(pos, role, node) for pos, ev in enumerate(events)
-                for role, node in enumerate((ev.src, ev.dst)) if last[node] == pos]
-        at, roles, nodes = (np.array(col) for col in zip(*todo))
-        updating = [events[pos] for pos in at.tolist()]
-        h_own = pre[at, roles]
-        x_in = np.concatenate(
-            (pre[at, 1 - roles], np.array([ev.features for ev in updating])), axis=1
-        )
-        h_new, cache = gru_forward(model.gru, h_own, x_in)
-        h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
-        store.states[nodes] = h_new
-        store.last_update_event[nodes] = [ev.index for ev in updating]
-        if tape is not None:
-            tape.write(e0 + at, roles, nodes.tolist(), cache, keep)
+    # each node's last in-batch update, in sequential order, as the rows of
+    # one stacked GRU call
+    last = batch.last_event_per_node
+    todo = [(pos, role, node) for pos, ev in enumerate(events)
+            for role, node in enumerate((ev.src, ev.dst)) if last[node] == pos]
+    if not todo:
+        return pre
+    at, roles, nodes = (np.array(col) for col in zip(*todo))
+    updating = [events[pos] for pos in at.tolist()]
+    h_own = pre[at, roles]
+    x_in = np.concatenate(
+        (pre[at, 1 - roles], np.array([ev.features for ev in updating])), axis=1
+    )
+    h_new, cache = gru_forward(model.gru, h_own, x_in)
+    h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
+    store.states[nodes] = h_new
+    store.last_update_event[nodes] = [ev.index for ev in updating]
+    if tape is not None:
+        tape.write(e0 + at, roles, nodes.tolist(), cache, keep)
     return pre

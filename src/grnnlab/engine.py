@@ -3,7 +3,9 @@
 Forward: batches are processed per their strategy; each event's prediction
 reads the pre-update states captured by the dynamics layer, so parallel
 strategies score from the batch-start snapshot and sequential scoring sees
-all earlier updates.
+all earlier updates. A parallel batch's prediction heads run as the stacked
+rows of one mlp_forward call, a sequential batch's one call per event; each
+row gets the bits it would get alone.
 
 train_epoch forwards the epoch once, batch by batch, in both modes, and
 takes one optimizer step at its end.
@@ -23,13 +25,14 @@ training), but that update's own state inputs are treated as constants and
 the chain stops there. Per-parameter gradients from all batches are summed.
 
 A sweep walks its events by dependency level, highest first, as JODIE's
-t-batches walk them forward: the updates of one level are independent, so
-they run as stacked rows, at most accumulator.TILE per gru_backward call,
-and each row gets the bits it would get alone. The one-hop tails of t_bptt
-are copied into one pending TILE-row block that runs whenever it fills and
-once more before the optimizer step. The sweep order (level, event index)
-is a property of the dataflow graph, not of the batching, so the f_bptt
-gradient has the same bits under every batching strategy.
+t-batches walk them forward: the events of one level are independent, so
+their prediction heads run as the stacked rows of one mlp_backward call and
+their updates as stacked rows, at most accumulator.TILE per gru_backward
+call, and each row gets the bits it would get alone. The one-hop tails of
+t_bptt are copied into one pending TILE-row block that runs whenever it
+fills and once more before the optimizer step. The sweep order (level,
+event index) is a property of the dataflow graph, not of the batching, so
+the f_bptt gradient has the same bits under every batching strategy.
 """
 
 from __future__ import annotations
@@ -122,28 +125,39 @@ def _predict_and_score(
     mlp_dropout: float,
     dropout_rng: Rng | None,
 ) -> float:
-    """Score each event from its pre-update states; the prediction heads'
-    caches and loss gradients go onto the tape."""
-    loss_fn = loss_mse if task == "regression" else loss_bce
-    batch_loss = 0.0
-    for ev, h in zip(events, pre):
-        if task == "regression":
-            heads = ((np.concatenate((h[0], h[1], ev.features)), ev.y),)
-        else:  # link_ranking: positive edge vs one sampled negative
-            heads = ((np.concatenate((h[0], h[1])), 1.0), (np.concatenate((h[0], h[2])), 0.0))
-        loss, taped = 0.0, []
-        for x, target in heads:
-            out, cache = mlp_forward(
-                model.mlp, x, dropout_rate=mlp_dropout, rng=dropout_rng, training=training
-            )
-            value, grad = loss_fn(out, target)
+    """Score events, the tape's next ones if there is a tape, from their
+    pre-update states with one mlp_forward call: one regression head per
+    event, or a positive (src, dst) and a negative (src, extra) head for
+    link ranking, as the stacked rows of the call. A lone regression head is
+    a vector. The heads' cache and loss gradients go onto the tape."""
+    if task == "regression":
+        if len(events) == 1:
+            x = np.concatenate((pre[0, 0], pre[0, 1], events[0].features))
+        else:
+            x = np.concatenate((pre[:, 0], pre[:, 1], [ev.features for ev in events]), axis=1)
+        targets, loss_fn = [ev.y for ev in events], loss_mse
+    else:  # link_ranking: positive edge vs one sampled negative
+        x = np.concatenate((pre[:, [0, 0]], pre[:, 1:]), axis=2).reshape(-1, 2 * model.m)
+        targets, loss_fn = [1.0, 0.0] * len(events), loss_bce
+    out, cache = mlp_forward(
+        model.mlp, x, dropout_rate=mlp_dropout, rng=dropout_rng, training=training
+    )
+    # one loss per head, in Python floats: numpy's log1p(exp(.)) does not
+    # give math's bits
+    outs = out.tolist() if x.ndim == 2 else [out]
+    heads = len(outs) // len(events)
+    batch_loss, grads = 0.0, []
+    for e, ev in enumerate(events):
+        loss = 0.0
+        for k in range(e * heads, (e + 1) * heads):
+            value, grad = loss_fn(outs[k], targets[k])
             loss += value
-            taped.append((cache, grad))
+            grads.append(grad)
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite loss at event {ev.index}")
         batch_loss += loss
-        if tape is not None:
-            tape.heads.append(tuple(taped))
+    if tape is not None:
+        tape.score(len(events), cache, np.array(grads) if x.ndim == 2 else grads[0])
     return batch_loss
 
 
@@ -170,9 +184,18 @@ def _forward_batches(
         if task == "link_ranking":
             extra = [sample_negative(neg_universe, rng) for _ in batch.events]
         pre = run_batch(store, batch, model, tape, state_dropout, extra)
-        yield batch, 0.0 if task is None else _predict_and_score(
-            batch.events, pre, tape, model, task, training, mlp_dropout, dropout_rng
-        )
+        if task is None:
+            yield batch, 0.0
+            continue
+        # a parallel batch is scored in one call, a sequential one event by event
+        scoring = [(batch.events, pre)]
+        if batch.strategy == "sequential" and len(batch.events) > 1:
+            scoring = [([ev], pre[e : e + 1]) for e, ev in enumerate(batch.events)]
+        batch_loss = 0.0
+        for events, rows in scoring:
+            batch_loss += _predict_and_score(events, rows, tape, model, task, training,
+                                             mlp_dropout, dropout_rng)
+        yield batch, batch_loss
 
 
 def forward_epoch(
@@ -267,13 +290,6 @@ class _Tails:
                       self.state_dropout)
 
 
-def _add(into: np.ndarray | None, g: np.ndarray) -> np.ndarray:
-    if into is None:
-        return g
-    into += g
-    return into
-
-
 def _backward_records(
     tape: Tape,
     model: GrnnModel,
@@ -287,11 +303,11 @@ def _backward_records(
     An event's level is 1 plus the highest level among the events on the
     tape that produced the states it read, so when a level runs, the
     gradients on every state it produced are complete. Per level, in
-    descending event index: the prediction heads, the updates in chunks of
-    at most TILE rows, then the state gradients go to the rows that
-    produced the states. A row below the base (an earlier batch's) gets a
-    one-hop tail through `tails`: its update adds parameter gradients, but
-    its state inputs are constants.
+    descending event index: the prediction heads in one call (each event's
+    in order), the updates in chunks of at most TILE rows, then the state
+    gradients go to the rows that produced the states. A row below the base
+    (an earlier batch's) gets a one-hop tail through `tails`: its update
+    adds parameter gradients, but its state inputs are constants.
     """
     m, base = model.m, tape.base
     n = tape.n_events
@@ -313,16 +329,18 @@ def _backward_records(
     produced: dict[int, np.ndarray] = {}  # row -> gradient on the state it produced
     for evs in reversed(by_level):
         evs.sort(key=index.__getitem__, reverse=True)
-        # gradients onto each event's pre-update src, dst and extra states
-        grads: list[list[np.ndarray | None]] = []
-        for e in evs:
-            g = [None, None, None]
-            # head 0 reads the (src, dst) states, a negative head (src, extra)
-            for k, (cache, grad) in enumerate(tape.heads[e]):
-                _, gx = mlp_backward(model.mlp, cache, grad, acc, "mlp.")
-                g[0] = _add(g[0], gx[:m])
-                g[1 + k] = gx[m : 2 * m]
-            grads.append(g)
+        # the level's heads in one call; per event, the gradients onto its
+        # pre-update src, dst and (link ranking) extra states, as views
+        cache, grad = tape.heads_of(evs)
+        _, gx = mlp_backward(model.mlp, cache, grad, acc, "mlp.")
+        if gx.ndim == 1:  # one event's one head: (src, dst)
+            grads = [[gx[:m], gx[m : 2 * m]]]
+        elif len(gx) == len(evs):  # one head each
+            grads = [[g[:m], g[m : 2 * m]] for g in gx]
+        else:  # two heads each: (src, dst) and (src, extra), side by side
+            gx = gx.reshape(len(evs), -1)
+            gx[:, :m] += gx[:, 2 * m : 3 * m]
+            grads = [[g[:m], g[m : 2 * m], g[3 * m :]] for g in gx]
 
         # the level's updates; later levels have finished adding to their rows
         updates = [(pos, role, row) for pos, e in enumerate(evs)
@@ -334,16 +352,16 @@ def _backward_records(
             gh_prev, g_pass, g_other = _gru_rows(tape, rows, g_out, model, acc, state_dropout)
             for j, (pos, role, _) in enumerate(chunk):
                 g = grads[pos]
-                g[role] = _add(g[role], gh_prev[j])
+                g[role] += gh_prev[j]
                 if g_pass is not None:
-                    g[role] = _add(g[role], g_pass[j])
-                g[1 - role] = _add(g[1 - role], g_other[j])
+                    g[role] += g_pass[j]
+                g[1 - role] += g_other[j]
 
         # route gradients on consumed states to the rows that produced them
         for e, g in zip(evs, grads):
             for row, g_in in zip(reads[e], g):
-                if row < 0 or g_in is None:
-                    continue  # epoch-initial state (constant) or no gradient
+                if row < 0:
+                    continue  # an epoch-initial state: a constant
                 if row < base:
                     tails.add(tape, row, g_in)
                 elif row in produced:

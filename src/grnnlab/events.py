@@ -62,11 +62,6 @@ class NodeStateStore:
         self.last_update_event.fill(-1)
         return self
 
-    def set_state(self, node: int, value: np.ndarray, event_index: int) -> None:
-        self.check_node(node)
-        self.states[node] = value
-        self.last_update_event[node] = event_index
-
     def copy(self) -> "NodeStateStore":
         return NodeStateStore(self.states.copy(), self.last_update_event.copy())
 

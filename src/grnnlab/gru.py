@@ -88,7 +88,7 @@ class GruCache:
     n: np.ndarray
 
 
-def _times(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+def matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """w @ x for a vector x or for every row of x (n, w.shape[1]). The
     stacked matmul runs one matrix-vector product per row, so each row gets
     the bits of w @ x alone. A vector skips the reshapes, which would add
@@ -111,10 +111,10 @@ def gru_forward(
             f"incompatible with m={m}, d_in={params.d_in}"
         )
     xc = np.concatenate((h_prev, x_in), axis=-1)
-    z = stable_sigmoid(_times(params.wz, xc) + params.bz)
-    r = stable_sigmoid(_times(params.wr, xc) + params.br)
+    z = stable_sigmoid(matvec(params.wz, xc) + params.bz)
+    r = stable_sigmoid(matvec(params.wr, xc) + params.br)
     xn = np.concatenate((r * h_prev, x_in), axis=-1)
-    n = np.tanh(_times(params.wn, xn) + params.bn)
+    n = np.tanh(matvec(params.wn, xn) + params.bn)
     h_new = (1.0 - z) * h_prev + z * n
     return h_new, GruCache(h_prev=h_prev, x_in=x_in, z=z, r=r, n=n)
 
@@ -158,7 +158,7 @@ def gru_backward(
     gn = grad_n * (1.0 - n * n)
     acc.stage((prefix + "wn",), (gn,), (r * h_prev, x_in))
     acc.add_rows(prefix + "bn", gn)
-    grad_xn = _times(params.wn.T, gn)
+    grad_xn = matvec(params.wn.T, gn)
     grad_rh = grad_xn[:, :m]
     grad_r = grad_rh * h_prev
     grad_h_prev = grad_h_prev + grad_rh * r
@@ -170,7 +170,7 @@ def gru_backward(
     acc.add_rows(prefix + "br", gr)
     acc.add_rows(prefix + "bz", gz)
 
-    grad_xc = _times(params.wr.T, gr) + _times(params.wz.T, gz)
+    grad_xc = matvec(params.wr.T, gr) + matvec(params.wz.T, gz)
     grad_h_prev = grad_h_prev + grad_xc[:, :m]
     grad_x_in = grad_xn[:, m:] + grad_xc[:, m:]
     return acc, grad_h_prev.reshape(shape), grad_x_in.reshape(shape[:-1] + (-1,))

@@ -10,7 +10,7 @@ from .accumulator import GradientAccumulator
 from .dropout import check_rate
 from .errors import StructuralError
 from .rng import Rng
-from .gru import uniform_matrix
+from .gru import matvec, uniform_matrix
 
 
 @dataclass
@@ -49,7 +49,6 @@ def init_mlp_parameters(rng: Rng, in_dim: int, hidden: int) -> MlpParameters:
 @dataclass
 class MlpCache:
     x: np.ndarray
-    pre1: np.ndarray
     a1: np.ndarray  # hidden activations as consumed by the output layer
     drop_mask: np.ndarray | None
     drop_scale: float
@@ -61,47 +60,61 @@ def mlp_forward(
     dropout_rate: float = 0.0,
     rng: Rng | None = None,
     training: bool = False,
-) -> tuple[float, MlpCache]:
-    """Returns (raw logit, cache). Hidden dropout only when training."""
-    if x.shape != (params.in_dim,):
+) -> tuple[float | np.ndarray, MlpCache]:
+    """Returns (raw logit, cache) for one head x (in_dim,), or (n logits,
+    cache) for n heads stacked as rows (n, in_dim); each row gets the bits
+    of a one-row call. Hidden dropout only when training; the mask of n rows
+    is drawn as n one-row masks, row after row."""
+    if x.ndim not in (1, 2) or x.shape[-1] != params.in_dim:
         raise StructuralError(
-            f"mlp_forward: input shape {x.shape} != ({params.in_dim},)"
+            f"mlp_forward: input shape {x.shape} is not (in_dim,) or (n, in_dim), "
+            f"in_dim={params.in_dim}"
         )
-    pre1 = params.w1 @ x + params.b1
+    pre1 = matvec(params.w1, x) + params.b1
     a1 = np.maximum(pre1, 0.0)
     mask = None
     scale = 1.0
     if training:
         check_rate(dropout_rate, "mlp dropout")
         if dropout_rate > 0.0:
-            mask = rng.keep_mask(a1.size, dropout_rate)
+            mask = rng.keep_mask(a1.size, dropout_rate).reshape(a1.shape)
             scale = 1.0 / (1.0 - dropout_rate)
             a1 = a1 * mask * scale
-    logit = float(params.w2 @ a1 + params.b2[0])
-    return logit, MlpCache(x=x, pre1=pre1, a1=a1, drop_mask=mask, drop_scale=scale)
+    if x.ndim == 1:
+        logit = float(params.w2 @ a1 + params.b2[0])
+    else:  # a (1, hidden) x (hidden, 1) product per row: the bits of w2 @ a1
+        logit = np.matmul(a1[:, None, :], params.w2[:, None])[:, 0, 0] + params.b2[0]
+    return logit, MlpCache(x=x, a1=a1, drop_mask=mask, drop_scale=scale)
 
 
 def mlp_backward(
     params: MlpParameters,
     cache: MlpCache,
-    grad_logit: float,
+    grad_logit: float | np.ndarray,
     acc: GradientAccumulator | None = None,
     prefix: str = "mlp.",
 ) -> tuple[GradientAccumulator, np.ndarray]:
-    """Exact gradients of mlp_forward, accumulated into acc (created if
-    None), w1's as a tile row; returns (acc, grad_x)."""
+    """Exact gradients of mlp_forward, for one head or for n heads whose
+    cache rows and logit gradients (n,) are stacked. Accumulates into acc
+    (created if None), w1's as tile rows, every term in row order, so n rows
+    in one call give the bits of n one-row calls; returns (acc, grad_x)."""
     if acc is None:
         acc = GradientAccumulator(params.named(prefix))
-    acc.add(prefix + "w2", grad_logit * cache.a1)
-    acc.add(prefix + "b2", grad_logit)
-    grad_a1 = grad_logit * params.w2
+    stacked = cache.x.ndim == 2
+    add = acc.add_rows if stacked else acc.add
+    g = grad_logit[:, None] if stacked else grad_logit
+    add(prefix + "w2", g * cache.a1)
+    add(prefix + "b2", g)
+    grad_a1 = g * params.w2
     if cache.drop_mask is not None:
         grad_a1 = grad_a1 * cache.drop_mask * cache.drop_scale
-    grad_pre1 = grad_a1 * (cache.pre1 > 0.0)
+    # the ReLU gate: a1 > 0 exactly where pre1 > 0 and dropout kept the
+    # unit, and where it dropped the unit grad_a1 is already ±0, so gating
+    # on a1 gives the bits of gating on pre1
+    grad_pre1 = grad_a1 * (cache.a1 > 0.0)
     acc.stage((prefix + "w1",), (grad_pre1,), (cache.x,))
-    acc.add(prefix + "b1", grad_pre1)
-    grad_x = params.w1.T @ grad_pre1
-    return acc, grad_x
+    add(prefix + "b1", grad_pre1)
+    return acc, matvec(params.w1.T, grad_pre1)
 
 
 def mlp_score_batch(params: MlpParameters, xs: np.ndarray) -> np.ndarray:

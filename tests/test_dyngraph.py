@@ -146,7 +146,8 @@ def per_update_reference(store, batches, model, state_dropout):
                 else:
                     h_new, mask = recurrent_mix(h_new, h_own, state_dropout.rate,
                                                 state_dropout.rng)
-                store.set_state(node, h_new, ev.index)
+                store.states[node] = h_new
+                store.last_update_event[node] = ev.index
                 writes[-1][role] = len(cells)
                 cells.append(np.concatenate((c.h_prev, c.x_in, c.z, c.r, c.n)))
                 keep.append(mask)
@@ -194,7 +195,8 @@ def test_parallel_batches_match_per_update_loop(seed, n_events, n_nodes, m, size
 
 def test_reset_semantics():
     store = g.NodeStateStore.zeros(3, 2)
-    store.set_state(1, np.array([1.0, 2.0]), event_index=5)
+    store.states[1] = [1.0, 2.0]
+    store.last_update_event[1] = 5
     store.reset()
     assert np.all(store.states == 0)
     assert np.all(store.last_update_event == -1)
@@ -203,11 +205,19 @@ def test_reset_semantics():
 
 
 def test_unknown_node_id_raises():
+    # sequential and parallel batches both name the first unknown node in
+    # event order (src, dst, extra)
     model = g.init_model(g.Rng(0), 2, 1, "regression")
-    store = g.NodeStateStore.zeros(2, 2)
-    events = [g.Event(index=0, src=0, dst=5, time=0.0, features=np.zeros(1))]
-    with pytest.raises(g.StructuralError):
-        run_batch(store, sequential(events), model)
+    for strategy, pairs in (("sequential", [(0, 1), (2, 7)]), ("t_batch", [(0, 1), (2, 7)]),
+                            ("fixed_parallel", [(0, 1), (1, 2), (2, 7), (-1, 2)])):
+        events = [g.Event(index=k, src=s, dst=d, time=float(k), features=np.zeros(1))
+                  for k, (s, d) in enumerate(pairs)]
+        batch = g.Batch(events=events, strategy=strategy)
+        with pytest.raises(g.StructuralError, match="unknown node id 7 "):
+            run_batch(g.NodeStateStore.zeros(3, 2), batch, model)
+        extra = [-4] + [0] * (len(events) - 1)
+        with pytest.raises(g.StructuralError, match="unknown node id -4 "):
+            run_batch(g.NodeStateStore.zeros(3, 2), batch, model, extra_reads=extra)
 
 
 def test_last_update_event_strictly_increases():

@@ -178,6 +178,22 @@ def test_full_gradient_does_not_depend_on_batching(seed):
         assert params_equal(grads[0], other)
 
 
+def test_full_gradient_gathers_vector_and_stacked_heads():
+    # fixed_parallel batches of two that repeat no node compute what
+    # sequential does. The last batch's lone event is scored as a vector
+    # head and shares dependency level 1 with the second batch's (0, 2),
+    # whose head is a stacked row, so the sweep gathers both kinds into one
+    # mlp_backward call
+    pairs = [(0, 1), (2, 3), (4, 5), (0, 2), (1, 4)]
+    events = events_from_pairs(pairs, [0.3, -1.2, 0.7, 0.1, -0.4], memory=1)
+    model = g.init_model(g.Rng(7), 3, 1, "regression")
+    full = epoch_gradient(events, model, "f_bptt", g.BatchingConfig("sequential", None),
+                          num_nodes=6)
+    stacked = epoch_gradient(events, model, "f_bptt", g.BatchingConfig("fixed_parallel", 2),
+                             num_nodes=6)
+    assert params_equal(full, stacked)
+
+
 @pytest.mark.parametrize("strategy,size", [("sequential", 1), ("sequential", 3),
                                            ("t_batch", None), ("fixed_parallel", 2),
                                            ("fixed_parallel", 3)])

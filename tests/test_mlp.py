@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -91,8 +95,10 @@ def test_hidden_dropout_scales_and_masks():
 
 def test_shape_validation():
     params = g.init_mlp_parameters(g.Rng(0), 4, 3)
-    with pytest.raises(g.StructuralError):
-        g.mlp_forward(params, np.zeros(5))
+    for bad in (np.zeros(5), np.zeros(3), np.zeros((2, 5)), np.zeros((1, 3)), np.zeros((2, 1, 4)),
+                np.zeros(())):
+        with pytest.raises(g.StructuralError):
+            g.mlp_forward(params, bad)
     with pytest.raises(g.StructuralError):
         mlp_score_batch(params, np.zeros((2, 5)))
 
@@ -116,3 +122,72 @@ def test_training_mask_rejects_rate_above_one():
     params = g.init_mlp_parameters(g.Rng(4), 9, 8)
     with pytest.raises(g.ParameterError):
         g.mlp_forward(params, np.zeros(9), dropout_rate=1.5, rng=g.Rng(0), training=True)
+
+
+def stacked_heads(hidden, in_dim, n, seed):
+    """Random parameters (biases included), n inputs and n logit gradients."""
+    params = g.init_mlp_parameters(g.Rng(seed), in_dim, hidden)
+    rng = np.random.default_rng(seed)
+    params.b1[:] = rng.standard_normal(hidden)
+    params.b2[:] = rng.standard_normal(1)
+    return params, rng.standard_normal((n, in_dim)), rng.standard_normal(n)
+
+
+def stacked_bytes(params, x, grad, rate):
+    """One stacked forward and backward: logits, masks, grad_x, the
+    accumulated gradients and the rng's next draw, as bytes."""
+    rng = g.Rng(11)
+    logits, cache = g.mlp_forward(params, x, dropout_rate=rate, rng=rng, training=True)
+    acc, gx = g.mlp_backward(params, cache, grad)
+    mask = b"" if cache.drop_mask is None else cache.drop_mask.tobytes()
+    return [logits.tobytes(), mask, gx.tobytes(),
+            *(b.tobytes() for b in acc.buffers.values()), str(rng.next_u64()).encode()]
+
+
+def row_bytes(params, x, grad, rate):
+    """The same through one-row calls, in row order."""
+    rng, acc, logits, masks, gxs = g.Rng(11), None, [], [], []
+    for xi, gi in zip(x, grad):
+        logit, cache = g.mlp_forward(params, xi, dropout_rate=rate, rng=rng, training=True)
+        acc, gx = g.mlp_backward(params, cache, gi, acc)
+        logits.append(logit)
+        masks.append(cache.drop_mask)
+        gxs.append(gx)
+    mask = b"" if masks[0] is None else np.array(masks).tobytes()
+    return [np.array(logits).tobytes(), mask, np.array(gxs).tobytes(),
+            *(b.tobytes() for b in acc.buffers.values()), str(rng.next_u64()).encode()]
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("hidden", [1, 4, 5, 32, 64, 128])
+def test_stacked_heads_give_the_bits_of_one_row_calls(hidden, rate):
+    for extra in (0, 1, 2, 65, 172):
+        for n in (1, 2, 65, 400):
+            params, x, grad = stacked_heads(hidden, 2 * hidden + extra, n, seed=hidden + extra + n)
+            assert stacked_bytes(params, x, grad, rate) == row_bytes(params, x, grad, rate), (
+                extra, n)
+
+
+HEADS_THREAD_PROBE = """
+import hashlib
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_mlp import row_bytes, stacked_bytes, stacked_heads
+for run in (stacked_bytes, row_bytes):
+    print(hashlib.sha256(b"".join(run(*stacked_heads(128, 428, 400, seed=3), 0.3))).hexdigest())
+"""
+
+
+def test_stacked_heads_do_not_depend_on_blas_threads():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(g.__file__))
+    digests = {
+        threads: subprocess.run(
+            [sys.executable, "-c", HEADS_THREAD_PROBE, tests], capture_output=True,
+            text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout.split()
+        for threads in ("1", "2")
+    }
+    stacked, rows = digests["1"]
+    assert stacked == rows and digests["2"] == digests["1"]

@@ -3,12 +3,15 @@ tests run each workload's operations at toy size, so a library change that
 breaks that API fails here and not only when the benchmark runs."""
 
 import importlib
+import json
 import os
+import subprocess
 import sys
 
 import pytest
 
 from grnnlab import engine
+from grnnlab.batching import make_batches_tbatch
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -57,22 +60,46 @@ def test_probes_trace_the_backward_kernels(tmp_path):
     with spans.Probes(tracer).installed(), tracer.root("f_bptt"):
         events, _ = wl.train(run, "f_bptt", tracer.span)
     (_, row), = tracer.per_root()
-    assert row["mlp.backward_calls"] == len(events)
+    # one mlp_backward call per dependency level; a sequential batch's
+    # levels are its t-batches
+    assert row["mlp.backward_calls"] == len(make_batches_tbatch(events))
     assert row["gru.backward_calls"] > 0
 
 
 def test_probes_see_one_stacked_gru_call_per_parallel_batch(tmp_path):
     # a parallel batch runs its updates as the rows of one gru_forward and
-    # one state-dropout call; a stacked path that bypassed the wrapped call
-    # sites would read zero here
+    # one state-dropout call, and scores its heads as the rows of one
+    # mlp_forward call; the reverse sweep makes one mlp_backward call per
+    # dependency level, which under truncation is the batch. A stacked path
+    # that bypassed the wrapped call sites would read zero here
     wl = SmallLinkrank()
     run = wl.setup(1, str(tmp_path))
     assert run.train_kwargs["state_dropout"] is not None
     tracer = spans.Tracer()
-    with spans.Probes(tracer).installed(), tracer.root("f_bptt"):
-        events, _ = wl.train(run, "f_bptt", tracer.span)
-    (_, row), = tracer.per_root()
+    with spans.Probes(tracer).installed():
+        for mode in ("f_bptt", "t_bptt"):
+            with tracer.root(mode):
+                events, _ = wl.train(run, mode, tracer.span)
+    rows = dict(tracer.per_root())
     batches = len(engine.build_batches(events, wl.batching))
-    assert row["batching.batches"] == batches > 1
-    assert row["gru.forward_calls"] == batches
-    assert row["dropout.state_calls"] == batches
+    for mode, row in rows.items():
+        assert row["batching.batches"] == batches > 1
+        assert row["gru.forward_calls"] == batches
+        assert row["dropout.state_calls"] == batches
+        assert row["mlp.forward_calls"] == batches
+    assert 0 < rows["f_bptt"]["mlp.backward_calls"] <= batches
+    assert rows["t_bptt"]["mlp.backward_calls"] == batches
+
+
+@pytest.mark.parametrize("workload", ["synth-h32", "linkrank-h64"])
+def test_traced_benchmark_run_is_correct(workload):
+    # the traced run checks the per-layer probes against their closed forms
+    # and the results against the untraced ones; it writes under perfbench/out/
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0.1", "--trace", "1"],
+        capture_output=True, text=True, check=True, timeout=300, cwd=root,
+    ).stdout.splitlines()
+    assert json.loads(out[-2])["problems"] == []
+    assert json.loads(out[-1])["correct"] is True
