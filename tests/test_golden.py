@@ -25,6 +25,11 @@ GOLDEN = {
         "(0.361818279654516, 12.924020896774758)",
         "(0.322556087039414, 22.78001666399899)",
     ],
+    "synth_t_bptt_tbatch": [
+        "(0.46289587594027976, 26.694022492172053)",
+        "(0.361818279654516, 12.92402089677476)",
+        "(0.3225560870394141, 22.780016663998985)",
+    ],
     "link_f_bptt_regular": [
         "(1.386677442173313, 1.5083603274688613)",
         "(1.38616737068895, 1.39847058142655)",
@@ -58,9 +63,10 @@ GOLDEN = {
 }
 
 
-def synth_curve(mode):
+def synth_curve(mode, batching=None):
     cfg = g.SyntheticConfig(memory=2, num_nodes=12, edges_per_epoch=60)
-    batching = g.BatchingConfig("sequential", None if mode == "f_bptt" else 1)
+    if batching is None:
+        batching = g.BatchingConfig("sequential", None if mode == "f_bptt" else 1)
     root = g.Rng(2024)
     model = g.init_model(root.substream("init"), 5, 1, "regression")
     opt = AdamwState(lr=1e-2, weight_decay=1e-4)
@@ -101,6 +107,13 @@ def link_curve(tmp_path, mode, kind, batching=g.BatchingConfig("fixed_parallel",
 @pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
 def test_synth_golden_bits(mode):
     assert synth_curve(mode) == GOLDEN[f"synth_{mode}"]
+
+
+def test_synth_tbatch_truncated_golden_bits():
+    # t_batch batches of a regression stream read each earlier-batch row at
+    # most once, so summing a batch's one-hop tails per row moves no bit here
+    curve = synth_curve("t_bptt", g.BatchingConfig("t_batch", None))
+    assert curve == GOLDEN["synth_t_bptt_tbatch"]
 
 
 @pytest.mark.parametrize("kind", ["regular", "recurrent"])
