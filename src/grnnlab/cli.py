@@ -205,6 +205,8 @@ def _validate_config(command: str, cfg) -> None:
             raise ConfigError("seeds must not be empty")
         if cfg.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {cfg.patience}")
+        if cfg.max_events is not None and cfg.max_events < 1:
+            raise ConfigError(f"max_events must be >= 1 or null, got {cfg.max_events}")
     elif command == "gradcheck":
         for name in ("eps", "tolerance", "cell_tolerance"):
             if not 0.0 < getattr(cfg, name) < math.inf:

@@ -28,11 +28,13 @@ A sweep walks its events by dependency level, highest first, as JODIE's
 t-batches walk them forward: the events of one level are independent, so
 their prediction heads run as the stacked rows of one mlp_backward call and
 their updates as stacked rows, at most accumulator.TILE per gru_backward
-call, and each row gets the bits it would get alone. The one-hop tails of
-t_bptt are copied into one pending TILE-row block that runs whenever it
-fills and once more before the optimizer step. The sweep order (level,
-event index) is a property of the dataflow graph, not of the batching, so
-the f_bptt gradient has the same bits under every batching strategy.
+call, and each row gets the bits it would get alone. A t_bptt sweep sums
+the gradients that reach each earlier-batch row and gives the row one
+one-hop tail; the batch's tails are copied into one pending TILE-row block,
+filled across batches, that runs whenever it fills and once more before the
+optimizer step. The sweep order (level, event index) is a property of the
+dataflow graph, not of the batching, so the f_bptt gradient has the same
+bits under every batching strategy.
 """
 
 from __future__ import annotations
@@ -265,9 +267,9 @@ def _gru_rows(
 
 class _Tails:
     """The pending one-hop tails of t_bptt: up to TILE updates of earlier
-    batches that a gradient reached, copied off the tape with that gradient
-    and run together once TILE are waiting. Their state inputs are
-    constants."""
+    batches that gradients reached, each copied off the tape with the sum of
+    one sweep's gradients on it, and run together once TILE are waiting.
+    Their state inputs are constants."""
 
     def __init__(self, model: GrnnModel, acc: GradientAccumulator,
                  state_dropout: StateDropout | None):
@@ -305,9 +307,12 @@ def _backward_records(
     gradients on every state it produced are complete. Per level, in
     descending event index: the prediction heads in one call (each event's
     in order), the updates in chunks of at most TILE rows, then the state
-    gradients go to the rows that produced the states. A row below the base
-    (an earlier batch's) gets a one-hop tail through `tails`: its update
-    adds parameter gradients, but its state inputs are constants.
+    gradients go to the rows that produced the states. The gradients on a
+    row below the base (an earlier batch's) are summed, and after the sweep
+    each such row gets one one-hop tail through `tails`, in the order the
+    sweep first reached the rows: its update adds parameter gradients, but
+    its state inputs are constants, so the tail is linear in its gradient
+    and one tail of the sum stands for one tail per read.
     """
     m, base = model.m, tape.base
     n = tape.n_events
@@ -362,12 +367,14 @@ def _backward_records(
             for row, g_in in zip(reads[e], g):
                 if row < 0:
                     continue  # an epoch-initial state: a constant
-                if row < base:
-                    tails.add(tape, row, g_in)
-                elif row in produced:
+                if row in produced:
                     produced[row] += g_in
                 else:
                     produced[row] = g_in
+    # the levels popped every row above the base; what is left are earlier
+    # batches' rows, in the order the sweep first reached them
+    for row, g_in in produced.items():
+        tails.add(tape, row, g_in)
 
 
 # ---------------------------------------------------------------------------

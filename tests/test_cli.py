@@ -139,6 +139,8 @@ def test_invalid_mode_is_config_error(tmp_path):
     ("gradcheck", {"cell_tolerance": float("inf")}),
     ("bench", {"train_frac": float("nan")}),
     ("bench", {"patience": -1}),
+    ("bench", {"max_events": 0}),
+    ("bench", {"max_events": -3}),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, extra):
     if command == "synth":

@@ -6,6 +6,7 @@ import pytest
 import grnnlab as g
 from grnnlab.accumulator import TILE
 from grnnlab.adamw import AdamwState
+from grnnlab.evalbench import load_jodie_csv, write_synthetic_linkstream
 from grnnlab.oracles import epoch_loss_reference
 
 from helpers import events_from_pairs, params_equal, random_instance
@@ -196,18 +197,24 @@ def test_full_gradient_gathers_vector_and_stacked_heads():
 
 @pytest.mark.parametrize("strategy,size", [("sequential", 1), ("sequential", 3),
                                            ("t_batch", None), ("fixed_parallel", 2),
-                                           ("fixed_parallel", 3)])
+                                           ("fixed_parallel", 3), ("fixed_parallel", 5)])
 def test_truncated_gradient_matches_one_hop_oracle(strategy, size):
     # the T-BPTT gradient training applies equals the gradient of the one-hop
-    # truncated reference loss; the F-BPTT gradient must fail the same check,
-    # since every batching here has reads two or more batches downstream
+    # truncated reference loss. Where reads lie two or more batches
+    # downstream, the F-BPTT gradient must fail the same check. Batches of 5
+    # make two batches, so one hop is the whole history there and F-BPTT
+    # passes it too; their second batch reads 4 earlier rows through 7
+    # reads, whose tails are summed per row
     batching = g.BatchingConfig(strategy, size)
     err, trunc = g.epoch_gradient_check(g.Rng(3), 4, 2, 6, 10, batching, "t_bptt")
     assert err <= 1e-5
     err_full, full = g.epoch_gradient_check(g.Rng(3), 4, 2, 6, 10, batching, "f_bptt",
                                             oracle="t_bptt")
-    assert err_full > 0.1
-    assert not params_equal(full, trunc)
+    if size == 5:
+        assert err_full <= 1e-5
+    else:
+        assert err_full > 0.1
+        assert not params_equal(full, trunc)
 
 
 # training loop -----------------------------------------------------------------
@@ -302,6 +309,45 @@ def test_backward_calls_take_at_most_a_tile_of_rows(monkeypatch, mode, batching)
     g.train_epoch(events, model, AdamwState(), mode, g.BatchingConfig(*batching),
                   num_nodes=cfg.num_nodes)
     assert max(rows) == TILE
+
+
+def test_truncated_tails_run_one_row_per_earlier_row(tmp_path, monkeypatch):
+    # fixed_parallel link ranking reads every state from the batch-start
+    # snapshot, and src, dst and the negatives read some earlier-batch rows
+    # more than once: T-BPTT runs one tail row per distinct row a batch reads
+    rows = []
+    kernel = g.engine.gru_backward
+
+    def counting(params, cache, grad_h_new, acc):
+        rows.append(len(grad_h_new))
+        return kernel(params, cache, grad_h_new, acc)
+
+    path = str(tmp_path / "stream.csv")
+    write_synthetic_linkstream(path, num_events=120, num_users=15, num_items=6,
+                               feat_dim=2, seed=3)
+    dataset = load_jodie_csv(path)
+    model = g.init_model(g.Rng(31), 4, dataset.feat_dim, "link_ranking")
+    batching = g.BatchingConfig("fixed_parallel", 16)
+    monkeypatch.setattr(g.engine, "gru_backward", counting)
+    g.train_epoch(dataset.events, model.copy(), AdamwState(), "t_bptt", batching,
+                  task="link_ranking", rng=g.Rng(5), neg_universe=dataset.destinations,
+                  num_nodes=dataset.num_nodes)
+
+    # reference: the same negatives, and the rows each batch reads on an
+    # epoch tape; rows below the batch's first row are earlier batches'
+    neg_rng, store = g.Rng(5), g.NodeStateStore.zeros(dataset.num_nodes, model.m)
+    tape = g.Tape(model, len(dataset.events), 2 * len(dataset.events))
+    distinct = reads = 0
+    for batch in g.build_batches(dataset.events, batching):
+        extra = [g.engine.sample_negative(dataset.destinations, neg_rng) for _ in batch.events]
+        first_row, first_event = tape.n_rows, len(tape)
+        g.run_batch(store, batch, model, tape, None, extra)
+        read = tape.reads[first_event : len(tape)].ravel().tolist()
+        earlier = [row for row in read if 0 <= row < first_row]
+        distinct += len(set(earlier))
+        reads += len(earlier)
+    assert sum(rows) == distinct
+    assert distinct < reads
 
 
 @pytest.mark.parametrize("strategy,size", [("sequential", 1), ("sequential", 7),

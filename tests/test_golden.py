@@ -38,7 +38,7 @@ GOLDEN = {
     "link_t_bptt_regular": [
         "(1.386677442173313, 1.432726279241403)",
         "(1.3861441383053719, 1.4064750400587056)",
-        "(1.3865424796711041, 1.076865854414291)",
+        "(1.3865424796711041, 1.0768658544142908)",
     ],
     "link_f_bptt_recurrent": [
         "(1.3862999378011096, 1.2299952571970683)",
@@ -46,8 +46,8 @@ GOLDEN = {
         "(1.3862422771583078, 0.8498539259127317)",
     ],
     "link_t_bptt_recurrent": [
-        "(1.3862999378011096, 1.2786554427750347)",
-        "(1.3862069219657236, 1.9622523741491642)",
+        "(1.3862999378011096, 1.2786554427750345)",
+        "(1.3862069219657236, 1.9622523741491644)",
         "(1.3862665354265775, 0.7709453413002217)",
     ],
     "link_f_bptt_tbatch": [
@@ -57,7 +57,7 @@ GOLDEN = {
     ],
     "link_t_bptt_tbatch": [
         "(1.3863046461524429, 1.863005645421183)",
-        "(1.3859627537406791, 0.9525107505526483)",
+        "(1.3859627537406791, 0.9525107505526484)",
         "(1.385870301774656, 1.140111188337879)",
     ],
 }
