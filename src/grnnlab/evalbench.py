@@ -138,30 +138,45 @@ def chrono_split(
 # ranking and metrics
 
 
-def rank_scores(scores: np.ndarray, true_pos: int) -> int:
+def rank_scores(scores: np.ndarray, true_pos: int | np.ndarray) -> int | list[int]:
     """Rank of the true candidate under pessimistic tie-breaking: every
-    strictly better candidate and every tied other candidate precedes it."""
-    s_true = scores[true_pos]
-    better = int((scores > s_true).sum())
-    tied_others = int((scores == s_true).sum()) - 1
-    return 1 + better + tied_others
+    strictly better candidate and every tied other candidate precedes it.
+    One score vector (U,) and position give an int; n stacked rows (n, U)
+    and positions (n,) give n ranks, each the rank of its row alone."""
+    s_true = np.take_along_axis(scores, np.asarray(true_pos)[..., None], axis=-1)
+    better = (scores > s_true).sum(axis=-1)
+    tied_others = (scores == s_true).sum(axis=-1) - 1
+    return (1 + better + tied_others).tolist()
 
 
 def rank_true_destination(
     model: GrnnModel,
     store: NodeStateStore,
-    edge: Event,
+    edges: Event | list[Event],
     destination_universe: np.ndarray,
-) -> int:
-    """Score every candidate destination against the edge's source state."""
-    matches = np.nonzero(destination_universe == edge.dst)[0]
-    if len(matches) == 0:
-        raise DataError(f"true destination {edge.dst} outside the universe")
-    h_src = store.states[edge.src]
-    cand = store.states[destination_universe]
-    xs = np.hstack((np.broadcast_to(h_src, cand.shape), cand))
-    scores = mlp_score_batch(model.mlp, xs)
-    return rank_scores(scores, int(matches[0]))
+) -> int | list[int]:
+    """Rank one edge's true destination (an int), or each of a list of
+    edges' (a list), among every candidate in the universe, all against the
+    store as it stands. The true destinations are looked up once per call,
+    and every (source, candidate) pair is scored by one mlp_score_batch
+    call; each edge gets the rank it gets alone. A destination outside the
+    universe is a data error naming the first such edge."""
+    one = isinstance(edges, Event)
+    if one:
+        edges = [edges]
+    dsts = np.array([ev.dst for ev in edges], dtype=np.int64)
+    matches = dsts[:, None] == destination_universe
+    known = matches.any(axis=1)
+    if not known.all():
+        ev = edges[int(np.argmin(known))]
+        raise DataError(f"edge {ev.index}: true destination {ev.dst} outside the universe")
+    scores = mlp_score_batch(
+        model.mlp,
+        store.states[[ev.src for ev in edges]],
+        store.states[destination_universe],
+    )
+    ranks = rank_scores(scores, matches.argmax(axis=1))
+    return ranks[0] if one else ranks
 
 
 def compute_metrics(ranks: list[int], k: int = 10) -> dict:
@@ -188,16 +203,15 @@ def evaluate_ranking(
     universe: np.ndarray,
     batching: BatchingConfig,
 ) -> list[int]:
-    """Batched evaluation: every edge in a batch is ranked against the store
-    as it stood at batch start, then the batch's updates are applied. A
-    sequential stream is ranked one event per batch, so each edge sees every
-    earlier update."""
+    """Batched evaluation: each batch's edges are ranked by one
+    rank_true_destination call against the store as it stood at batch
+    start, then the batch's updates are applied. A sequential stream is
+    ranked one event per batch, so each edge sees every earlier update."""
     if batching.strategy == "sequential":
         batching = BatchingConfig("sequential", 1)
     ranks: list[int] = []
     for batch in build_batches(events, batching):
-        for ev in batch.events:
-            ranks.append(rank_true_destination(model, store, ev, universe))
+        ranks.extend(rank_true_destination(model, store, batch.events, universe))
         run_batch(store, batch, model)
     return ranks
 

@@ -117,9 +117,29 @@ def mlp_backward(
     return acc, matvec(params.w1.T, grad_pre1)
 
 
-def mlp_score_batch(params: MlpParameters, xs: np.ndarray) -> np.ndarray:
-    """Inference-only logits for a batch of inputs. xs (n, in_dim) -> (n,)."""
-    if xs.ndim != 2 or xs.shape[1] != params.in_dim:
-        raise StructuralError(f"mlp_score_batch: bad input shape {xs.shape}")
-    hidden = np.maximum(xs @ params.w1.T + params.b1, 0.0)
-    return hidden @ params.w2 + params.b2[0]
+def mlp_score_batch(params: MlpParameters, src: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Inference-only logits of every (source, candidate) pair: src (n, k),
+    cand (U, in_dim - k) -> (n, U), row e scoring concat(src[e], cand[c]).
+    The first layer is split at column k: the candidate half (with b1) is
+    computed once per call, the source half once per source row, and each
+    source row then costs one (U, hidden) ReLU and output layer, in one
+    reused buffer. Products run one matrix-vector product or dot per row, so
+    a pair's score is the bits of a one-pair call, whatever n, U, the pair's
+    position or the BLAS thread count."""
+    if (src.ndim != 2 or cand.ndim != 2
+            or src.shape[1] + cand.shape[1] != params.in_dim):
+        raise StructuralError(
+            f"mlp_score_batch: src {src.shape} and cand {cand.shape} are not "
+            f"(n, k) and (U, in_dim - k), in_dim={params.in_dim}"
+        )
+    k = src.shape[1]
+    w1 = params.w1
+    cand_half = matvec(np.ascontiguousarray(w1[:, k:]), cand) + params.b1
+    src_half = matvec(np.ascontiguousarray(w1[:, :k]), src)
+    w2 = params.w2[:, None]
+    a1 = np.empty_like(cand_half)  # one (U, hidden) buffer, reused per source row
+    scores = np.empty((len(src), len(cand), 1, 1))
+    for s, out in zip(src_half, scores):
+        np.maximum(np.add(s, cand_half, out=a1), 0.0, out=a1)
+        np.matmul(a1[:, None, :], w2, out=out)  # the bits of w2 @ a1 per candidate
+    return scores[:, :, 0, 0] + params.b2[0]

@@ -301,6 +301,78 @@ def test_rank_unknown_destination_errors():
         rank_true_destination(model, store, edge, np.array([1, 2]))
 
 
+def edge(k, src, dst):
+    return g.Event(index=k, src=src, dst=dst, time=float(k), features=np.zeros(1))
+
+
+def test_unknown_destination_in_a_batch_names_the_first_such_edge():
+    model = g.init_model(g.Rng(1), 2, 1, "link_ranking")
+    store = g.NodeStateStore.zeros(6, 2)
+    universe = np.array([2, 3])
+    edges = [edge(10, 0, 2), edge(11, 1, 5), edge(12, 0, 4), edge(13, 1, 3)]
+    with pytest.raises(g.DataError, match="edge 11: true destination 5 outside"):
+        rank_true_destination(model, store, edges, universe)
+    with pytest.raises(g.DataError, match="edge 12: true destination 4 outside"):
+        rank_true_destination(model, store, edges[2], universe)
+
+
+@pytest.mark.parametrize("strategy, applied", [("fixed_parallel", 4), ("sequential", 5)])
+def test_unknown_destination_stops_evaluation_before_its_batch_updates(strategy, applied):
+    # the bad edge sits in the middle of the second batch of four (under
+    # sequential, in the sixth batch of one): the store keeps every update
+    # of the batches before it and none of its own batch's
+    model = g.init_model(g.Rng(3), 3, 1, "link_ranking")
+    universe = np.array([4, 5, 6])
+    events = [edge(k, k % 4, 4 + k % 3) for k in range(8)]
+    events[5] = edge(5, 1, 7)
+    store = g.NodeStateStore.zeros(8, 3)
+    with pytest.raises(g.DataError, match="edge 5: true destination 7 outside"):
+        evaluate_ranking(model, store, events, universe, g.BatchingConfig(strategy, 4))
+    ref = g.NodeStateStore.zeros(8, 3)
+    for batch in g.build_batches(events[:applied], g.BatchingConfig(strategy, 4)):
+        g.run_batch(ref, batch, model)
+    assert np.array_equal(store.states, ref.states)
+
+
+def pair_rank_reference(model, store, edges, universe):
+    """Every (source, candidate) pair scored by mlp_forward on the
+    concatenated states, each edge ranked by rank_scores."""
+    ranks = []
+    for ev in edges:
+        scores = np.array([g.mlp_forward(model.mlp, np.concatenate(
+            (store.states[ev.src], store.states[c])))[0] for c in universe])
+        ranks.append(rank_scores(scores, int(np.nonzero(universe == ev.dst)[0][0])))
+    return ranks
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), num_cand=st.integers(1, 12), m=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), zero_head=st.booleans(), data=st.data())
+def test_list_call_ranks_each_edge_as_it_ranks_alone(n, num_cand, m, seed, zero_head, data):
+    num_src = 3
+    model = g.init_model(g.Rng(seed), m, 1, "link_ranking")
+    rng = np.random.default_rng(seed)
+    if zero_head:  # every candidate ties
+        for p in model.mlp.named().values():
+            p.fill(0.0)
+    else:
+        model.mlp.b1[:] = rng.standard_normal(m)
+        model.mlp.b2[:] = rng.standard_normal(1)
+    store = g.NodeStateStore.zeros(num_src + num_cand, m)
+    store.states[:] = rng.standard_normal(store.states.shape)
+    # some candidates copy another's state, so their scores tie exactly
+    for c in data.draw(st.lists(st.integers(1, num_cand - 1), max_size=3)
+                       if num_cand > 1 else st.just([])):
+        store.states[num_src + c] = store.states[num_src]
+    universe = num_src + rng.permutation(num_cand)
+    edges = [edge(k, int(rng.integers(num_src)), int(rng.choice(universe))) for k in range(n)]
+    ranks = rank_true_destination(model, store, edges, universe)
+    assert ranks == [rank_true_destination(model, store, ev, universe) for ev in edges]
+    assert ranks == pair_rank_reference(model, store, edges, universe)
+    if zero_head:
+        assert ranks == [num_cand] * n
+
+
 # metrics -------------------------------------------------------------------------
 
 

@@ -73,10 +73,15 @@ def test_grad_input_matches_finite_differences():
 def test_score_batch_matches_single_forward():
     rng = g.Rng(10)
     params = g.init_mlp_parameters(rng, 6, 4)
+    params.b1[:] = [rng.standard_normal() for _ in range(4)]
+    params.b2[:] = rng.standard_normal()
     xs = np.array([[rng.standard_normal() for _ in range(6)] for _ in range(11)])
-    batch = mlp_score_batch(params, xs)
-    singles = [g.mlp_forward(params, row)[0] for row in xs]
-    assert np.allclose(batch, singles, atol=1e-12)
+    for k in range(7):  # every split of the input, both empty halves included
+        src, cand = xs[:4, :k], xs[4:, k:]
+        batch = mlp_score_batch(params, src, cand)
+        assert batch.shape == (4, 7)
+        pairs = [[g.mlp_forward(params, np.concatenate((s, c)))[0] for c in cand] for s in src]
+        assert np.allclose(batch, pairs, atol=1e-12), k
 
 
 def test_hidden_dropout_scales_and_masks():
@@ -99,8 +104,18 @@ def test_shape_validation():
                 np.zeros(())):
         with pytest.raises(g.StructuralError):
             g.mlp_forward(params, bad)
-    with pytest.raises(g.StructuralError):
-        mlp_score_batch(params, np.zeros((2, 5)))
+    for src, cand in (
+        (np.zeros((2, 5)), np.zeros((3, 0))),  # the full-width rows rejected before
+        (np.zeros((2, 3)), np.zeros((3, 2))),  # widths sum to 5, not in_dim=4
+        (np.zeros((2, 1)), np.zeros((3, 2))),  # widths sum to 3
+        (np.zeros(2), np.zeros((3, 2))),  # 1-D source
+        (np.zeros((2, 2)), np.zeros(2)),  # 1-D candidates
+        (np.zeros(2), np.zeros(2)),
+        (np.zeros((1, 2, 2)), np.zeros((3, 2))),  # 3-D source
+        (np.zeros((2, 2)), np.zeros(())),
+    ):
+        with pytest.raises(g.StructuralError):
+            mlp_score_batch(params, src, cand)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3, 0.9])
@@ -191,3 +206,44 @@ def test_stacked_heads_do_not_depend_on_blas_threads():
     }
     stacked, rows = digests["1"]
     assert stacked == rows and digests["2"] == digests["1"]
+
+
+def pair_scores(hidden, k, n, num_cand, seed):
+    """mlp_score_batch over n random sources and num_cand candidates (biases
+    random): once stacked, once as n one-source calls and once as one call
+    per pair, as bytes."""
+    params = g.init_mlp_parameters(g.Rng(seed), 2 * k, hidden)
+    rng = np.random.default_rng(seed)
+    params.b1[:] = rng.standard_normal(hidden)
+    params.b2[:] = rng.standard_normal(1)
+    src, cand = rng.standard_normal((n, k)), rng.standard_normal((num_cand, k))
+    stacked = mlp_score_batch(params, src, cand)
+    rows = np.concatenate([mlp_score_batch(params, s[None], cand) for s in src])
+    pairs = np.array([[mlp_score_batch(params, s[None], c[None])[0, 0] for c in cand]
+                      for s in src])
+    return stacked.tobytes(), rows.tobytes(), pairs.tobytes()
+
+
+PAIRS_THREAD_PROBE = """
+import hashlib
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_mlp import pair_scores
+for scores in pair_scores(128, 128, 6, 1000, seed=5):
+    print(hashlib.sha256(scores).hexdigest())
+"""
+
+
+def test_pair_scores_do_not_depend_on_blas_threads():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(g.__file__))
+    digests = {
+        threads: subprocess.run(
+            [sys.executable, "-c", PAIRS_THREAD_PROBE, tests], capture_output=True,
+            text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout.split()
+        for threads in ("1", "2")
+    }
+    stacked, rows, pairs = digests["1"]
+    assert stacked == rows == pairs and digests["2"] == digests["1"]

@@ -91,6 +91,22 @@ def test_probes_see_one_stacked_gru_call_per_parallel_batch(tmp_path):
     assert rows["t_bptt"]["mlp.backward_calls"] == batches
 
 
+def test_probes_see_one_ranking_call_per_validation_batch(tmp_path):
+    # a validation batch's edges are ranked by one rank_true_destination
+    # call that scores them all with one mlp_score_batch call; a ranking
+    # path around these two names would leave their per-layer evidence at zero
+    wl = SmallLinkrank()
+    wl.batching = engine.BatchingConfig("fixed_parallel", 16)
+    run = wl.setup(1, str(tmp_path))
+    tracer = spans.Tracer()
+    with spans.Probes(tracer).installed(), tracer.root("eval"):
+        result = wl.validate(run, tracer.span)
+    (_, row), = tracer.per_root()
+    batches = len(engine.build_batches(run.extra["val"], wl.batching))
+    assert row["evalbench.rank_calls"] == row["mlp.score_batch_calls"] == batches > 1
+    assert len(result["ranks"]) == len(run.extra["val"])
+
+
 @pytest.mark.parametrize("workload", ["synth-h32", "linkrank-h64"])
 def test_traced_benchmark_run_is_correct(workload):
     # the traced run checks the per-layer probes against their closed forms
