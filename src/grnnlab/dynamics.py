@@ -24,8 +24,8 @@ each row gets the bits (and the dropout draws) it would get alone.
 With a Tape, every update leaves one row of GRU cache, and every state read
 names the row that produced the value (or -1 for the epoch-initial state),
 which is what lets the engine run exact reverse-mode sweeps across batch
-boundaries. The engine adds the prediction heads' caches to the tape, one
-entry per scoring call.
+boundaries. The engine adds each event's prediction-head inputs and loss
+gradients to the tape.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .dropout import check_rate, recurrent_mix, regular_dropout
 from .errors import ParameterError, StructuralError
 from .events import Batch, Event, NodeStateStore
 from .gru import GruCache, gru_forward
-from .mlp import MlpCache
 from .model import GrnnModel
 from .rng import Rng
 
@@ -65,11 +64,11 @@ class Tape:
     is the index of its event. Event e keeps reads[e], the rows that
     produced its src, dst and extra pre-update states (-1: an epoch-initial
     state), writes[e], the rows of its src and dst updates (-1: none), and
-    index[e] (column blocks of `links`). heads holds one (MlpCache, loss
-    gradients) entry per scoring call, which the engine adds with score: a
-    parallel batch's heads as the stacked rows of one entry, a sequential
-    batch's one entry per event; head_rows[e] names event e's entry and its
-    rows there.
+    index[e] (column blocks of `links`), and for its prediction heads
+    head_in[e], the src, dst and (link ranking) extra states run_batch
+    returned, then (regression) the features, head_grad[e], one loss
+    gradient per head, and under hidden dropout head_mask[e], one mask row
+    per head: the sweep rebuilds the heads and recomputes their hidden layer.
 
     A tape holds `events` events and `rows` update rows above its first
     `base` rows; Batch.updates gives the rows a batch needs. Truncated
@@ -80,24 +79,30 @@ class Tape:
 
     def __init__(self, model: GrnnModel, events: int, rows: int, base: int = 0):
         m, d_in, rows = model.m, model.gru.d_in, base + rows
-        self._cuts = np.cumsum((m, d_in, m, m))  # h_prev | x_in | z | r | n
-        self.cells = np.empty((rows, 4 * m + d_in))
-        self.keep = np.empty((rows, m), dtype=bool)
-        self.owner = np.empty(rows, dtype=np.int64)
+        cuts = np.cumsum((0, m, d_in, m, m, m)).tolist()  # h_prev | x_in | z | r | n
+        self._fields = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        row = np.dtype([("cells", float, 4 * m + d_in), ("keep", bool, m), ("owner", np.int64)],
+                       align=True)
+        self.records = np.empty(rows, dtype=(np.void, row.itemsize))  # one take copies rows
+        fields = self.records.view(row)
+        self.cells, self.keep, self.owner = fields["cells"], fields["keep"], fields["owner"]
         self.links = np.empty((events, 6), dtype=np.int64)  # reads | writes | index
         self.reads, self.writes, self.index = self.links[:, :3], self.links[:, 3:5], self.links[:, 5]
-        self.heads: list[tuple[MlpCache, float | np.ndarray]] = []
-        self.head_rows: list[tuple[int, range]] = []  # event -> (heads entry, its rows there)
+        link = model.task == "link_ranking"
+        self.head_in = np.empty((events, 3 * m if link else model.mlp.in_dim))
+        self.head_grad = np.empty((events, 2 if link else 1))
+        self.head_mask, self.drop_scale = None, 1.0  # set by the first score with a mask
         self.producer: dict[int, int] = {}  # node -> row that produced its state
         self.base = self.n_rows = base
-        self.n_events = 0
+        self.n_events = self.n_scored = 0
 
     def __len__(self) -> int:
         return self.n_events
 
     def gru_cache(self, rows) -> GruCache:
         """The GRU caches of rows (an index array or a slice), stacked."""
-        return GruCache(*np.split(self.cells[rows], self._cuts, axis=1))
+        cells = self.cells[rows]
+        return GruCache(*(cells[:, f] for f in self._fields))
 
     def read(self, ev: Event, extra: int | None) -> None:
         """Add ev as the next event, with the rows behind its pre-update
@@ -131,67 +136,33 @@ class Tape:
         for row, node in enumerate(nodes, u):
             self.producer[node] = row
 
-    def score(self, events: int, cache: MlpCache, grad: float | np.ndarray) -> None:
-        """Add one scoring call's prediction heads: those of the next
-        `events` events, each event's heads as consecutive rows of cache (a
-        vector cache is one head), with their loss gradients."""
-        call = len(self.heads)
-        self.heads.append((cache, grad))
-        if cache.x.ndim == 1:
-            self.head_rows.append((call, range(1)))
-        else:
-            heads = len(cache.x) // events
-            self.head_rows += [(call, range(k, k + heads)) for k in range(0, len(cache.x), heads)]
-
-    def heads_of(self, evs: list[int]) -> tuple[MlpCache, float | np.ndarray]:
-        """The head caches and loss gradients of events evs, stacked as rows
-        in that order, each event's heads in order. One event with one head
-        gets back the vector cache it was scored with."""
-        if len(evs) == 1:
-            entry = self.heads[self.head_rows[evs[0]][0]]
-            if entry[0].x.ndim == 1:
-                return entry
-        entries = []  # ((cache, grad), rows): evs in runs of one scoring call
-        last = -1
-        for e in evs:
-            call, rows = self.head_rows[e]
-            if call != last:
-                last = call
-                entries.append((self.heads[call], []))
-            entries[-1][1].extend(rows)
-        if all(cache.x.ndim == 1 for (cache, _), _ in entries):
-            # one vector head per event, as a sequential regression batch scores
-            parts, join = [(c.x, c.a1, c.drop_mask, grad) for (c, grad), _ in entries], np.array
-        else:  # blocks of rows, a vector cache a block of one
-            parts, join = [], np.concatenate
-            for (c, grad), rows in entries:
-                at = None if c.x.ndim == 1 else rows
-                parts.append((c.x[at], c.a1[at], None if c.drop_mask is None else c.drop_mask[at],
-                              np.array([grad]) if at is None else grad[at]))
-        x, a1, mask, grad = (
-            None if col[0] is None else col[0] if len(col) == 1 else join(col)
-            for col in zip(*parts)
-        )
-        return MlpCache(x, a1, mask, entries[0][0][0].drop_scale), grad
-
-    def copy_row(self, i: int, src: Tape, j: int) -> None:
-        """Row i of this tape becomes a copy of row j of src."""
-        self.cells[i] = src.cells[j]
-        self.keep[i] = src.keep[j]
-        self.owner[i] = src.owner[j]
+    def score(self, events: int, inputs: np.ndarray, grad, mask: np.ndarray | None,
+              scale: float) -> None:
+        """Add the next `events` events' prediction heads: head inputs and loss
+        gradients as rows (one event may pass a vector and a float) and under
+        hidden dropout the mask rows, one per head, and the dropout scale."""
+        lo = self.n_scored
+        self.n_scored = hi = lo + events
+        self.head_in[lo:hi] = inputs
+        self.head_grad[lo:hi] = grad
+        if mask is not None:
+            if self.head_mask is None:
+                self.head_mask = np.empty(self.head_grad.shape + mask.shape[-1:], dtype=bool)
+            self.head_mask[lo:hi] = mask.reshape(events, -1, mask.shape[-1])
+            self.drop_scale = scale
 
     def release(self, events: list[Event]) -> None:
         """Drop every event and row above base, after carrying the rows that
         produced the current states of the events' nodes into the nodes'
-        own rows."""
+        own rows, as one take of whole records."""
+        carried = {}  # node -> the row it is carried from
         for ev in events:
             for node in (ev.src, ev.dst):
                 if self.producer.get(node, -1) >= self.base:
-                    self.copy_row(node, self, self.producer[node])
-                    self.producer[node] = node
-        self.heads.clear()
-        self.head_rows.clear()
-        self.n_events, self.n_rows = 0, self.base
+                    carried[node], self.producer[node] = self.producer[node], node
+        if carried:
+            self.records.put(list(carried), self.records.take(list(carried.values())))
+        self.n_events, self.n_scored, self.n_rows = 0, 0, self.base
 
 
 def _apply_state_dropout(

@@ -51,8 +51,8 @@ from .batching import make_batches_fixed, make_batches_tbatch
 from .dynamics import StateDropout, Tape, run_batch
 from .errors import ConfigError, NumericalError
 from .events import Batch, Event, NodeStateStore
-from .gru import gru_backward
-from .mlp import mlp_backward, mlp_forward
+from .gru import gru_backward, stable_sigmoid
+from .mlp import MlpCache, mlp_backward, mlp_forward, mlp_hidden
 from .model import GrnnModel
 from .rng import Rng
 
@@ -68,10 +68,22 @@ def loss_mse(y_hat: float, y: float) -> tuple[float, float]:
 
 def loss_bce(logit: float, label: float) -> tuple[float, float]:
     """Binary cross-entropy in stable logit form; gradient is sigmoid - label."""
-    val = max(logit, 0.0) - logit * label + math.log1p(math.exp(-abs(logit)))
     e = np.exp(-abs(logit))  # stable_sigmoid's arithmetic, on one scalar
     grad = float((1.0 if logit >= 0 else e) / (1.0 + e)) - label
-    return val, grad
+    return _bce_value(logit, label), grad
+
+
+def _bce_value(logit: float, label: float) -> float:
+    return max(logit, 0.0) - logit * label + math.log1p(math.exp(-abs(logit)))
+
+
+def _head_losses(out: np.ndarray, labels: list[float], task: str) -> tuple[list, np.ndarray]:
+    """Stacked heads' loss values, in math (numpy's log1p(exp(.)) differs),
+    and gradients, (events, heads); each has loss_mse's or loss_bce's bits."""
+    if task == "regression":
+        diff = out - labels
+        return (diff * diff).tolist(), 2.0 * diff[:, None]
+    return list(map(_bce_value, out.tolist(), labels)), (stable_sigmoid(out) - labels).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +129,12 @@ def sample_negative(universe: np.ndarray, rng: Rng) -> int:
     return int(universe[rng.randrange(len(universe))])
 
 
+def _link_heads(pre: np.ndarray) -> np.ndarray:
+    """Link-ranking head rows from src, dst and extra states pre (n, 3, m):
+    a positive (src, dst) and a negative (src, extra) row per event."""
+    return np.concatenate((pre[:, [0, 0]], pre[:, 1:]), axis=2).reshape(-1, 2 * pre.shape[2])
+
+
 def _predict_and_score(
     events: list[Event],
     pre: np.ndarray,
@@ -131,35 +149,36 @@ def _predict_and_score(
     pre-update states with one mlp_forward call: one regression head per
     event, or a positive (src, dst) and a negative (src, extra) head for
     link ranking, as the stacked rows of the call. A lone regression head is
-    a vector. The heads' cache and loss gradients go onto the tape."""
+    a vector. The heads' inputs, loss gradients and dropout masks go onto
+    the tape."""
+    n = len(events)
     if task == "regression":
-        if len(events) == 1:
+        if n == 1:
             x = np.concatenate((pre[0, 0], pre[0, 1], events[0].features))
         else:
             x = np.concatenate((pre[:, 0], pre[:, 1], [ev.features for ev in events]), axis=1)
-        targets, loss_fn = [ev.y for ev in events], loss_mse
+        inputs, labels = x, [ev.y for ev in events]
     else:  # link_ranking: positive edge vs one sampled negative
-        x = np.concatenate((pre[:, [0, 0]], pre[:, 1:]), axis=2).reshape(-1, 2 * model.m)
-        targets, loss_fn = [1.0, 0.0] * len(events), loss_bce
+        inputs, labels = pre.reshape(n, -1), [1.0, 0.0] * n
+        x = _link_heads(pre)
     out, cache = mlp_forward(
         model.mlp, x, dropout_rate=mlp_dropout, rng=dropout_rng, training=training
     )
-    # one loss per head, in Python floats: numpy's log1p(exp(.)) does not
-    # give math's bits
-    outs = out.tolist() if x.ndim == 2 else [out]
-    heads = len(outs) // len(events)
-    batch_loss, grads = 0.0, []
+    if x.ndim == 1:  # a lone regression head keeps the scalar loss
+        value, grads = loss_mse(out, labels[0])
+        values = [value]
+    else:
+        values, grads = _head_losses(out, labels, task)
+    heads, batch_loss = len(values) // n, 0.0
     for e, ev in enumerate(events):
         loss = 0.0
-        for k in range(e * heads, (e + 1) * heads):
-            value, grad = loss_fn(outs[k], targets[k])
+        for value in values[e * heads : (e + 1) * heads]:
             loss += value
-            grads.append(grad)
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite loss at event {ev.index}")
         batch_loss += loss
     if tape is not None:
-        tape.score(len(events), cache, np.array(grads) if x.ndim == 2 else grads[0])
+        tape.score(n, inputs, grads, cache.drop_mask, cache.drop_scale)
     return batch_loss
 
 
@@ -267,9 +286,9 @@ def _gru_rows(
 
 class _Tails:
     """The pending one-hop tails of t_bptt: up to TILE updates of earlier
-    batches that gradients reached, each copied off the tape with the sum of
-    one sweep's gradients on it, and run together once TILE are waiting.
-    Their state inputs are constants."""
+    batches that gradients reached, copied off the tape as one block per
+    sweep with the sum of the sweep's gradients on each, and run together
+    once TILE are waiting. Their state inputs are constants."""
 
     def __init__(self, model: GrnnModel, acc: GradientAccumulator,
                  state_dropout: StateDropout | None):
@@ -277,13 +296,14 @@ class _Tails:
         self.g = np.empty((TILE, model.m))
         self.model, self.acc, self.state_dropout = model, acc, state_dropout
 
-    def add(self, tape: Tape, row: int, g: np.ndarray) -> None:
-        k = self.rows.n_rows
-        self.rows.copy_row(k, tape, row)
-        self.g[k] = g
-        self.rows.n_rows = k + 1
-        if k + 1 == TILE:
-            self.run()
+    def add(self, tape: Tape, rows: list[int], g: list[np.ndarray]) -> None:
+        while rows:
+            k, j = self.rows.n_rows, min(TILE, self.rows.n_rows + len(rows))
+            self.rows.records[k:j] = tape.records.take(rows[: j - k])
+            self.g[k:j] = g[: j - k]
+            rows, g, self.rows.n_rows = rows[j - k :], g[j - k :], j
+            if j == TILE:
+                self.run()
 
     def run(self) -> None:
         k, self.rows.n_rows = self.rows.n_rows, 0
@@ -306,16 +326,18 @@ def _backward_records(
     tape that produced the states it read, so when a level runs, the
     gradients on every state it produced are complete. Per level, in
     descending event index: the prediction heads in one call (each event's
-    in order), the updates in chunks of at most TILE rows, then the state
-    gradients go to the rows that produced the states. The gradients on a
-    row below the base (an earlier batch's) are summed, and after the sweep
-    each such row gets one one-hop tail through `tails`, in the order the
-    sweep first reached the rows: its update adds parameter gradients, but
-    its state inputs are constants, so the tail is linear in its gradient
-    and one tail of the sum stands for one tail per read.
+    in order), rebuilt from head_in with one mlp_hidden call recomputing
+    the forward's bits, the updates in chunks of at most TILE rows, then
+    the state gradients go to the rows that produced the states. The
+    gradients on a row below the base (an earlier batch's) are summed, and
+    after the sweep each such row gets one one-hop tail through `tails`, in
+    the order the sweep first reached the rows: its update adds parameter
+    gradients, but its state inputs are constants, so the tail is linear in
+    its gradient and one tail of the sum stands for one tail per read.
     """
     m, base = model.m, tape.base
     n = tape.n_events
+    link = tape.head_grad.shape[1] == 2
     reads, writes, index = tape.reads[:n].tolist(), tape.writes[:n].tolist(), tape.index[:n].tolist()
     row_level = [0] * (tape.n_rows - base)
     by_level: list[list[int]] = []
@@ -334,18 +356,26 @@ def _backward_records(
     produced: dict[int, np.ndarray] = {}  # row -> gradient on the state it produced
     for evs in reversed(by_level):
         evs.sort(key=index.__getitem__, reverse=True)
-        # the level's heads in one call; per event, the gradients onto its
-        # pre-update src, dst and (link ranking) extra states, as views
-        cache, grad = tape.heads_of(evs)
-        _, gx = mlp_backward(model.mlp, cache, grad, acc, "mlp.")
-        if gx.ndim == 1:  # one event's one head: (src, dst)
+        # the level's heads in one call, a lone regression head a vector;
+        # per event, the gradients onto its pre-update src, dst and (link
+        # ranking) extra states, as views
+        at = evs[0] if len(evs) == 1 and not link else evs
+        x = tape.head_in[at]
+        grad = tape.head_grad.item(at, 0) if x.ndim == 1 else tape.head_grad[at].ravel()
+        mask = tape.head_mask
+        mask = None if mask is None else mask[at].reshape(np.shape(grad) + (-1,))
+        if link:
+            x = _link_heads(x.reshape(len(evs), 3, m))
+        a1 = mlp_hidden(model.mlp, x, mask, tape.drop_scale)
+        _, gx = mlp_backward(model.mlp, MlpCache(x, a1, mask, tape.drop_scale), grad, acc, "mlp.")
+        if gx.ndim == 1:  # the lone regression head: (src, dst)
             grads = [[gx[:m], gx[m : 2 * m]]]
-        elif len(gx) == len(evs):  # one head each
-            grads = [[g[:m], g[m : 2 * m]] for g in gx]
-        else:  # two heads each: (src, dst) and (src, extra), side by side
+        elif link:  # two heads each: (src, dst) and (src, extra), side by side
             gx = gx.reshape(len(evs), -1)
             gx[:, :m] += gx[:, 2 * m : 3 * m]
             grads = [[g[:m], g[m : 2 * m], g[3 * m :]] for g in gx]
+        else:
+            grads = [[g[:m], g[m : 2 * m]] for g in gx]
 
         # the level's updates; later levels have finished adding to their rows
         updates = [(pos, role, row) for pos, e in enumerate(evs)
@@ -373,8 +403,7 @@ def _backward_records(
                     produced[row] = g_in
     # the levels popped every row above the base; what is left are earlier
     # batches' rows, in the order the sweep first reached them
-    for row, g_in in produced.items():
-        tails.add(tape, row, g_in)
+    tails.add(tape, list(produced), list(produced.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +424,11 @@ def _count_producers(tape: Tape, live: dict[int, int]) -> None:
             if write < 0:  # this role did not update
                 continue
             if read >= 0:
-                key = int(tape.owner[read])
+                key = tape.owner.item(read)
                 live[key] -= 1
                 if not live[key]:
                     del live[key]
-            key = int(tape.owner[write])
+            key = tape.owner.item(write)
             live[key] = live.get(key, 0) + 1
 
 

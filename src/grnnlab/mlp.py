@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,18 @@ class MlpCache:
     drop_scale: float
 
 
+def mlp_hidden(
+    params: MlpParameters, x: np.ndarray, mask: np.ndarray | None = None, scale: float = 1.0
+) -> np.ndarray:
+    """The hidden activations the output layer consumes, for one head x
+    (in_dim,) or for n heads stacked as rows, with the hidden dropout mask
+    (kept units True) and scale applied when a mask is given. Each row gets
+    the bits of a one-row call, so the reverse sweep recomputes the bits
+    mlp_forward computed."""
+    a1 = np.maximum(matvec(params.w1, x) + params.b1, 0.0)
+    return a1 if mask is None else a1 * mask * scale
+
+
 def mlp_forward(
     params: MlpParameters,
     x: np.ndarray,
@@ -64,22 +77,22 @@ def mlp_forward(
     """Returns (raw logit, cache) for one head x (in_dim,), or (n logits,
     cache) for n heads stacked as rows (n, in_dim); each row gets the bits
     of a one-row call. Hidden dropout only when training; the mask of n rows
-    is drawn as n one-row masks, row after row."""
+    is drawn as n one-row masks, row after row. The hidden layer is
+    mlp_hidden's, so the tape can keep x and the mask and recompute a1."""
     if x.ndim not in (1, 2) or x.shape[-1] != params.in_dim:
         raise StructuralError(
             f"mlp_forward: input shape {x.shape} is not (in_dim,) or (n, in_dim), "
             f"in_dim={params.in_dim}"
         )
-    pre1 = matvec(params.w1, x) + params.b1
-    a1 = np.maximum(pre1, 0.0)
     mask = None
     scale = 1.0
     if training:
         check_rate(dropout_rate, "mlp dropout")
         if dropout_rate > 0.0:
-            mask = rng.keep_mask(a1.size, dropout_rate).reshape(a1.shape)
+            shape = x.shape[:-1] + (params.hidden,)
+            mask = rng.keep_mask(math.prod(shape), dropout_rate).reshape(shape)
             scale = 1.0 / (1.0 - dropout_rate)
-            a1 = a1 * mask * scale
+    a1 = mlp_hidden(params, x, mask, scale)
     if x.ndim == 1:
         logit = float(params.w2 @ a1 + params.b2[0])
     else:  # a (1, hidden) x (hidden, 1) product per row: the bits of w2 @ a1

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grnnlab as g
 from grnnlab.accumulator import TILE
@@ -39,6 +42,22 @@ def test_bce_examples():
     assert val == 0.0
     val, _ = g.loss_bce(-800.0, 1.0)
     assert val == 800.0
+
+
+def test_stacked_losses_have_the_scalar_losses_bits():
+    # the array gradients stable_sigmoid(out) - labels and 2 (out - y), and
+    # the values kept in math, equal loss_bce's and loss_mse's head by head
+    rng = np.random.default_rng(0)
+    special = np.repeat([0.0, -0.0, 700.0, -700.0, 36.7, -36.7, 1e-300, -1e-300], 2)
+    out = np.concatenate((special, rng.normal(0.0, 1.0, 50_000), rng.normal(0.0, 40.0, 50_000)))
+    labels = [1.0, 0.0] * (len(out) // 2)
+    targets = rng.normal(0.0, 2.0, len(out)).tolist()
+    for task, loss, want in (("link_ranking", g.loss_bce, labels),
+                             ("regression", g.loss_mse, targets)):
+        values, grads = g.engine._head_losses(out, want, task)
+        ref = np.array([loss(o, t) for o, t in zip(out.tolist(), want)])
+        assert np.array(values).tobytes() == ref[:, 0].tobytes(), task
+        assert grads.ravel().tobytes() == ref[:, 1].tobytes(), task
 
 
 # forward ---------------------------------------------------------------------
@@ -179,20 +198,112 @@ def test_full_gradient_does_not_depend_on_batching(seed):
         assert params_equal(grads[0], other)
 
 
-def test_full_gradient_gathers_vector_and_stacked_heads():
+def test_full_gradient_gathers_vector_and_stacked_heads(monkeypatch):
     # fixed_parallel batches of two that repeat no node compute what
-    # sequential does. The last batch's lone event is scored as a vector
-    # head and shares dependency level 1 with the second batch's (0, 2),
-    # whose head is a stacked row, so the sweep gathers both kinds into one
-    # mlp_backward call
+    # sequential does. The last batch's lone event is scored by a vector
+    # mlp_forward call and shares dependency level 1 with the second
+    # batch's (0, 2), scored as a stacked row, so the sweep rebuilds both
+    # heads from the tape into one two-row mlp_backward call
+    rows = []
+    kernel = g.engine.mlp_backward
+
+    def counting(params, cache, grad, acc, prefix):
+        rows.append(len(cache.x) if cache.x.ndim == 2 else 0)  # 0: a vector head
+        return kernel(params, cache, grad, acc, prefix)
+
     pairs = [(0, 1), (2, 3), (4, 5), (0, 2), (1, 4)]
     events = events_from_pairs(pairs, [0.3, -1.2, 0.7, 0.1, -0.4], memory=1)
     model = g.init_model(g.Rng(7), 3, 1, "regression")
     full = epoch_gradient(events, model, "f_bptt", g.BatchingConfig("sequential", None),
                           num_nodes=6)
+    monkeypatch.setattr(g.engine, "mlp_backward", counting)
     stacked = epoch_gradient(events, model, "f_bptt", g.BatchingConfig("fixed_parallel", 2),
                              num_nodes=6)
+    assert rows == [2, 3]  # level 1, then level 0
     assert params_equal(full, stacked)
+
+
+def _head_rows(x, a1, mask):
+    """(input, mask, hidden activation) bytes of each head row."""
+    x, a1 = np.atleast_2d(x), np.atleast_2d(a1)
+    masks = [b""] * len(x) if mask is None else [row.tobytes() for row in np.atleast_2d(mask)]
+    return [(xr.tobytes(), mr, ar.tobytes()) for xr, mr, ar in zip(x, masks, a1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(batching=st.sampled_from([("sequential", 3), ("sequential", None), ("t_batch", None),
+                                 ("fixed_parallel", 4)]),
+       task=st.sampled_from(["regression", "link_ranking"]),
+       rate=st.sampled_from([0.0, 0.3]),
+       mode=st.sampled_from(["f_bptt", "t_bptt"]),
+       seed=st.integers(0, 2**20))
+def test_sweep_recomputes_the_forward_hidden_layer_bits(batching, task, rate, mode, seed):
+    # every head's hidden layer, recomputed in the sweep from the tape's head
+    # inputs and dropout masks, has the bytes mlp_forward computed, once
+    rng = g.Rng(seed)
+    cfg = g.SyntheticConfig(memory=2, num_nodes=3 + rng.randrange(6),
+                            edges_per_epoch=2 + rng.randrange(25))
+    events = g.generate_epoch(cfg, rng.substream("data"))
+    model = g.init_model(rng.substream("init"), 2 + rng.randrange(5), 1, task)
+    forward, hidden = g.engine.mlp_forward, g.engine.mlp_hidden
+    scored, recomputed = Counter(), Counter()
+
+    def recording_forward(params, x, **kwargs):
+        out, cache = forward(params, x, **kwargs)
+        scored.update(_head_rows(x, cache.a1, cache.drop_mask))
+        return out, cache
+
+    def recording_hidden(params, x, mask, scale):
+        a1 = hidden(params, x, mask, scale)
+        recomputed.update(_head_rows(x, a1, mask))
+        return a1
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(g.engine, "mlp_forward", recording_forward)
+        patch.setattr(g.engine, "mlp_hidden", recording_hidden)
+        g.train_epoch(events, model, AdamwState(), mode, g.BatchingConfig(*batching),
+                      task=task, rng=rng.substream("negatives"),
+                      neg_universe=np.arange(cfg.num_nodes), mlp_dropout=rate,
+                      dropout_rng=rng.substream("dropout"), num_nodes=cfg.num_nodes)
+    heads = 2 if task == "link_ranking" else 1
+    assert sum(scored.values()) == heads * len(events)
+    assert recomputed == scored
+
+
+def test_link_tape_is_arrays_of_the_closed_form_size(tmp_path):
+    # an F-BPTT link-ranking tape with MLP and state dropout keeps per row
+    # one record (GRU cache, keep mask, owner) and per event its links, its
+    # src, dst and extra states, two loss gradients and two hidden masks,
+    # in arrays only: no Python object grows with the events or calls.
+    # m = 8 keeps the records free of alignment padding
+    path = str(tmp_path / "stream.csv")
+    write_synthetic_linkstream(path, num_events=120, num_users=15, num_items=6,
+                               feat_dim=2, seed=3)
+    dataset = load_jodie_csv(path)
+    m, d_in = 8, 8 + dataset.feat_dim
+    model = g.init_model(g.Rng(31), m, dataset.feat_dim, "link_ranking")
+    hidden = model.mlp.hidden
+
+    def tape_of(events):
+        batching = g.BatchingConfig("fixed_parallel", 16)
+        store = g.NodeStateStore.zeros(dataset.num_nodes, m)
+        fw = g.forward_epoch(events, model, store, batching, task="link_ranking",
+                             rng=g.Rng(5), neg_universe=dataset.destinations,
+                             state_dropout=g.StateDropout(0.2, "regular", g.Rng(6)),
+                             mlp_dropout=0.3, dropout_rng=g.Rng(7), training=True)
+        rows = sum(b.updates for b in g.build_batches(events, batching))
+        return fw.tape, rows
+
+    sizes = []
+    for n in (60, 120):
+        tape, rows = tape_of(dataset.events[:n])
+        arrays = [v for v in vars(tape).values() if isinstance(v, np.ndarray) and v.base is None]
+        closed = rows * (8 * (4 * m + d_in) + m + 8) + n * (6 * 8 + 3 * m * 8 + 2 * 8 + 2 * hidden)
+        assert sum(a.nbytes for a in arrays) == closed
+        assert len(tape.producer) <= dataset.num_nodes  # one entry per node
+        sizes.append({k: len(v) for k, v in vars(tape).items()
+                      if isinstance(v, (list, tuple, dict)) and k != "producer"})
+    assert sizes[0] == sizes[1]
 
 
 @pytest.mark.parametrize("strategy,size", [("sequential", 1), ("sequential", 3),
