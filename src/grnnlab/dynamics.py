@@ -60,8 +60,8 @@ class Tape:
     """What the forward pass leaves for the reverse sweep, as arrays.
 
     Row u of h_prev, x_in, z, r and n (column blocks of `cells`) and of keep
-    is endpoint update u's GRU cache and state-dropout keep mask; owner[u]
-    is the index of its event. Event e keeps reads[e], the rows that
+    is endpoint update u's GRU cache and state-dropout keep mask, one record
+    of `records`. Event e keeps reads[e], the rows that
     produced its src, dst and extra pre-update states (-1: an epoch-initial
     state), writes[e], the rows of its src and dst updates (-1: none), and
     index[e] (column blocks of `links`), and for its prediction heads
@@ -74,18 +74,19 @@ class Tape:
     `base` rows; Batch.updates gives the rows a batch needs. Truncated
     training sets base to the node count: releasing a batch carries each
     node's producing row into the node's own row, so the tape holds the
-    nodes plus one batch.
+    nodes plus one batch. The records are preallocated, so len(records) is
+    the update rows the tape pins: the sum of the batches' updates, or the
+    nodes plus the largest batch's.
     """
 
     def __init__(self, model: GrnnModel, events: int, rows: int, base: int = 0):
         m, d_in, rows = model.m, model.gru.d_in, base + rows
         cuts = np.cumsum((0, m, d_in, m, m, m)).tolist()  # h_prev | x_in | z | r | n
         self._fields = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
-        row = np.dtype([("cells", float, 4 * m + d_in), ("keep", bool, m), ("owner", np.int64)],
-                       align=True)
+        row = np.dtype([("cells", float, 4 * m + d_in), ("keep", bool, m)], align=True)
         self.records = np.empty(rows, dtype=(np.void, row.itemsize))  # one take copies rows
         fields = self.records.view(row)
-        self.cells, self.keep, self.owner = fields["cells"], fields["keep"], fields["owner"]
+        self.cells, self.keep = fields["cells"], fields["keep"]
         self.links = np.empty((events, 6), dtype=np.int64)  # reads | writes | index
         self.reads, self.writes, self.index = self.links[:, :3], self.links[:, 3:5], self.links[:, 5]
         link = model.task == "link_ranking"
@@ -122,7 +123,7 @@ class Tape:
         cache fields and keep masks stacked as k rows."""
         u = self.n_rows
         v = u + len(nodes)
-        if v > len(self.owner):
+        if v > len(self.records):
             raise StructuralError(f"tape is full at {u} rows")
         self.n_rows = v
         block = isinstance(e, np.ndarray)
@@ -131,7 +132,6 @@ class Tape:
                        out=self.cells[rows])
         if keep is not None:
             self.keep[rows] = keep
-        self.owner[rows] = self.index[e]
         self.writes[e, role] = np.arange(u, v) if block else u
         for row, node in enumerate(nodes, u):
             self.producer[node] = row

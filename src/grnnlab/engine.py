@@ -413,25 +413,6 @@ def _backward_records(
 MODES = ("f_bptt", "t_bptt")
 
 
-def _count_producers(tape: Tape, live: dict[int, int]) -> None:
-    """Move the producer refcounts, keyed by event index, past the tape's
-    updates in the order they ran: each update releases the event that
-    produced the state it read and takes one for its own event. Events have
-    no self-loops, so the two roles touch two nodes."""
-    n = tape.n_events
-    for reads, writes in zip(tape.reads[:n].tolist(), tape.writes[:n].tolist()):
-        for read, write in zip(reads, writes):  # src, dst; the extra read updates nothing
-            if write < 0:  # this role did not update
-                continue
-            if read >= 0:
-                key = tape.owner.item(read)
-                live[key] -= 1
-                if not live[key]:
-                    del live[key]
-            key = tape.owner.item(write)
-            live[key] = live.get(key, 0) + 1
-
-
 def train_epoch(
     events: list[Event],
     model: GrnnModel,
@@ -472,9 +453,7 @@ def train_epoch(
     else:
         tape = Tape(model, len(events), sum(b.updates for b in batches))
     tails = _Tails(model, acc, state_dropout)
-    live: dict[int, int] = {}  # t_bptt: event index -> nodes whose current state it produced
     total_loss = 0.0
-    peak_live = 0
     for batch, batch_loss in _forward_batches(
         batches, model, store, tape,
         task=task or model.task, training=True,
@@ -486,12 +465,9 @@ def train_epoch(
             # only the nodes' producing rows (one GRU cache each) outlive
             # their batch, for the one-hop tails
             _backward_records(tape, model, acc, tails, state_dropout)
-            _count_producers(tape, live)
-            peak_live = max(peak_live, len(tape) + len(live))
             tape.release(batch.events)
     if not truncate:
         _backward_records(tape, model, acc, tails, state_dropout)
-        peak_live = len(tape)
     tails.run()
     adamw_step(optimizer, params, acc.buffers)
 
@@ -505,5 +481,5 @@ def train_epoch(
         "grad_norm": acc.grad_norm(),
         "gradient": acc.buffers,
         "n_events": n_events,
-        "peak_live_records": peak_live,
+        "peak_live_records": len(tape.records),  # the update rows the tape pins
     }

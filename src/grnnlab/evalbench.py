@@ -59,36 +59,39 @@ def load_jodie_csv(path: str, max_events: int | None = None, name: str = "") -> 
     prev_t = -math.inf
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if line_no == 1:
-                continue  # header
-            if max_events is not None and len(rows) >= max_events:
-                break
-            if len(row) < 3:
-                raise IngestionError(line_no, f"expected at least 3 fields, got {len(row)}")
-            user, item = row[0], row[1]
-            try:
-                t = float(row[2])
-                values = [float(v) for v in row[4:]]
-            except ValueError as exc:
-                raise IngestionError(line_no, f"non-numeric field ({exc})") from None
-            if not (math.isfinite(t) and all(math.isfinite(v) for v in values)):
-                raise IngestionError(line_no, "non-finite timestamp or feature")
-            if t < prev_t:
-                raise DataError(f"line {line_no}: timestamp decreases ({t} < {prev_t})")
-            prev_t = t
-            if feat_dim is None:
-                feat_dim = len(values)
-            elif len(values) != feat_dim:
-                raise IngestionError(
-                    line_no, f"feature dim {len(values)} != {feat_dim} of earlier rows"
-                )
-            if user not in source_map:
-                source_map[user] = len(source_map)
-            if item not in dest_seen:
-                dest_seen[item] = len(dest_keys)
-                dest_keys.append(item)
-            rows.append((source_map[user], dest_seen[item], t, values))
+        try:  # csv rejects a field past its size limit
+            for line_no, row in enumerate(reader, start=1):
+                if line_no == 1:
+                    continue  # header
+                if max_events is not None and len(rows) >= max_events:
+                    break
+                if len(row) < 3:
+                    raise IngestionError(line_no, f"expected at least 3 fields, got {len(row)}")
+                user, item = row[0], row[1]
+                try:
+                    t = float(row[2])
+                    values = [float(v) for v in row[4:]]
+                except ValueError as exc:
+                    raise IngestionError(line_no, f"non-numeric field ({exc})") from None
+                if not (math.isfinite(t) and all(math.isfinite(v) for v in values)):
+                    raise IngestionError(line_no, "non-finite timestamp or feature")
+                if t < prev_t:
+                    raise DataError(f"line {line_no}: timestamp decreases ({t} < {prev_t})")
+                prev_t = t
+                if feat_dim is None:
+                    feat_dim = len(values)
+                elif len(values) != feat_dim:
+                    raise IngestionError(
+                        line_no, f"feature dim {len(values)} != {feat_dim} of earlier rows"
+                    )
+                if user not in source_map:
+                    source_map[user] = len(source_map)
+                if item not in dest_seen:
+                    dest_seen[item] = len(dest_keys)
+                    dest_keys.append(item)
+                rows.append((source_map[user], dest_seen[item], t, values))
+        except csv.Error as exc:
+            raise IngestionError(reader.line_num, str(exc)) from None
 
     num_sources = len(source_map)
     dest_map = {key: num_sources + i for i, key in enumerate(dest_keys)}

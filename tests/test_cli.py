@@ -345,11 +345,15 @@ def test_bench_dataset_without_rows_is_data_error(tmp_path, capsys, text):
     assert err == "data error: split of 0 events leaves an empty part\n"
 
 
-def test_bench_malformed_dataset_is_data_error(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("user_id,item_id,timestamp,state_label,f\nu0,i0,0.0,0,banana\n")
-    cfg_path, _ = bench_config(tmp_path, str(bad))
-    assert main(["bench", "--config", cfg_path]) == 2
+def test_bench_malformed_dataset_is_data_error(tmp_path, capsys):
+    # 200,000 chars passes the csv module's field size limit (131,072)
+    for field in ("banana", "1" * 200_000):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"user_id,item_id,timestamp,state_label,f\nu0,i0,0.0,0,{field}\n")
+        cfg_path, _ = bench_config(tmp_path, str(bad))
+        assert main(["bench", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 2") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("row", ["u1,i0,nan,0,1.0", "u1,i0,-inf,0,1.0",

@@ -128,7 +128,7 @@ def per_update_reference(store, batches, model, state_dropout):
     (events in order, src then dst, each node's last in-batch update only):
     the reference for run_batch's stacked rows. Returns the pre-update
     states and the tape arrays a forward over the batches should leave."""
-    pres, cells, keep, owner, writes = [], [], [], [], []
+    pres, cells, keep, writes = [], [], [], []
     for batch in batches:
         pre = np.array([store.states[[ev.src, ev.dst]] for ev in batch.events])
         for pos, ev in enumerate(batch.events):
@@ -151,9 +151,8 @@ def per_update_reference(store, batches, model, state_dropout):
                 writes[-1][role] = len(cells)
                 cells.append(np.concatenate((c.h_prev, c.x_in, c.z, c.r, c.n)))
                 keep.append(mask)
-                owner.append(ev.index)
         pres.append(pre)
-    return pres, np.array(cells), keep, np.array(owner), np.array(writes)
+    return pres, np.array(cells), keep, np.array(writes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,15 +178,14 @@ def test_parallel_batches_match_per_update_loop(seed, n_events, n_nodes, m, size
     tape = g.Tape(model, n_events, sum(batch.updates for batch in batches))
     pres = [run_batch(store, batch, model, tape, dropout) for batch in batches]
     ref_store, ref_dropout = fresh()
-    ref_pres, cells, keep, owner, writes = per_update_reference(ref_store, batches, model,
-                                                                ref_dropout)
+    ref_pres, cells, keep, writes = per_update_reference(ref_store, batches, model, ref_dropout)
 
     assert store.states.tobytes() == ref_store.states.tobytes()
     assert np.array_equal(store.last_update_event, ref_store.last_update_event)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(pres, ref_pres))
     assert tape.n_rows == len(tape.cells) == len(cells)  # the tape was sized exactly
     assert tape.cells.tobytes() == cells.tobytes()
-    assert np.array_equal(tape.owner, owner) and np.array_equal(tape.writes, writes)
+    assert np.array_equal(tape.writes, writes)
     if kind is not None:
         assert np.array_equal(tape.keep, np.array(keep))
         assert dropout.rng.next_u64() == ref_dropout.rng.next_u64()

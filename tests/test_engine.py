@@ -272,9 +272,9 @@ def test_sweep_recomputes_the_forward_hidden_layer_bits(batching, task, rate, mo
 
 def test_link_tape_is_arrays_of_the_closed_form_size(tmp_path):
     # an F-BPTT link-ranking tape with MLP and state dropout keeps per row
-    # one record (GRU cache, keep mask, owner) and per event its links, its
-    # src, dst and extra states, two loss gradients and two hidden masks,
-    # in arrays only: no Python object grows with the events or calls.
+    # one record (GRU cache, keep mask) and per event its links, its src,
+    # dst and extra states, two loss gradients and two hidden masks, in
+    # arrays only: no Python object grows with the events or calls.
     # m = 8 keeps the records free of alignment padding
     path = str(tmp_path / "stream.csv")
     write_synthetic_linkstream(path, num_events=120, num_users=15, num_items=6,
@@ -298,7 +298,7 @@ def test_link_tape_is_arrays_of_the_closed_form_size(tmp_path):
     for n in (60, 120):
         tape, rows = tape_of(dataset.events[:n])
         arrays = [v for v in vars(tape).values() if isinstance(v, np.ndarray) and v.base is None]
-        closed = rows * (8 * (4 * m + d_in) + m + 8) + n * (6 * 8 + 3 * m * 8 + 2 * 8 + 2 * hidden)
+        closed = rows * (8 * (4 * m + d_in) + m) + n * (6 * 8 + 3 * m * 8 + 2 * 8 + 2 * hidden)
         assert sum(a.nbytes for a in arrays) == closed
         assert len(tape.producer) <= dataset.num_nodes  # one entry per node
         sizes.append({k: len(v) for k, v in vars(tape).items()
@@ -385,22 +385,6 @@ def test_determinism_bit_identical_loss_curves():
     assert params_equal(p1, p2)
 
 
-def test_memory_telemetry_full_vs_streaming():
-    cfg = g.SyntheticConfig(memory=1, num_nodes=6, edges_per_epoch=30)
-    events = g.generate_epoch(cfg, g.Rng(2).substream("data"))
-    model = g.init_model(g.Rng(2).substream("init"), 3, 1, "regression")
-    opt = AdamwState(lr=1e-3, weight_decay=0.0)
-    stats_full = g.train_epoch(events, model.copy(), opt, "f_bptt",
-                               g.BatchingConfig("sequential", None), num_nodes=6)
-    assert stats_full["peak_live_records"] == len(events)  # tape grows linearly
-    opt2 = AdamwState(lr=1e-3, weight_decay=0.0)
-    stats_stream = g.train_epoch(events, model.copy(), opt2, "t_bptt",
-                                 g.BatchingConfig("fixed_parallel", 5), num_nodes=6)
-    # streaming keeps the current batch plus at most one producer per node
-    assert stats_stream["peak_live_records"] <= 5 + 6
-    assert stats_stream["peak_live_records"] < len(events)
-
-
 @pytest.mark.parametrize("mode,batching", [("f_bptt", ("sequential", None)),
                                           ("t_bptt", ("sequential", 1))])
 def test_backward_calls_take_at_most_a_tile_of_rows(monkeypatch, mode, batching):
@@ -461,23 +445,39 @@ def test_truncated_tails_run_one_row_per_earlier_row(tmp_path, monkeypatch):
     assert distinct < reads
 
 
-@pytest.mark.parametrize("strategy,size", [("sequential", 1), ("sequential", 7),
-                                           ("t_batch", None), ("fixed_parallel", 5)])
-def test_streaming_peak_live_records_matches_rescan(strategy, size):
-    cfg = g.SyntheticConfig(memory=2, num_nodes=9, edges_per_epoch=60)
-    events = g.generate_epoch(cfg, g.Rng(4).substream("data"))
-    model = g.init_model(g.Rng(4).substream("init"), 3, 1, "regression")
+@pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
+@pytest.mark.parametrize("strategy,size", [("sequential", None), ("sequential", 1),
+                                           ("sequential", 7), ("t_batch", None),
+                                           ("fixed_parallel", 5)])
+def test_peak_live_records_is_the_tapes_rows(monkeypatch, mode, strategy, size):
+    # the reported memory is the update rows the preallocated tape pins, as
+    # each sweep sees them: the epoch's updates for F-BPTT, the nodes plus
+    # the largest batch's updates for T-BPTT
+    seen = []
+    sweep = g.engine._backward_records
+
+    def watching(tape, *args):
+        seen.append(len(tape.records))
+        return sweep(tape, *args)
+
+    monkeypatch.setattr(g.engine, "_backward_records", watching)
     batching = g.BatchingConfig(strategy, size)
-    stats = g.train_epoch(events, model.copy(), AdamwState(), "t_bptt", batching, num_nodes=9)
-    # reference: after each batch, the batch's events plus every distinct
-    # event whose update produced some node's current state
-    store, peak = g.NodeStateStore.zeros(9, 3), 0
-    tape = g.Tape(model, len(events), 2 * len(events))
-    for batch in g.build_batches(events, batching):
-        g.run_batch(store, batch, model, tape)
-        live = {int(tape.owner[row]) for row in tape.producer.values()}
-        peak = max(peak, len(batch.events) + len(live))
-    assert stats["peak_live_records"] == peak
+    for seed, memory, nodes, edges in ((2, 1, 6, 30), (4, 2, 9, 60)):
+        cfg = g.SyntheticConfig(memory=memory, num_nodes=nodes, edges_per_epoch=edges)
+        events = g.generate_epoch(cfg, g.Rng(seed).substream("data"))
+        model = g.init_model(g.Rng(seed).substream("init"), 3, 1, "regression")
+        batches = g.build_batches(events, batching)
+        seen.clear()
+        stats = g.train_epoch(events, model, AdamwState(lr=1e-3, weight_decay=0.0), mode,
+                              batching, num_nodes=nodes)
+        if mode == "f_bptt":
+            rows = sum(b.updates for b in batches)
+        else:
+            rows = nodes + max(b.updates for b in batches)
+            if len(batches) > 1:  # streaming keeps less than the epoch
+                assert stats["peak_live_records"] < len(events)
+        assert stats["peak_live_records"] == rows
+        assert set(seen) == {rows}
 
 
 @pytest.mark.parametrize("strategy,size", [("sequential", 7), ("t_batch", None),

@@ -55,12 +55,14 @@ def test_loader_three_rows(tmp_path):
 
 
 def test_loader_non_numeric_feature_names_line(tmp_path):
-    path = write_csv(tmp_path, [
-        "u1,i1,0.0,0,1.0",
-        "u2,i1,1.0,0,banana",
-    ])
-    with pytest.raises(g.IngestionError, match="line 3"):
-        load_jodie_csv(path)
+    # 200,000 chars passes the csv module's field size limit (131,072)
+    for bad in ("banana", "1" * 200_000):
+        path = write_csv(tmp_path, [
+            "u1,i1,0.0,0,1.0",
+            f"u2,i1,1.0,0,{bad}",
+        ])
+        with pytest.raises(g.IngestionError, match="line 3"):
+            load_jodie_csv(path)
 
 
 def test_loader_decreasing_timestamps(tmp_path):
