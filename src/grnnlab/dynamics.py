@@ -72,11 +72,12 @@ class Tape:
 
     A tape holds `events` events and `rows` update rows above its first
     `base` rows; Batch.updates gives the rows a batch needs. Truncated
-    training sets base to the node count: releasing a batch carries each
-    node's producing row into the node's own row, so the tape holds the
-    nodes plus one batch. The records are preallocated, so len(records) is
-    the update rows the tape pins: the sum of the batches' updates, or the
-    nodes plus the largest batch's.
+    training sets base to the node count, marks where each batch starts in
+    `starts`, and sweeps a window of batches at a time: releasing the window
+    carries each node's producing row into the node's own row, so the tape
+    holds the nodes plus one window. The records
+    are preallocated, so len(records) is the update rows the tape pins: the
+    sum of the batches' updates, or the nodes plus the largest window's.
     """
 
     def __init__(self, model: GrnnModel, events: int, rows: int, base: int = 0):
@@ -95,6 +96,7 @@ class Tape:
         self.head_mask, self.drop_scale = None, 1.0  # set by the first score with a mask
         self.producer: dict[int, int] = {}  # node -> row that produced its state
         self.base = self.n_rows = base
+        self.starts = [(0, base)]  # (first event, first row) per batch, if marked
         self.n_events = self.n_scored = 0
 
     def __len__(self) -> int:
@@ -163,6 +165,7 @@ class Tape:
         if carried:
             self.records.put(list(carried), self.records.take(list(carried.values())))
         self.n_events, self.n_scored, self.n_rows = 0, 0, self.base
+        self.starts = [(0, self.base)]
 
 
 def _apply_state_dropout(

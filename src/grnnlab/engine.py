@@ -16,25 +16,24 @@ gradients flow through the prediction head and, via the tape rows that
 produced the states each event read, back across every batch boundary to
 the epoch-initial states.
 
-Truncated backward (t_bptt) sweeps each batch as soon as it is forwarded
-and then releases it, keeping one producing row per node. Within a batch
-gradients flow freely; a gradient that reaches a state produced in an
-*earlier* batch still enters the single GRU update that produced it (so the
-recurrent cell keeps a one-hop learning signal, as in standard lazy-update
-training), but that update's own state inputs are treated as constants and
-the chain stops there. Per-parameter gradients from all batches are summed.
+Truncated backward (t_bptt) forwards a window of batches, closed by the
+batch that brings it to WINDOW_UPDATES updates, sweeps it once and releases
+it, keeping one producing row per node. Within a batch gradients flow
+freely; a gradient that reaches a state produced in an *earlier* batch
+still enters the single GRU update that produced it (so the recurrent cell
+keeps a one-hop learning signal, as in standard lazy-update training), but
+that update's own state inputs are treated as constants and the chain stops
+there. Per-parameter gradients from all batches are summed.
 
-A sweep walks its events by dependency level, highest first, as JODIE's
-t-batches walk them forward: the events of one level are independent, so
-their prediction heads run as the stacked rows of one mlp_backward call and
-their updates as stacked rows, at most accumulator.TILE per gru_backward
-call, and each row gets the bits it would get alone. A t_bptt sweep sums
-the gradients that reach each earlier-batch row and gives the row one
-one-hop tail; the batch's tails are copied into one pending TILE-row block,
-filled across batches, that runs whenever it fills and once more before the
-optimizer step. The sweep order (level, event index) is a property of the
-dataflow graph, not of the batching, so the f_bptt gradient has the same
-bits under every batching strategy.
+A sweep (_backward_records) walks its events by dependency level, highest
+first, as JODIE's t-batches walk them forward, and within a level by batch,
+then descending event index, so each level's heads and updates run as the
+stacked rows of a few kernel calls, each row with the bits it would get
+alone. A batch of one level (a parallel batch, or a sequential batch of one
+event) stages the same rows in the same order whatever its window. f_bptt
+has one batch on its tape, so its order (level, event index) is a property
+of the dataflow graph, not of the batching, and the f_bptt gradient has the
+same bits under every batching strategy.
 """
 
 from __future__ import annotations
@@ -55,6 +54,10 @@ from .gru import gru_backward, stable_sigmoid
 from .mlp import MlpCache, mlp_backward, mlp_forward, mlp_hidden
 from .model import GrnnModel
 from .rng import Rng
+
+# a truncated-training window closes after the batch that brings it to this
+# many updates
+WINDOW_UPDATES = TILE
 
 # ---------------------------------------------------------------------------
 # losses
@@ -287,7 +290,7 @@ def _gru_rows(
 class _Tails:
     """The pending one-hop tails of t_bptt: up to TILE updates of earlier
     batches that gradients reached, copied off the tape as one block per
-    sweep with the sum of the sweep's gradients on each, and run together
+    sweep with the sum of one batch's gradients on each, and run together
     once TILE are waiting. Their state inputs are constants."""
 
     def __init__(self, model: GrnnModel, acc: GradientAccumulator,
@@ -319,32 +322,37 @@ def _backward_records(
     tails: _Tails,
     state_dropout: StateDropout | None,
 ) -> None:
-    """Reverse sweep over the tape's events and rows above its base (a batch,
-    or the whole epoch), one dependency level at a time.
+    """Reverse sweep over the tape's events and rows above its base (a window
+    of batches, or the whole epoch), one dependency level at a time.
 
-    An event's level is 1 plus the highest level among the events on the
-    tape that produced the states it read, so when a level runs, the
-    gradients on every state it produced are complete. Per level, in
-    descending event index: the prediction heads in one call (each event's
-    in order), rebuilt from head_in with one mlp_hidden call recomputing
-    the forward's bits, the updates in chunks of at most TILE rows, then
-    the state gradients go to the rows that produced the states. The
-    gradients on a row below the base (an earlier batch's) are summed, and
-    after the sweep each such row gets one one-hop tail through `tails`, in
-    the order the sweep first reached the rows: its update adds parameter
-    gradients, but its state inputs are constants, so the tail is linear in
-    its gradient and one tail of the sum stands for one tail per read.
+    An event's reads are cut at the first row of its batch (tape.starts):
+    above the cut they chain, below it (an earlier batch's row) they get a
+    one-hop tail, and -1 (an epoch-initial state) is a constant. An event's
+    level is 1 plus the highest level among the events that produced its
+    reads above the cut, so when a level runs, the gradients on every state
+    it produced are complete. Per level, by batch, then descending event
+    index: the prediction heads in one call (each event's in order), rebuilt
+    from head_in with one mlp_hidden call recomputing the forward's bits,
+    the updates in chunks of at most TILE rows, then the state gradients go
+    to the rows that produced the states. A batch's gradients on a row
+    below its cut are summed, and after the sweep each (batch, row) gets one
+    tail through `tails`, batch by batch in first-reach order: the tail's
+    state inputs are constants, so it is linear in its gradient and one
+    tail of the sum stands for one tail per read.
     """
     m, base = model.m, tape.base
     n = tape.n_events
     link = tape.head_grad.shape[1] == 2
     reads, writes, index = tape.reads[:n].tolist(), tape.writes[:n].tolist(), tape.index[:n].tolist()
+    cuts: list[int] = []  # per event, the first row of its batch
+    for (e0, cut), (e1, _) in zip(tape.starts, tape.starts[1:] + [(n, 0)]):
+        cuts += [cut] * (e1 - e0)
     row_level = [0] * (tape.n_rows - base)
     by_level: list[list[int]] = []
     for e in range(n):
-        lv = 0
+        lv, cut = 0, cuts[e]
         for row in reads[e]:
-            if row >= base:
+            if row >= cut:
                 lv = max(lv, row_level[row - base] + 1)
         for row in writes[e]:
             if row >= 0:
@@ -353,9 +361,11 @@ def _backward_records(
             by_level.append([])
         by_level[lv].append(e)
 
-    produced: dict[int, np.ndarray] = {}  # row -> gradient on the state it produced
+    # row, or (cut, row) below the cut -> gradient on the state it produced
+    produced: dict[int | tuple[int, int], np.ndarray] = {}
     for evs in reversed(by_level):
         evs.sort(key=index.__getitem__, reverse=True)
+        evs.sort(key=cuts.__getitem__)  # stable: descending index within a batch
         # the level's heads in one call, a lone regression head a vector;
         # per event, the gradients onto its pre-update src, dst and (link
         # ranking) extra states, as views
@@ -394,16 +404,19 @@ def _backward_records(
 
         # route gradients on consumed states to the rows that produced them
         for e, g in zip(evs, grads):
+            cut = cuts[e]
             for row, g_in in zip(reads[e], g):
                 if row < 0:
                     continue  # an epoch-initial state: a constant
-                if row in produced:
-                    produced[row] += g_in
+                key = row if row >= cut else (cut, row)
+                if key in produced:
+                    produced[key] += g_in
                 else:
-                    produced[row] = g_in
-    # the levels popped every row above the base; what is left are earlier
-    # batches' rows, in the order the sweep first reached them
-    tails.add(tape, list(produced), list(produced.values()))
+                    produced[key] = g_in
+    # the levels popped every row above the cuts; what is left are earlier
+    # batches' rows, batch by batch (a stable sort) in first-reach order
+    keys = sorted(produced, key=lambda key: key[0])
+    tails.add(tape, [row for _, row in keys], [produced[key] for key in keys])
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +424,19 @@ def _backward_records(
 
 
 MODES = ("f_bptt", "t_bptt")
+
+
+def _largest_window(batches: list[Batch]) -> tuple[int, int]:
+    """The most events and the most updates of any truncated-training
+    window: consecutive batches, closed after the batch that brings the
+    window to WINDOW_UPDATES updates."""
+    events = updates = most_events = most_updates = 0
+    for batch in batches:
+        events, updates = events + len(batch.events), updates + batch.updates
+        most_events, most_updates = max(most_events, events), max(most_updates, updates)
+        if updates >= WINDOW_UPDATES:
+            events = updates = 0
+    return most_events, most_updates
 
 
 def train_epoch(
@@ -447,13 +473,12 @@ def train_epoch(
     acc = GradientAccumulator(params)
     truncate = mode == "t_bptt"
     batches = build_batches(events, batching)
-    if truncate:  # one row per node, for the carried producers, plus one batch
-        tape = Tape(model, max((len(b.events) for b in batches), default=0),
-                    max((b.updates for b in batches), default=0), base=store.num_nodes)
+    if truncate:  # one row per node, for the carried producers, plus one window
+        tape = Tape(model, *_largest_window(batches), base=store.num_nodes)
     else:
         tape = Tape(model, len(events), sum(b.updates for b in batches))
     tails = _Tails(model, acc, state_dropout)
-    total_loss = 0.0
+    total_loss, window = 0.0, []
     for batch, batch_loss in _forward_batches(
         batches, model, store, tape,
         task=task or model.task, training=True,
@@ -462,12 +487,16 @@ def train_epoch(
     ):
         total_loss += batch_loss
         if truncate:
-            # only the nodes' producing rows (one GRU cache each) outlive
-            # their batch, for the one-hop tails
-            _backward_records(tape, model, acc, tails, state_dropout)
-            tape.release(batch.events)
-    if not truncate:
-        _backward_records(tape, model, acc, tails, state_dropout)
+            window += batch.events
+            if tape.n_rows - tape.base >= WINDOW_UPDATES:
+                # only the nodes' producing rows (one GRU cache each) outlive
+                # their window, for the one-hop tails
+                _backward_records(tape, model, acc, tails, state_dropout)
+                tape.release(window)
+                window = []
+            else:  # the next batch's reads are cut at its first row
+                tape.starts.append((tape.n_events, tape.n_rows))
+    _backward_records(tape, model, acc, tails, state_dropout)  # the epoch, or its last window
     tails.run()
     adamw_step(optimizer, params, acc.buffers)
 

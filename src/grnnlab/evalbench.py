@@ -60,9 +60,10 @@ def load_jodie_csv(path: str, max_events: int | None = None, name: str = "") -> 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:  # csv rejects a field past its size limit
-            for line_no, row in enumerate(reader, start=1):
-                if line_no == 1:
+            for k, row in enumerate(reader):
+                if k == 0:
                     continue  # header
+                line_no = reader.line_num  # a quoted field may span lines
                 if max_events is not None and len(rows) >= max_events:
                     break
                 if len(row) < 3:

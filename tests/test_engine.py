@@ -445,6 +445,18 @@ def test_truncated_tails_run_one_row_per_earlier_row(tmp_path, monkeypatch):
     assert distinct < reads
 
 
+def window_updates(batches):
+    """The updates of each truncated-training window: consecutive batches,
+    closed after the batch that brings the window to TILE updates."""
+    windows, updates = [], 0
+    for batch in batches:
+        updates += batch.updates
+        if updates >= TILE:
+            windows.append(updates)
+            updates = 0
+    return windows + [updates] if updates else windows
+
+
 @pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
 @pytest.mark.parametrize("strategy,size", [("sequential", None), ("sequential", 1),
                                            ("sequential", 7), ("t_batch", None),
@@ -452,7 +464,7 @@ def test_truncated_tails_run_one_row_per_earlier_row(tmp_path, monkeypatch):
 def test_peak_live_records_is_the_tapes_rows(monkeypatch, mode, strategy, size):
     # the reported memory is the update rows the preallocated tape pins, as
     # each sweep sees them: the epoch's updates for F-BPTT, the nodes plus
-    # the largest batch's updates for T-BPTT
+    # the largest window's updates for T-BPTT
     seen = []
     sweep = g.engine._backward_records
 
@@ -462,7 +474,7 @@ def test_peak_live_records_is_the_tapes_rows(monkeypatch, mode, strategy, size):
 
     monkeypatch.setattr(g.engine, "_backward_records", watching)
     batching = g.BatchingConfig(strategy, size)
-    for seed, memory, nodes, edges in ((2, 1, 6, 30), (4, 2, 9, 60)):
+    for seed, memory, nodes, edges in ((2, 1, 6, 30), (4, 2, 9, 60), (6, 2, 9, 300)):
         cfg = g.SyntheticConfig(memory=memory, num_nodes=nodes, edges_per_epoch=edges)
         events = g.generate_epoch(cfg, g.Rng(seed).substream("data"))
         model = g.init_model(g.Rng(seed).substream("init"), 3, 1, "regression")
@@ -470,26 +482,30 @@ def test_peak_live_records_is_the_tapes_rows(monkeypatch, mode, strategy, size):
         seen.clear()
         stats = g.train_epoch(events, model, AdamwState(lr=1e-3, weight_decay=0.0), mode,
                               batching, num_nodes=nodes)
+        epoch_rows = sum(b.updates for b in batches)
         if mode == "f_bptt":
-            rows = sum(b.updates for b in batches)
+            rows = epoch_rows
         else:
-            rows = nodes + max(b.updates for b in batches)
-            if len(batches) > 1:  # streaming keeps less than the epoch
-                assert stats["peak_live_records"] < len(events)
+            windows = window_updates(batches)
+            rows = nodes + max(windows)
+            assert max(windows) <= TILE - 1 + max(b.updates for b in batches)
+            if len(windows) > 1:  # streaming keeps less than the epoch
+                assert stats["peak_live_records"] < epoch_rows
         assert stats["peak_live_records"] == rows
         assert set(seen) == {rows}
 
 
 @pytest.mark.parametrize("strategy,size", [("sequential", 7), ("t_batch", None),
                                            ("fixed_parallel", 25)])
-def test_t_bptt_tape_holds_nodes_plus_one_batch(monkeypatch, strategy, size):
+def test_t_bptt_tape_holds_nodes_plus_one_window(monkeypatch, strategy, size):
     cfg = g.SyntheticConfig(memory=2, num_nodes=50, edges_per_epoch=400)
     events = g.generate_epoch(cfg, g.Rng(6).substream("data"))
     model = g.init_model(g.Rng(6).substream("init"), 3, 1, "regression")
     batching = g.BatchingConfig(strategy, size)
     batches = g.build_batches(events, batching)
-    bound = cfg.num_nodes + 2 * max(len(batch.events) for batch in batches)
-    seen = []  # (rows in use, rows allocated) at each batch's sweep
+    windows = window_updates(batches)
+    bound = cfg.num_nodes + TILE - 1 + 2 * max(len(batch.events) for batch in batches)
+    seen = []  # (rows in use, rows allocated) at each window's sweep
     sweep = g.engine._backward_records
 
     def watching(tape, *args):
@@ -498,12 +514,53 @@ def test_t_bptt_tape_holds_nodes_plus_one_batch(monkeypatch, strategy, size):
 
     monkeypatch.setattr(g.engine, "_backward_records", watching)
     g.train_epoch(events, model, AdamwState(), "t_bptt", batching, num_nodes=cfg.num_nodes)
-    assert len(seen) == len(batches)
-    assert max(used for used, _ in seen) <= bound
+    assert len(seen) == len(windows) > 1  # one sweep per window
+    assert [used - cfg.num_nodes for used, _ in seen] == windows
     assert max(allocated for _, allocated in seen) <= bound
-    # the rows are sized by the largest batch's computed updates
-    assert {allocated for _, allocated in seen} == {
-        cfg.num_nodes + max(batch.updates for batch in batches)}
+    # the rows are sized by the largest window's computed updates
+    assert {allocated for _, allocated in seen} == {cfg.num_nodes + max(windows)}
+
+
+def assert_windows_keep_the_gradient(monkeypatch, events, model, batching, kwargs):
+    # a batch whose events form one level stages its rows in the same order
+    # whatever window it is swept in; kwargs() gives fresh rng state per run
+    batches = g.build_batches(events, batching)
+    assert len(batches) > len(window_updates(batches)) >= 3  # windows of several batches
+    windowed = epoch_gradient(events, model, "t_bptt", batching, **kwargs())
+    monkeypatch.setattr(g.engine, "WINDOW_UPDATES", 1)  # each batch its own window
+    per_batch = epoch_gradient(events, model, "t_bptt", batching, **kwargs())
+    monkeypatch.undo()
+    assert {k: v.tobytes() for k, v in windowed.items()} == {
+        k: v.tobytes() for k, v in per_batch.items()}
+
+
+@pytest.mark.parametrize("strategy,size", [("sequential", 1), ("t_batch", None),
+                                           ("fixed_parallel", 9)])
+def test_t_bptt_window_keeps_synth_gradient_bits(monkeypatch, strategy, size):
+    cfg = g.SyntheticConfig(memory=2, num_nodes=40, edges_per_epoch=300)
+    events = g.generate_epoch(cfg, g.Rng(8).substream("data"))
+    model = g.init_model(g.Rng(8).substream("init"), 4, 1, "regression")
+    assert_windows_keep_the_gradient(monkeypatch, events, model, g.BatchingConfig(strategy, size),
+                                     lambda: {"num_nodes": cfg.num_nodes})
+
+
+@pytest.mark.parametrize("kind", ["regular", "recurrent"])
+@pytest.mark.parametrize("strategy,size", [("fixed_parallel", 16), ("t_batch", None)])
+def test_t_bptt_window_keeps_link_gradient_bits(tmp_path, monkeypatch, strategy, size, kind):
+    path = str(tmp_path / "stream.csv")
+    write_synthetic_linkstream(path, num_events=300, num_users=15, num_items=6,
+                               feat_dim=2, seed=3)
+    dataset = load_jodie_csv(path)
+    model = g.init_model(g.Rng(31), 4, dataset.feat_dim, "link_ranking")
+
+    def kwargs():
+        dropout_rng = g.Rng(7)
+        return dict(task="link_ranking", rng=g.Rng(5), neg_universe=dataset.destinations,
+                    state_dropout=g.StateDropout(0.3, kind, dropout_rng), mlp_dropout=0.2,
+                    dropout_rng=dropout_rng, num_nodes=dataset.num_nodes)
+
+    assert_windows_keep_the_gradient(monkeypatch, dataset.events, model,
+                                     g.BatchingConfig(strategy, size), kwargs)
 
 
 def test_train_epoch_rejects_unknown_mode():

@@ -157,6 +157,15 @@ def test_loader_bad_numeric_field_names_its_line(rows, data, bad):
     assert info.value.line_no == k + 2
 
 
+@pytest.mark.parametrize("bad,error", [("u1,i0,banana,0,0.5", g.IngestionError),
+                                       ("u1,i0,-1.0,0,0.5", g.DataError)])
+def test_loader_counts_physical_lines_past_a_quoted_newline(bad, error):
+    # the first row's quoted user id spans lines 2 and 3, so the bad row is
+    # the file's third record but its fourth line
+    with pytest.raises(error, match="line 4:"):
+        _load_lines(['"u\n0",i0,0.0,0,0.5', bad])
+
+
 @pytest.mark.skipif(
     "GRNNLAB_WIKIPEDIA_CSV" not in os.environ,
     reason="set GRNNLAB_WIKIPEDIA_CSV to the published interaction CSV to verify counts",

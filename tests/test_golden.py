@@ -30,6 +30,11 @@ GOLDEN = {
         "(0.361818279654516, 12.92402089677476)",
         "(0.3225560870394141, 22.780016663998985)",
     ],
+    "synth_t_bptt_sequential3": [
+        "(0.46289587594027987, 26.696035090327992)",
+        "(0.3617906388459943, 12.941334499827462)",
+        "(0.3224383949950792, 22.76495415140594)",
+    ],
     "link_f_bptt_regular": [
         "(1.386677442173313, 1.5083603274688613)",
         "(1.38616737068895, 1.39847058142655)",
@@ -114,6 +119,13 @@ def test_synth_tbatch_truncated_golden_bits():
     # most once, so summing a batch's one-hop tails per row moves no bit here
     curve = synth_curve("t_bptt", g.BatchingConfig("t_batch", None))
     assert curve == GOLDEN["synth_t_bptt_tbatch"]
+
+
+def test_synth_sequential_truncated_golden_bits():
+    # sequential batches of three events have several dependency levels, and
+    # a window of batches is swept level by level across its batches
+    curve = synth_curve("t_bptt", g.BatchingConfig("sequential", 3))
+    assert curve == GOLDEN["synth_t_bptt_sequential3"]
 
 
 @pytest.mark.parametrize("kind", ["regular", "recurrent"])

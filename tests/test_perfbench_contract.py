@@ -66,11 +66,32 @@ def test_probes_trace_the_backward_kernels(tmp_path):
     assert row["gru.backward_calls"] > 0
 
 
+def test_probes_see_one_mlp_backward_call_per_truncation_window(tmp_path):
+    # T-BPTT sweeps a window of batches, closed once it holds WINDOW_UPDATES
+    # updates, with one mlp_backward call per level, and synth's batches of
+    # one event are one level each; the forward stays one event at a time
+    wl = workloads.Synth(hidden=4, edges=200, num_nodes=10)
+    run = wl.setup(1, str(tmp_path))
+    tracer = spans.Tracer()
+    with spans.Probes(tracer).installed(), tracer.root("t_bptt"):
+        events, _ = wl.train(run, "t_bptt", tracer.span)
+    (_, row), = tracer.per_root()
+    windows = updates = 0
+    for batch in engine.build_batches(events, wl.batching("t_bptt")):
+        updates += batch.updates
+        if updates >= engine.WINDOW_UPDATES:
+            windows, updates = windows + 1, 0
+    windows += updates > 0
+    assert row["mlp.backward_calls"] == windows > 1
+    assert row["gru.forward_calls"] == 2 * len(events)
+
+
 def test_probes_see_one_stacked_gru_call_per_parallel_batch(tmp_path):
     # a parallel batch runs its updates as the rows of one gru_forward and
     # one state-dropout call, and scores its heads as the rows of one
     # mlp_forward call; the reverse sweep makes one mlp_backward call per
-    # dependency level, which under truncation is the batch. A stacked path
+    # dependency level, which under truncation is the window, here a batch
+    # (each has at least WINDOW_UPDATES updates). A stacked path
     # that bypassed the wrapped call sites would read zero here
     wl = SmallLinkrank()
     run = wl.setup(1, str(tmp_path))
