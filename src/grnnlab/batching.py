@@ -8,6 +8,8 @@ exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .errors import ParameterError
 from .events import Batch, Event
 
@@ -26,23 +28,35 @@ def make_batches_fixed(
     ]
 
 
-def make_batches_tbatch(events: list[Event]) -> list[Batch]:
-    """Greedy earliest-feasible assignment.
+def tbatch_levels(touched: Iterable[tuple[int, ...]]) -> list[list[int]]:
+    """Greedy earliest-feasible levels of a run of events, given the nodes
+    each event touches: event k goes to level 1 + the highest level of an
+    earlier event touching one of its nodes, so no node is touched at two
+    events of one level, and a node's events keep their order across
+    levels. Returns each level's event positions, ascending."""
+    last: dict[int, int] = {}
+    levels: list[list[int]] = []
+    for pos, nodes in enumerate(touched):
+        lv = 0
+        for node in nodes:
+            after = last.get(node, -1) + 1
+            if after > lv:
+                lv = after
+        if lv == len(levels):
+            levels.append([])
+        levels[lv].append(pos)
+        for node in nodes:
+            last[node] = lv
+    return levels
 
-    Event k goes to batch 1 + max(batch of src's previous event, batch of
-    dst's previous event), so each batch holds at most one event per node
-    and within-batch order follows the global order.
-    """
-    last_batch: dict[int, int] = {}
-    buckets: list[list[Event]] = []
-    for ev in events:
-        b = max(last_batch.get(ev.src, -1), last_batch.get(ev.dst, -1)) + 1
-        if b == len(buckets):
-            buckets.append([])
-        buckets[b].append(ev)
-        last_batch[ev.src] = b
-        last_batch[ev.dst] = b
-    return [Batch(events=evs, strategy="t_batch", index=b) for b, evs in enumerate(buckets)]
+
+def make_batches_tbatch(events: list[Event]) -> list[Batch]:
+    """JODIE's t-batches: the tbatch_levels of the events' endpoints, so
+    each batch holds at most one event per node and within-batch order
+    follows the global order."""
+    levels = tbatch_levels((ev.src, ev.dst) for ev in events)
+    return [Batch(events=[events[pos] for pos in level], strategy="t_batch", index=b)
+            for b, level in enumerate(levels)]
 
 
 def assert_tbatch_valid(batch: Batch) -> None:

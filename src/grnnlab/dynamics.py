@@ -14,12 +14,15 @@ Three update regimes share one entry point, run_batch:
 Within one event the two endpoint updates are coupled but simultaneous:
 both consume the pre-update states of both endpoints.
 
-A sequential batch runs one GRU call per update. The updates of a parallel
-batch all read the batch-start snapshot, so they are independent, as in
-JODIE's t-batches (Kumar et al., KDD 2019): its reads are one gather from
-the store, and its updates run as stacked rows of one GRU call and one
-state-dropout call, in the order sequential processing would compute them;
-each row gets the bits (and the dropout draws) it would get alone.
+run_batch runs a sequential batch with one GRU call per update. The
+updates of a parallel batch all read the batch-start snapshot, so they are
+independent, as in JODIE's t-batches (Kumar et al., KDD 2019): its reads
+are one gather from the store, and its updates run as stacked rows of one
+GRU call and one state-dropout call, in the order sequential processing
+would compute them; each row gets the bits (and the dropout draws) it would
+get alone. run_levels runs a run of sequential events (a truncated-training
+window) the same way, one dependency level at a time, and fills the tape
+slots sequential processing would fill.
 
 With a Tape, every update leaves one row of GRU cache, and every state read
 names the row that produced the value (or -1 for the epoch-initial state),
@@ -107,36 +110,37 @@ class Tape:
         cells = self.cells[rows]
         return GruCache(*(cells[:, f] for f in self._fields))
 
-    def read(self, ev: Event, extra: int | None) -> None:
-        """Add ev as the next event, with the rows behind its pre-update
-        states."""
-        e = self.n_events
-        if e == len(self.index):
+    def extend(self, events: int, rows: int) -> tuple[int, int]:
+        """Add `events` events and `rows` update rows, to be filled by read
+        and write; returns the first of each."""
+        e, u = self.n_events, self.n_rows
+        if e + events > len(self.index):
             raise StructuralError(f"tape is full at {e} events")
-        self.n_events = e + 1
+        if u + rows > len(self.records):
+            raise StructuralError(f"tape is full at {u} rows")
+        self.n_events, self.n_rows = e + events, u + rows
+        return e, u
+
+    def read(self, e: int, ev: Event, extra: int | None) -> None:
+        """Fill event e with ev and the rows behind its pre-update states."""
         get = self.producer.get
         extra_row = -1 if extra is None else get(extra, -1)
         self.links[e] = get(ev.src, -1), get(ev.dst, -1), extra_row, -1, -1, ev.index
 
-    def write(self, e, role, nodes: list[int], cache: GruCache, keep) -> None:
-        """Add the updates of nodes, made by the tape's events number e in
-        role (0: src, 1: dst), as the next rows. One update passes ints and
-        vector cache fields; a block of k passes int arrays of k and its
-        cache fields and keep masks stacked as k rows."""
-        u = self.n_rows
-        v = u + len(nodes)
-        if v > len(self.records):
-            raise StructuralError(f"tape is full at {u} rows")
-        self.n_rows = v
-        block = isinstance(e, np.ndarray)
-        rows = slice(u, v) if block else u
-        np.concatenate((cache.h_prev, cache.x_in, cache.z, cache.r, cache.n), axis=-1,
-                       out=self.cells[rows])
+    def write(self, e, role, rows, nodes: list[int], cache: GruCache, keep) -> None:
+        """Fill rows with the updates of nodes, made by the tape's events
+        number e in role (0: src, 1: dst). One update passes ints and vector
+        cache fields; a block of k passes int arrays of k and its cache
+        fields and keep masks stacked as k rows."""
+        self.cells[rows] = np.concatenate((cache.h_prev, cache.x_in, cache.z, cache.r, cache.n),
+                                          axis=-1)
         if keep is not None:
             self.keep[rows] = keep
-        self.writes[e, role] = np.arange(u, v) if block else u
-        for row, node in enumerate(nodes, u):
-            self.producer[node] = row
+        self.writes[e, role] = rows
+        if isinstance(rows, np.ndarray):
+            self.producer.update(zip(nodes, rows.tolist()))
+        else:
+            self.producer[nodes[0]] = rows
 
     def score(self, events: int, inputs: np.ndarray, grad, mask: np.ndarray | None,
               scale: float) -> None:
@@ -178,6 +182,37 @@ def _apply_state_dropout(
     return recurrent_mix(h_new, h_prev, sd.rate, sd.rng)
 
 
+def _node_ids(store: NodeStateStore, events: list[Event], extras: list) -> np.ndarray:
+    """The events' src, dst and (extras not None) extra node ids, (events,
+    2|3), after one range check naming the first unknown node in event
+    order."""
+    read = np.array([(ev.src, ev.dst) if extra is None else (ev.src, ev.dst, extra)
+                     for ev, extra in zip(events, extras)], dtype=np.int64)
+    unknown = (read < 0) | (read >= store.num_nodes)
+    if unknown.any():
+        store.check_node(int(read.flat[unknown.argmax()]))
+    return read
+
+
+def _update(store: NodeStateStore, model: GrnnModel, events: list[Event], pre: np.ndarray,
+            at: np.ndarray, roles: np.ndarray, nodes: np.ndarray,
+            state_dropout: StateDropout | None) -> tuple[GruCache, np.ndarray | None]:
+    """Updates that read no state another one writes: node nodes[j], in role
+    roles[j] of events[at[j]], from the pre-update states pre, as the stacked
+    rows of one GRU call and one state-dropout call. Returns the GRU cache
+    and keep masks, one row per update."""
+    updating = [events[pos] for pos in at.tolist()]
+    h_own = pre[at, roles]
+    x_in = np.concatenate(
+        (pre[at, 1 - roles], np.array([ev.features for ev in updating])), axis=1
+    )
+    h_new, cache = gru_forward(model.gru, h_own, x_in)
+    h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
+    store.states[nodes] = h_new
+    store.last_update_event[nodes] = [ev.index for ev in updating]
+    return cache, keep
+
+
 def run_batch(
     store: NodeStateStore,
     batch: Batch,
@@ -190,17 +225,19 @@ def run_batch(
     and updates to the tape. Returns the events' pre-update src, dst and
     (with extra_reads, one node per event) extra states, (events, 2|3, m)."""
     events = batch.events
-    e0 = 0 if tape is None else len(tape)
     extras = [None] * len(events) if extra_reads is None else extra_reads
     if batch.strategy == "sequential":
-        # each event reads the live store, after every earlier update
+        # each event reads the live store, after every earlier update; event
+        # pos makes rows row0 + 2 pos + role
+        if tape is not None:
+            e0, row0 = tape.extend(len(events), 2 * len(events))
         pre = np.empty((len(events), 2 if extra_reads is None else 3, store.m))
         for pos, (ev, extra) in enumerate(zip(events, extras)):
             for k, node in enumerate((ev.src, ev.dst) if extra is None else (ev.src, ev.dst, extra)):
                 store.check_node(node)
                 pre[pos, k] = store.states[node]
             if tape is not None:
-                tape.read(ev, extra)
+                tape.read(e0 + pos, ev, extra)
             for role, node in enumerate((ev.src, ev.dst)):
                 # the GRU input is the counterparty's pre-update state
                 h_own = pre[pos, role]
@@ -210,38 +247,57 @@ def run_batch(
                 store.states[node] = h_new
                 store.last_update_event[node] = ev.index
                 if tape is not None:
-                    tape.write(e0 + pos, role, [node], cache, keep)
+                    tape.write(e0 + pos, role, row0 + 2 * pos + role, [node], cache, keep)
         return pre
 
-    # a parallel batch reads the batch-start snapshot: one range check (naming
-    # the first unknown node in event order) and one gather
-    read = np.array([(ev.src, ev.dst) if extra is None else (ev.src, ev.dst, extra)
-                     for ev, extra in zip(events, extras)], dtype=np.int64)
-    unknown = (read < 0) | (read >= store.num_nodes)
-    if unknown.any():
-        store.check_node(int(read.flat[unknown.argmax()]))
+    # a parallel batch reads the batch-start snapshot with one gather, and
+    # runs each node's last in-batch update, in sequential order
+    read = _node_ids(store, events, extras)
     pre = store.states[read]
-    if tape is not None:
-        for ev, extra in zip(events, extras):
-            tape.read(ev, extra)
-
-    # each node's last in-batch update, in sequential order, as the rows of
-    # one stacked GRU call
     last = batch.last_event_per_node
     todo = [(pos, role, node) for pos, ev in enumerate(events)
             for role, node in enumerate((ev.src, ev.dst)) if last[node] == pos]
+    if tape is not None:
+        e0, row0 = tape.extend(len(events), len(todo))
+        for pos, (ev, extra) in enumerate(zip(events, extras)):
+            tape.read(e0 + pos, ev, extra)
     if not todo:
         return pre
     at, roles, nodes = (np.array(col) for col in zip(*todo))
-    updating = [events[pos] for pos in at.tolist()]
-    h_own = pre[at, roles]
-    x_in = np.concatenate(
-        (pre[at, 1 - roles], np.array([ev.features for ev in updating])), axis=1
-    )
-    h_new, cache = gru_forward(model.gru, h_own, x_in)
-    h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
-    store.states[nodes] = h_new
-    store.last_update_event[nodes] = [ev.index for ev in updating]
+    cache, keep = _update(store, model, events, pre, at, roles, nodes, state_dropout)
     if tape is not None:
-        tape.write(e0 + at, roles, nodes.tolist(), cache, keep)
+        tape.write(e0 + at, roles, np.arange(row0, row0 + len(todo)), nodes.tolist(), cache, keep)
+    return pre
+
+
+def run_levels(
+    store: NodeStateStore,
+    events: list[Event],
+    levels: list[list[int]],
+    model: GrnnModel,
+    tape: Tape,
+    state_dropout: StateDropout | None = None,
+    extra_reads: list[int] | None = None,
+) -> np.ndarray:
+    """Process a run of events as sequential processing would, level by
+    level: levels (batching.tbatch_levels of the nodes each event touches,
+    its extra read included) hold event positions, and no level touches a
+    node twice, so each level reads its pre-update states with one gather
+    and runs its updates (src, then dst, per event) as the stacked rows of
+    one GRU call and one state-dropout call, which draws its masks level
+    after level. Event pos fills tape event e0 + pos and rows row0 + 2 pos +
+    role, as in a sequential batch. Returns what run_batch returns."""
+    extras = [None] * len(events) if extra_reads is None else extra_reads
+    read = _node_ids(store, events, extras)
+    e0, row0 = tape.extend(len(events), 2 * len(events))
+    pre = np.empty(read.shape + (store.m,))
+    for level in levels:
+        at = np.array(level)
+        pre[at] = store.states[read[at]]
+        for pos in level:
+            tape.read(e0 + pos, events[pos], extras[pos])
+        at, roles = np.repeat(at, 2), np.tile((0, 1), len(level))
+        nodes = read[at, roles]
+        cache, keep = _update(store, model, events, pre, at, roles, nodes, state_dropout)
+        tape.write(e0 + at, roles, row0 + 2 * at + roles, nodes.tolist(), cache, keep)
     return pre

@@ -7,8 +7,14 @@ all earlier updates. A parallel batch's prediction heads run as the stacked
 rows of one mlp_forward call, a sequential batch's one call per event; each
 row gets the bits it would get alone.
 
-train_epoch forwards the epoch once, batch by batch, in both modes, and
-takes one optimizer step at its end.
+train_epoch forwards the epoch once in both modes, and takes one optimizer
+step at its end, so no forward value depends on where truncation cuts.
+Under t_bptt a window of sequential batches is forwarded as its dependency
+levels (JODIE's t-batches, with each event's negative counted as touched):
+one stacked GRU call per level and one mlp_forward call for the window's
+heads, in event order. Each batch's rng draws are made first, in the order
+per-batch processing makes them, so the window leaves the tape, the store
+and the losses per-batch processing would leave, bit for bit.
 
 Full backward (f_bptt) keeps the whole epoch on one dynamics.Tape and
 sweeps it once, exactly, in reverse after the last batch: per-event loss
@@ -46,14 +52,15 @@ import numpy as np
 
 from .accumulator import TILE, GradientAccumulator
 from .adamw import AdamwState, adamw_step
-from .batching import make_batches_fixed, make_batches_tbatch
-from .dynamics import StateDropout, Tape, run_batch
+from .batching import make_batches_fixed, make_batches_tbatch, tbatch_levels
+from .dropout import check_rate
+from .dynamics import StateDropout, Tape, run_batch, run_levels
 from .errors import ConfigError, NumericalError
 from .events import Batch, Event, NodeStateStore
 from .gru import gru_backward, stable_sigmoid
 from .mlp import MlpCache, mlp_backward, mlp_forward, mlp_hidden
 from .model import GrnnModel
-from .rng import Rng
+from .rng import Drawn, Rng
 
 # a truncated-training window closes after the batch that brings it to this
 # many updates
@@ -126,10 +133,12 @@ class EpochForward:
     tape: Tape | None
 
 
-def sample_negative(universe: np.ndarray, rng: Rng) -> int:
-    """A negative destination, uniform over the universe (it may be the true
-    one), from one rng draw."""
-    return int(universe[rng.randrange(len(universe))])
+def sample_negatives(universe: np.ndarray | None, rng: Rng | None, count: int) -> list[int]:
+    """count negative destinations, each uniform over the universe (it may be
+    the true one), from one block of rng draws."""
+    if universe is None or rng is None:
+        raise ConfigError("link_ranking forward needs a negative universe and rng")
+    return universe[rng.randranges(len(universe), count)].tolist()
 
 
 def _link_heads(pre: np.ndarray) -> np.ndarray:
@@ -146,14 +155,14 @@ def _predict_and_score(
     task: str,
     training: bool,
     mlp_dropout: float,
-    dropout_rng: Rng | None,
-) -> float:
+    dropout_rng: Rng | Drawn | None,
+) -> list[float]:
     """Score events, the tape's next ones if there is a tape, from their
     pre-update states with one mlp_forward call: one regression head per
     event, or a positive (src, dst) and a negative (src, extra) head for
     link ranking, as the stacked rows of the call. A lone regression head is
     a vector. The heads' inputs, loss gradients and dropout masks go onto
-    the tape."""
+    the tape. Returns each event's loss, checked in event order."""
     n = len(events)
     if task == "regression":
         if n == 1:
@@ -172,17 +181,17 @@ def _predict_and_score(
         values = [value]
     else:
         values, grads = _head_losses(out, labels, task)
-    heads, batch_loss = len(values) // n, 0.0
+    heads, losses = len(values) // n, []
     for e, ev in enumerate(events):
         loss = 0.0
         for value in values[e * heads : (e + 1) * heads]:
             loss += value
         if not math.isfinite(loss):
             raise NumericalError(f"non-finite loss at event {ev.index}")
-        batch_loss += loss
+        losses.append(loss)
     if tape is not None:
         tape.score(n, inputs, grads, cache.drop_mask, cache.drop_scale)
-    return batch_loss
+    return losses
 
 
 def _forward_batches(
@@ -197,19 +206,17 @@ def _forward_batches(
     state_dropout: StateDropout | None = None,
     mlp_dropout: float = 0.0,
     dropout_rng: Rng | None = None,
-) -> Iterator[tuple[Batch, float]]:
-    """The epoch's batch loop: yields each batch and its summed loss as soon
-    as the batch is forwarded onto the tape (if any). task None runs the
-    state dynamics only (no negatives, no predictions)."""
-    if task == "link_ranking" and (neg_universe is None or rng is None):
-        raise ConfigError("link_ranking forward needs a negative universe and rng")
+) -> Iterator[float]:
+    """The batch loop: yields each batch's summed loss as soon as the batch
+    is forwarded onto the tape (if any). task None runs the state dynamics
+    only (no negatives, no predictions)."""
     for batch in batches:
         extra = None
         if task == "link_ranking":
-            extra = [sample_negative(neg_universe, rng) for _ in batch.events]
+            extra = sample_negatives(neg_universe, rng, len(batch.events))
         pre = run_batch(store, batch, model, tape, state_dropout, extra)
         if task is None:
-            yield batch, 0.0
+            yield 0.0
             continue
         # a parallel batch is scored in one call, a sequential one event by event
         scoring = [(batch.events, pre)]
@@ -217,9 +224,64 @@ def _forward_batches(
             scoring = [([ev], pre[e : e + 1]) for e, ev in enumerate(batch.events)]
         batch_loss = 0.0
         for events, rows in scoring:
-            batch_loss += _predict_and_score(events, rows, tape, model, task, training,
-                                             mlp_dropout, dropout_rng)
-        yield batch, batch_loss
+            for loss in _predict_and_score(events, rows, tape, model, task, training,
+                                           mlp_dropout, dropout_rng):
+                batch_loss += loss
+        yield batch_loss
+
+
+def _forward_levels(
+    window: list[Batch],
+    model: GrnnModel,
+    store: NodeStateStore,
+    tape: Tape,
+    task: str,
+    rng: Rng | None = None,
+    neg_universe: np.ndarray | None = None,
+    state_dropout: StateDropout | None = None,
+    mlp_dropout: float = 0.0,
+    dropout_rng: Rng | None = None,
+) -> list[float]:
+    """Train-forward a window of sequential batches as its dependency levels
+    (dynamics.run_levels), then score all its heads as the rows of one
+    mlp_forward call, in event order, leaving the tape _forward_batches
+    leaves. Each batch first draws what _forward_batches draws for it, in
+    its order: its negatives, its state-dropout masks (event, then role),
+    then its head-dropout masks; the levels and the heads then take them,
+    reordered, as Drawn. Returns each batch's summed loss."""
+    check_rate(mlp_dropout, "mlp dropout")  # before any draw, as mlp_forward would
+    sd = state_dropout if state_dropout is not None and state_dropout.rate != 0.0 else None
+    link = task == "link_ranking"
+    events: list[Event] = []
+    extras: list[int] = []
+    keep, masks = [], []
+    for batch in window:
+        k = len(batch.events)
+        events += batch.events
+        if link:
+            extras += sample_negatives(neg_universe, rng, k)
+        if sd is not None:
+            keep.append(sd.rng.keep_mask(2 * k * model.m, sd.rate))
+        if mlp_dropout > 0.0:
+            masks.append(dropout_rng.keep_mask((2 if link else 1) * k * model.mlp.hidden,
+                                               mlp_dropout))
+    if link:  # an event also orders after the last one to write its negative
+        levels = tbatch_levels((ev.src, ev.dst, extra) for ev, extra in zip(events, extras))
+    else:
+        levels = tbatch_levels((ev.src, ev.dst) for ev in events)
+    if sd is not None:  # each level's masks, in level order
+        keep = np.concatenate(keep).reshape(len(events), -1)
+        sd = StateDropout(sd.rate, sd.kind, Drawn(keep[[pos for lv in levels for pos in lv]]))
+    pre = run_levels(store, events, levels, model, tape, sd, extras if link else None)
+    drawn = Drawn(np.concatenate(masks)) if masks else None
+    losses = iter(_predict_and_score(events, pre, tape, model, task, True, mlp_dropout, drawn))
+    batch_losses = []
+    for batch in window:  # each summed in event order, as _forward_batches sums it
+        batch_loss = 0.0
+        for _ in batch.events:
+            batch_loss += next(losses)
+        batch_losses.append(batch_loss)
+    return batch_losses
 
 
 def forward_epoch(
@@ -240,7 +302,7 @@ def forward_epoch(
     batches = build_batches(events, batching)
     tape = Tape(model, len(events), sum(b.updates for b in batches)) if record else None
     total = 0.0
-    for _, batch_loss in _forward_batches(
+    for batch_loss in _forward_batches(
         batches, model, store, tape,
         task=task or model.task, training=training,
         rng=rng, neg_universe=neg_universe,
@@ -426,17 +488,18 @@ def _backward_records(
 MODES = ("f_bptt", "t_bptt")
 
 
-def _largest_window(batches: list[Batch]) -> tuple[int, int]:
-    """The most events and the most updates of any truncated-training
-    window: consecutive batches, closed after the batch that brings the
-    window to WINDOW_UPDATES updates."""
-    events = updates = most_events = most_updates = 0
+def _windows(batches: list[Batch]) -> Iterator[list[Batch]]:
+    """Truncated training's windows: consecutive batches, each closed after
+    the batch that brings it to WINDOW_UPDATES updates."""
+    window, updates = [], 0
     for batch in batches:
-        events, updates = events + len(batch.events), updates + batch.updates
-        most_events, most_updates = max(most_events, events), max(most_updates, updates)
+        window.append(batch)
+        updates += batch.updates
         if updates >= WINDOW_UPDATES:
-            events = updates = 0
-    return most_events, most_updates
+            yield window
+            window, updates = [], 0
+    if window:
+        yield window
 
 
 def train_epoch(
@@ -473,30 +536,35 @@ def train_epoch(
     acc = GradientAccumulator(params)
     truncate = mode == "t_bptt"
     batches = build_batches(events, batching)
-    if truncate:  # one row per node, for the carried producers, plus one window
-        tape = Tape(model, *_largest_window(batches), base=store.num_nodes)
-    else:
+    if truncate:  # one row per node, for the carried producers, plus the largest window
+        windows = list(_windows(batches))
+        tape = Tape(model, max((sum(len(b.events) for b in w) for w in windows), default=0),
+                    max((sum(b.updates for b in w) for w in windows), default=0),
+                    base=store.num_nodes)
+    else:  # the epoch is one window
+        windows = [batches]
         tape = Tape(model, len(events), sum(b.updates for b in batches))
+    forward = dict(task=task or model.task, rng=rng, neg_universe=neg_universe,
+                   state_dropout=state_dropout, mlp_dropout=mlp_dropout, dropout_rng=dropout_rng)
     tails = _Tails(model, acc, state_dropout)
-    total_loss, window = 0.0, []
-    for batch, batch_loss in _forward_batches(
-        batches, model, store, tape,
-        task=task or model.task, training=True,
-        rng=rng, neg_universe=neg_universe, state_dropout=state_dropout,
-        mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
-    ):
-        total_loss += batch_loss
+    total_loss = 0.0
+    for window in windows:
+        if truncate and window[0].strategy == "sequential":
+            batch_losses = _forward_levels(window, model, store, tape, **forward)
+        else:
+            batch_losses = _forward_batches(window, model, store, tape, training=True, **forward)
+        for batch_loss in batch_losses:
+            total_loss += batch_loss
         if truncate:
-            window += batch.events
-            if tape.n_rows - tape.base >= WINDOW_UPDATES:
-                # only the nodes' producing rows (one GRU cache each) outlive
-                # their window, for the one-hop tails
-                _backward_records(tape, model, acc, tails, state_dropout)
-                tape.release(window)
-                window = []
-            else:  # the next batch's reads are cut at its first row
-                tape.starts.append((tape.n_events, tape.n_rows))
-    _backward_records(tape, model, acc, tails, state_dropout)  # the epoch, or its last window
+            e, row = tape.starts[0]
+            for batch in window[:-1]:  # the next batch's reads are cut at its first row
+                e, row = e + len(batch.events), row + batch.updates
+                tape.starts.append((e, row))
+        # only the nodes' producing rows (one GRU cache each) outlive a
+        # truncated window, for the one-hop tails
+        _backward_records(tape, model, acc, tails, state_dropout)
+        if truncate:
+            tape.release([ev for batch in window for ev in batch.events])
     tails.run()
     adamw_step(optimizer, params, acc.buffers)
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grnnlab as g
-from grnnlab.batching import assert_tbatch_valid, make_batches_fixed, make_batches_tbatch
+from grnnlab.batching import (assert_tbatch_valid, make_batches_fixed, make_batches_tbatch,
+                              tbatch_levels)
 
 
 def make_events(pairs):
@@ -118,3 +119,13 @@ def test_tbatch_within_batch_order_preserved():
     batches = make_batches_tbatch(events)
     assert [ev.index for ev in batches[0].events] == [0, 1, 2]
     assert [ev.index for ev in batches[1].events] == [3]
+
+
+def test_tbatch_levels_order_every_touched_node():
+    # a third touched node (a link-ranking negative, read but not written)
+    # orders its event after the last earlier one touching it, and the next
+    # event touching it after this one
+    touched = [(0, 1, 5), (2, 3, 4), (4, 6, 7), (8, 9, 0), (5, 10, 11)]
+    assert tbatch_levels(touched) == [[0, 1], [2, 3, 4]]
+    assert tbatch_levels([(0, 1, 2), (3, 4, 2), (2, 5, 6)]) == [[0], [1], [2]]
+    assert tbatch_levels([]) == []

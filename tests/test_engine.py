@@ -101,6 +101,21 @@ def test_forward_nan_loss_reports_event_index():
         g.forward_epoch(events, model, store, g.BatchingConfig("sequential", None))
 
 
+def test_truncated_window_names_the_first_non_finite_event_in_event_order():
+    # events 1 and 2 have NaN features; event 2 touches no earlier event's
+    # node, so it sits in the window's first level and event 1, after event
+    # 0 on node 0, in the second: the window checks its losses in event
+    # order and names event 1, as sequential processing does
+    events = events_from_pairs([(0, 1), (0, 2), (3, 4)], [1.0, 1.0, 1.0], memory=1)
+    for ev in events[1:]:
+        ev.features[:] = np.nan
+    assert g.batching.tbatch_levels((ev.src, ev.dst) for ev in events) == [[0, 2], [1]]
+    model = g.init_model(g.Rng(2), 2, 1, "regression")
+    with pytest.raises(g.NumericalError, match=r"non-finite loss at event 1$"):
+        g.train_epoch(events, model, AdamwState(), "t_bptt", g.BatchingConfig("sequential", 1),
+                      num_nodes=5)
+
+
 # backward exactness -----------------------------------------------------------
 
 
@@ -434,7 +449,7 @@ def test_truncated_tails_run_one_row_per_earlier_row(tmp_path, monkeypatch):
     tape = g.Tape(model, len(dataset.events), 2 * len(dataset.events))
     distinct = reads = 0
     for batch in g.build_batches(dataset.events, batching):
-        extra = [g.engine.sample_negative(dataset.destinations, neg_rng) for _ in batch.events]
+        extra = g.engine.sample_negatives(dataset.destinations, neg_rng, len(batch.events))
         first_row, first_event = tape.n_rows, len(tape)
         g.run_batch(store, batch, model, tape, None, extra)
         read = tape.reads[first_event : len(tape)].ravel().tolist()
@@ -519,6 +534,61 @@ def test_t_bptt_tape_holds_nodes_plus_one_window(monkeypatch, strategy, size):
     assert max(allocated for _, allocated in seen) <= bound
     # the rows are sized by the largest window's computed updates
     assert {allocated for _, allocated in seen} == {cfg.num_nodes + max(windows)}
+
+
+@pytest.mark.parametrize("task,size", [("regression", 1), ("regression", 3),
+                                       ("link_ranking", 5)])
+def test_window_levels_leave_the_per_event_tape(tmp_path, task, size):
+    # the levels fill each event's slot and rows, its heads and the store as
+    # per-event sequential processing does, drawing the same values from
+    # every stream (negatives, then state, then head dropout, per batch)
+    if task == "regression":
+        cfg = g.SyntheticConfig(memory=2, num_nodes=12, edges_per_epoch=40)
+        events = g.generate_epoch(cfg, g.Rng(9).substream("data"))
+        model = g.init_model(g.Rng(9).substream("init"), 5, 1, task)
+
+        def kwargs():
+            return dict(task=task, num_nodes=cfg.num_nodes)
+    else:
+        path = str(tmp_path / "stream.csv")
+        write_synthetic_linkstream(path, num_events=60, num_users=8, num_items=4,
+                                   feat_dim=2, seed=3)
+        dataset = load_jodie_csv(path)
+        events = dataset.events
+        model = g.init_model(g.Rng(31), 4, dataset.feat_dim, task)
+
+        def kwargs():
+            dropout_rng = g.Rng(7)
+            return dict(task=task, rng=g.Rng(5), neg_universe=dataset.destinations,
+                        state_dropout=g.StateDropout(0.3, "recurrent", dropout_rng),
+                        mlp_dropout=0.2, dropout_rng=dropout_rng, num_nodes=dataset.num_nodes)
+
+    window = g.build_batches(events, g.BatchingConfig("sequential", size))
+    runs = []  # one window on a fresh tape and store, in levels and per event
+    for forward in (g.engine._forward_levels, g.engine._forward_batches):
+        store = g.NodeStateStore.zeros(kwargs()["num_nodes"], model.m)
+        tape = g.Tape(model, len(events), 2 * len(events))
+        tape.records.view(np.uint8).fill(0)  # so padding and unused keep masks compare
+        kw = kwargs()
+        del kw["num_nodes"]
+        if forward is g.engine._forward_batches:
+            kw["training"] = True
+        runs.append((tape, store, list(forward(window, model, store, tape, **kw)), kw))
+    (levels, store_l, loss_l, kw_l), (per_event, store_e, loss_e, kw_e) = runs
+    assert len(g.batching.tbatch_levels((ev.src, ev.dst) for ev in events)) < len(events)
+    assert loss_l == loss_e
+    for name in ("links", "records", "head_in", "head_grad", "head_mask"):
+        a, b = getattr(levels, name), getattr(per_event, name)
+        assert (a is None) == (b is None) == (name == "head_mask" and task == "regression")
+        assert a is None or a.tobytes() == b.tobytes(), name
+    assert levels.producer == per_event.producer
+    assert (levels.n_events, levels.n_rows, levels.drop_scale) == (
+        per_event.n_events, per_event.n_rows, per_event.drop_scale)
+    assert store_l.states.tobytes() == store_e.states.tobytes()
+    assert np.array_equal(store_l.last_update_event, store_e.last_update_event)
+    for stream in ("rng", "dropout_rng"):
+        if stream in kw_l:
+            assert kw_l[stream].next_u64() == kw_e[stream].next_u64()
 
 
 def assert_windows_keep_the_gradient(monkeypatch, events, model, batching, kwargs):

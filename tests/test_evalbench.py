@@ -20,7 +20,7 @@ from grnnlab.evalbench import (
     rank_true_destination,
     write_synthetic_linkstream,
 )
-from grnnlab.engine import sample_negative
+from grnnlab.engine import sample_negatives
 from grnnlab.mlp import MlpParameters
 
 
@@ -224,22 +224,23 @@ def fake_dataset(tmp_path, num_items=1000):
 
 def test_negative_sampling_universe_of_one(tmp_path):
     ds = load_jodie_csv(write_csv(tmp_path, ["u0,i0,0.0,0,1.0", "u1,i0,1.0,0,1.0"]))
-    assert all(sample_negative(ds.destinations, g.Rng(s)) == ds.destinations[0] for s in range(20))
+    assert all(sample_negatives(ds.destinations, g.Rng(s), 3) == [ds.destinations[0]] * 3
+               for s in range(20))
 
 
 def test_negative_sampling_concentration(tmp_path):
     ds = fake_dataset(tmp_path, num_items=1000)
     rng = g.Rng(42)
     counts = np.zeros(1000, dtype=int)
-    for _ in range(100_000):
-        counts[sample_negative(ds.destinations, rng) - ds.num_sources] += 1
+    for node in sample_negatives(ds.destinations, rng, 100_000):
+        counts[node - ds.num_sources] += 1
     assert counts.min() >= 60 and counts.max() <= 140  # 100 +/- 40
 
 
 def test_negative_sampling_determinism(tmp_path):
     ds = fake_dataset(tmp_path, num_items=50)
-    a = [sample_negative(ds.destinations, g.Rng(7)) for _ in range(100)]
-    b = [sample_negative(ds.destinations, g.Rng(7)) for _ in range(100)]
+    a = sample_negatives(ds.destinations, g.Rng(7), 100)
+    b = sample_negatives(ds.destinations, g.Rng(7), 100)
     assert a == b
 
 

@@ -65,6 +65,16 @@ GOLDEN = {
         "(1.3859627537406791, 0.9525107505526484)",
         "(1.385870301774656, 1.140111188337879)",
     ],
+    "link_t_bptt_sequential5_regular": [
+        "(1.3855576609329583, 1.4501674189234552)",
+        "(1.386642484743415, 1.5317146651172502)",
+        "(1.3860448478129972, 1.8623572179739818)",
+    ],
+    "link_t_bptt_sequential5_recurrent": [
+        "(1.3858460585225623, 1.2338887896193333)",
+        "(1.3867038657385289, 0.8714230096573432)",
+        "(1.3861195920671392, 0.9644958644429876)",
+    ],
 }
 
 
@@ -139,3 +149,13 @@ def test_link_ranking_tbatch_golden_bits(tmp_path, mode):
     # a second parallel strategy: conflict-free batches of varying size
     curve = link_curve(tmp_path, mode, "regular", g.BatchingConfig("t_batch", None))
     assert curve == GOLDEN[f"link_{mode}_tbatch"]
+
+
+@pytest.mark.parametrize("kind", ["regular", "recurrent"])
+def test_link_ranking_sequential_truncated_golden_bits(tmp_path, kind):
+    # each window spans several sequential batches, and every batch draws
+    # from all three streams: its negatives, then its state-dropout masks
+    # (event, then role), then its head-dropout masks, with state and head
+    # masks sharing one stream
+    curve = link_curve(tmp_path, "t_bptt", kind, g.BatchingConfig("sequential", 5))
+    assert curve == GOLDEN[f"link_t_bptt_sequential5_{kind}"]

@@ -69,21 +69,23 @@ def test_probes_trace_the_backward_kernels(tmp_path):
 def test_probes_see_one_mlp_backward_call_per_truncation_window(tmp_path):
     # T-BPTT sweeps a window of batches, closed once it holds WINDOW_UPDATES
     # updates, with one mlp_backward call per level, and synth's batches of
-    # one event are one level each; the forward stays one event at a time
+    # one event are one level each; the window's forward makes one stacked
+    # gru_forward call per t-batch of its events and one mlp_forward call
     wl = workloads.Synth(hidden=4, edges=200, num_nodes=10)
     run = wl.setup(1, str(tmp_path))
     tracer = spans.Tracer()
     with spans.Probes(tracer).installed(), tracer.root("t_bptt"):
         events, _ = wl.train(run, "t_bptt", tracer.span)
     (_, row), = tracer.per_root()
-    windows = updates = 0
+    windows, window, updates = [], [], 0
     for batch in engine.build_batches(events, wl.batching("t_bptt")):
-        updates += batch.updates
+        window, updates = window + batch.events, updates + batch.updates
         if updates >= engine.WINDOW_UPDATES:
-            windows, updates = windows + 1, 0
-    windows += updates > 0
-    assert row["mlp.backward_calls"] == windows > 1
-    assert row["gru.forward_calls"] == 2 * len(events)
+            windows, window, updates = windows + [window], [], 0
+    windows += [window] if window else []
+    assert row["mlp.backward_calls"] == row["mlp.forward_calls"] == len(windows) > 1
+    levels = sum(len(make_batches_tbatch(window)) for window in windows)
+    assert row["gru.forward_calls"] == levels < 2 * len(events)
 
 
 def test_probes_see_one_stacked_gru_call_per_parallel_batch(tmp_path):

@@ -94,6 +94,19 @@ def test_randrange():
         rng.randrange(0)
 
 
+@pytest.mark.parametrize("n", [1, 3, 60, 2**32 + 1, 2**63])
+def test_randranges_draws_what_randrange_draws(n):
+    # 4090 draws in, a block of 20 crosses the 4096-output block refill
+    a, b = Rng(17), Rng(17)
+    a.u01_array(4090)
+    b.u01_array(4090)
+    assert a.randranges(n, 20) == [b.randrange(n) for _ in range(20)]
+    assert a.next_u64() == b.next_u64()
+    assert a.randranges(n, 0) == []
+    with pytest.raises(ParameterError):
+        a.randranges(0, 3)
+
+
 def test_keep_mask_checks_rate():
     rng = Rng(0)
     for rate in (float("nan"), -0.1, 1.5):
