@@ -14,15 +14,17 @@ Three update regimes share one entry point, run_batch:
 Within one event the two endpoint updates are coupled but simultaneous:
 both consume the pre-update states of both endpoints.
 
-run_batch runs a sequential batch with one GRU call per update. The
+run_batch runs a sequential batch with one GRU call per update: F-BPTT
+training's forward, ranking evaluation and state warm-ups still run so. The
 updates of a parallel batch all read the batch-start snapshot, so they are
 independent, as in JODIE's t-batches (Kumar et al., KDD 2019): its reads
 are one gather from the store, and its updates run as stacked rows of one
 GRU call and one state-dropout call, in the order sequential processing
 would compute them; each row gets the bits (and the dropout draws) it would
 get alone. run_levels runs a run of sequential events (a truncated-training
-window) the same way, one dependency level at a time, and fills the tape
-slots sequential processing would fill.
+window or a forward_epoch, with or without a tape) the same way, one
+dependency level at a time, and fills the tape slots sequential processing
+would fill.
 
 With a Tape, every update leaves one row of GRU cache, and every state read
 names the row that produced the value (or -1 for the epoch-initial state),
@@ -223,7 +225,9 @@ def run_batch(
 ) -> np.ndarray:
     """Process one batch, mutating the store and, if given, adding its events
     and updates to the tape. Returns the events' pre-update src, dst and
-    (with extra_reads, one node per event) extra states, (events, 2|3, m)."""
+    (with extra_reads, one node per event) extra states, (events, 2|3, m).
+    A sequential batch runs event by event, two GRU calls each; run_levels
+    runs a run of sequential events by dependency level instead."""
     events = batch.events
     extras = [None] * len(events) if extra_reads is None else extra_reads
     if batch.strategy == "sequential":
@@ -275,7 +279,7 @@ def run_levels(
     events: list[Event],
     levels: list[list[int]],
     model: GrnnModel,
-    tape: Tape,
+    tape: Tape | None,
     state_dropout: StateDropout | None = None,
     extra_reads: list[int] | None = None,
 ) -> np.ndarray:
@@ -285,19 +289,23 @@ def run_levels(
     node twice, so each level reads its pre-update states with one gather
     and runs its updates (src, then dst, per event) as the stacked rows of
     one GRU call and one state-dropout call, which draws its masks level
-    after level. Event pos fills tape event e0 + pos and rows row0 + 2 pos +
-    role, as in a sequential batch. Returns what run_batch returns."""
+    after level. With a tape, event pos fills tape event e0 + pos and rows
+    row0 + 2 pos + role, as in a sequential batch. Returns what run_batch
+    returns."""
     extras = [None] * len(events) if extra_reads is None else extra_reads
     read = _node_ids(store, events, extras)
-    e0, row0 = tape.extend(len(events), 2 * len(events))
+    if tape is not None:
+        e0, row0 = tape.extend(len(events), 2 * len(events))
     pre = np.empty(read.shape + (store.m,))
     for level in levels:
         at = np.array(level)
         pre[at] = store.states[read[at]]
-        for pos in level:
-            tape.read(e0 + pos, events[pos], extras[pos])
+        if tape is not None:
+            for pos in level:
+                tape.read(e0 + pos, events[pos], extras[pos])
         at, roles = np.repeat(at, 2), np.tile((0, 1), len(level))
         nodes = read[at, roles]
         cache, keep = _update(store, model, events, pre, at, roles, nodes, state_dropout)
-        tape.write(e0 + at, roles, row0 + 2 * at + roles, nodes.tolist(), cache, keep)
+        if tape is not None:
+            tape.write(e0 + at, roles, row0 + 2 * at + roles, nodes.tolist(), cache, keep)
     return pre

@@ -4,17 +4,20 @@ Forward: batches are processed per their strategy; each event's prediction
 reads the pre-update states captured by the dynamics layer, so parallel
 strategies score from the batch-start snapshot and sequential scoring sees
 all earlier updates. A parallel batch's prediction heads run as the stacked
-rows of one mlp_forward call, a sequential batch's one call per event; each
-row gets the bits it would get alone.
+rows of one mlp_forward call; each row gets the bits it would get alone.
 
-train_epoch forwards the epoch once in both modes, and takes one optimizer
-step at its end, so no forward value depends on where truncation cuts.
-Under t_bptt a window of sequential batches is forwarded as its dependency
+A run of sequential batches is forwarded as one window of dependency
 levels (JODIE's t-batches, with each event's negative counted as touched):
 one stacked GRU call per level and one mlp_forward call for the window's
 heads, in event order. Each batch's rng draws are made first, in the order
 per-batch processing makes them, so the window leaves the tape, the store
-and the losses per-batch processing would leave, bit for bit.
+and the losses per-event processing would leave, bit for bit. forward_epoch
+(tape-free or recorded, training or not) and t_bptt's windows run so;
+f_bptt training's forward and advance_states still run a sequential batch
+event by event.
+
+train_epoch forwards the epoch once in both modes, and takes one optimizer
+step at its end, so no forward value depends on where truncation cuts.
 
 Full backward (f_bptt) keeps the whole epoch on one dynamics.Tape and
 sweeps it once, exactly, in reverse after the last batch: per-event loss
@@ -91,8 +94,9 @@ def _head_losses(out: np.ndarray, labels: list[float], task: str) -> tuple[list,
     """Stacked heads' loss values, in math (numpy's log1p(exp(.)) differs),
     and gradients, (events, heads); each has loss_mse's or loss_bce's bits."""
     if task == "regression":
-        diff = out - labels
-        return (diff * diff).tolist(), 2.0 * diff[:, None]
+        with np.errstate(over="ignore"):  # inf, as in loss_mse; the caller names the event
+            diff = out - labels
+            return (diff * diff).tolist(), 2.0 * diff[:, None]
     return list(map(_bce_value, out.tolist(), labels)), (stable_sigmoid(out) - labels).reshape(-1, 2)
 
 
@@ -199,7 +203,7 @@ def _forward_batches(
     model: GrnnModel,
     store: NodeStateStore,
     tape: Tape | None,
-    task: str | None,
+    task: str,
     training: bool = False,
     rng: Rng | None = None,
     neg_universe: np.ndarray | None = None,
@@ -208,16 +212,15 @@ def _forward_batches(
     dropout_rng: Rng | None = None,
 ) -> Iterator[float]:
     """The batch loop: yields each batch's summed loss as soon as the batch
-    is forwarded onto the tape (if any). task None runs the state dynamics
-    only (no negatives, no predictions)."""
+    is forwarded onto the tape (if any). A sequential batch runs and scores
+    event by event; F-BPTT training's epoch-spanning batch still comes here
+    (its per-event kernel counts are pinned), every other run of sequential
+    batches goes through _forward_levels."""
     for batch in batches:
         extra = None
         if task == "link_ranking":
             extra = sample_negatives(neg_universe, rng, len(batch.events))
         pre = run_batch(store, batch, model, tape, state_dropout, extra)
-        if task is None:
-            yield 0.0
-            continue
         # a parallel batch is scored in one call, a sequential one event by event
         scoring = [(batch.events, pre)]
         if batch.strategy == "sequential" and len(batch.events) > 1:
@@ -234,22 +237,27 @@ def _forward_levels(
     window: list[Batch],
     model: GrnnModel,
     store: NodeStateStore,
-    tape: Tape,
+    tape: Tape | None,
     task: str,
+    training: bool = False,
     rng: Rng | None = None,
     neg_universe: np.ndarray | None = None,
     state_dropout: StateDropout | None = None,
     mlp_dropout: float = 0.0,
     dropout_rng: Rng | None = None,
 ) -> list[float]:
-    """Train-forward a window of sequential batches as its dependency levels
+    """Forward a window of sequential batches as its dependency levels
     (dynamics.run_levels), then score all its heads as the rows of one
-    mlp_forward call, in event order, leaving the tape _forward_batches
-    leaves. Each batch first draws what _forward_batches draws for it, in
-    its order: its negatives, its state-dropout masks (event, then role),
-    then its head-dropout masks; the levels and the heads then take them,
-    reordered, as Drawn. Returns each batch's summed loss."""
-    check_rate(mlp_dropout, "mlp dropout")  # before any draw, as mlp_forward would
+    mlp_forward call, in event order, leaving the store, the losses and the
+    tape (if any) _forward_batches leaves. Each batch first draws what
+    _forward_batches draws for it, in its order: its negatives, its
+    state-dropout masks (event, then role), then, training, its head-dropout
+    masks; the levels and the heads then take them, reordered, as Drawn.
+    Returns each batch's summed loss."""
+    if not window:
+        return []
+    if training:
+        check_rate(mlp_dropout, "mlp dropout")  # before any draw, as mlp_forward would
     sd = state_dropout if state_dropout is not None and state_dropout.rate != 0.0 else None
     link = task == "link_ranking"
     events: list[Event] = []
@@ -262,7 +270,7 @@ def _forward_levels(
             extras += sample_negatives(neg_universe, rng, k)
         if sd is not None:
             keep.append(sd.rng.keep_mask(2 * k * model.m, sd.rate))
-        if mlp_dropout > 0.0:
+        if training and mlp_dropout > 0.0:
             masks.append(dropout_rng.keep_mask((2 if link else 1) * k * model.mlp.hidden,
                                                mlp_dropout))
     if link:  # an event also orders after the last one to write its negative
@@ -274,7 +282,7 @@ def _forward_levels(
         sd = StateDropout(sd.rate, sd.kind, Drawn(keep[[pos for lv in levels for pos in lv]]))
     pre = run_levels(store, events, levels, model, tape, sd, extras if link else None)
     drawn = Drawn(np.concatenate(masks)) if masks else None
-    losses = iter(_predict_and_score(events, pre, tape, model, task, True, mlp_dropout, drawn))
+    losses = iter(_predict_and_score(events, pre, tape, model, task, training, mlp_dropout, drawn))
     batch_losses = []
     for batch in window:  # each summed in event order, as _forward_batches sums it
         batch_loss = 0.0
@@ -298,11 +306,16 @@ def forward_epoch(
     dropout_rng: Rng | None = None,
     training: bool = False,
 ) -> EpochForward:
-    """Process all batches, returning the summed loss and the tape."""
+    """Process all batches, returning the summed loss and the tape. Parallel
+    batches run one by one; sequential ones as one window of dependency
+    levels (_forward_levels), with the losses, store, tape and rng draws the
+    per-event loop would leave. State dropout and head dropout only when
+    training."""
     batches = build_batches(events, batching)
     tape = Tape(model, len(events), sum(b.updates for b in batches)) if record else None
+    forward = _forward_levels if batching.strategy == "sequential" else _forward_batches
     total = 0.0
-    for batch_loss in _forward_batches(
+    for batch_loss in forward(
         batches, model, store, tape,
         task=task or model.task, training=training,
         rng=rng, neg_universe=neg_universe,
@@ -320,9 +333,10 @@ def advance_states(
     batching: BatchingConfig,
 ) -> None:
     """Run the state dynamics only (no predictions, no tape); used to warm
-    stores before evaluation."""
-    for _ in _forward_batches(build_batches(events, batching), model, store, None, task=None):
-        pass
+    stores before evaluation. Every batch runs through run_batch, so a
+    sequential warm-up runs event by event."""
+    for batch in build_batches(events, batching):
+        run_batch(store, batch, model)
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +558,15 @@ def train_epoch(
     else:  # the epoch is one window
         windows = [batches]
         tape = Tape(model, len(events), sum(b.updates for b in batches))
-    forward = dict(task=task or model.task, rng=rng, neg_universe=neg_universe,
+    forward = dict(task=task or model.task, training=True, rng=rng, neg_universe=neg_universe,
                    state_dropout=state_dropout, mlp_dropout=mlp_dropout, dropout_rng=dropout_rng)
     tails = _Tails(model, acc, state_dropout)
     total_loss = 0.0
     for window in windows:
-        if truncate and window[0].strategy == "sequential":
-            batch_losses = _forward_levels(window, model, store, tape, **forward)
-        else:
-            batch_losses = _forward_batches(window, model, store, tape, training=True, **forward)
-        for batch_loss in batch_losses:
+        # f_bptt's forward stays per event; the tracer self-test pins its kernel counts
+        levels = truncate and window[0].strategy == "sequential"
+        run = _forward_levels if levels else _forward_batches
+        for batch_loss in run(window, model, store, tape, **forward):
             total_loss += batch_loss
         if truncate:
             e, row = tape.starts[0]

@@ -210,7 +210,9 @@ def evaluate_ranking(
     """Batched evaluation: each batch's edges are ranked by one
     rank_true_destination call against the store as it stood at batch
     start, then the batch's updates are applied. A sequential stream is
-    ranked one event per batch, so each edge sees every earlier update."""
+    ranked one event per batch, so each edge sees every earlier update; it
+    cannot run as dependency levels, since an edge is ranked against every
+    candidate, which later events of its level may update."""
     if batching.strategy == "sequential":
         batching = BatchingConfig("sequential", 1)
     ranks: list[int] = []

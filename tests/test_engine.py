@@ -116,6 +116,25 @@ def test_truncated_window_names_the_first_non_finite_event_in_event_order():
                       num_nodes=5)
 
 
+@pytest.mark.parametrize("mode,strategy,size", [("t_bptt", "sequential", None),
+                                                ("t_bptt", "sequential", 1),
+                                                ("t_bptt", "sequential", 2),
+                                                ("forward", "fixed_parallel", 2)])
+def test_overflowing_stacked_regression_loss_names_an_event(mode, strategy, size):
+    # a stacked head output near 1e200 squares to inf as loss_mse's scalar
+    # does, with no overflow warning, and the loss check names the event
+    events = events_from_pairs([(0, 1), (1, 2), (2, 3)], [1.0, 1.0, 1.0], memory=1)
+    model = g.init_model(g.Rng(2), 2, 1, "regression")
+    model.mlp.w2[:] = 1e200
+    model.mlp.b2[:] = 1e200
+    batching = g.BatchingConfig(strategy, size)
+    with pytest.raises(g.NumericalError, match="event"):
+        if mode == "forward":
+            g.forward_epoch(events, model, g.NodeStateStore.zeros(4, 2), batching)
+        else:
+            g.train_epoch(events, model, AdamwState(), mode, batching, num_nodes=4)
+
+
 # backward exactness -----------------------------------------------------------
 
 
@@ -571,8 +590,7 @@ def test_window_levels_leave_the_per_event_tape(tmp_path, task, size):
         tape.records.view(np.uint8).fill(0)  # so padding and unused keep masks compare
         kw = kwargs()
         del kw["num_nodes"]
-        if forward is g.engine._forward_batches:
-            kw["training"] = True
+        kw["training"] = True
         runs.append((tape, store, list(forward(window, model, store, tape, **kw)), kw))
     (levels, store_l, loss_l, kw_l), (per_event, store_e, loss_e, kw_e) = runs
     assert len(g.batching.tbatch_levels((ev.src, ev.dst) for ev in events)) < len(events)
@@ -589,6 +607,92 @@ def test_window_levels_leave_the_per_event_tape(tmp_path, task, size):
     for stream in ("rng", "dropout_rng"):
         if stream in kw_l:
             assert kw_l[stream].next_u64() == kw_e[stream].next_u64()
+
+
+class ZeroedTape(g.Tape):
+    """A Tape whose records start zeroed, so padding and keep masks no
+    update wrote compare equal."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.records.view(np.uint8).fill(0)
+
+
+@pytest.mark.parametrize("size", [None, 1, 5])
+@pytest.mark.parametrize("dropout", [None, "regular", "recurrent"])
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("task", ["regression", "link_ranking"])
+def test_forward_epoch_levels_match_the_per_event_loop(tmp_path, monkeypatch, task, record,
+                                                       dropout, size):
+    # forward_epoch runs sequential batches as one window of levels; the
+    # per-event batch loop F-BPTT training still uses must leave the same
+    # loss, store, tape and rng streams, bit for bit. dropout None runs
+    # without training, with the dropout arguments given all the same
+    if task == "regression":
+        cfg = g.SyntheticConfig(memory=2, num_nodes=12, edges_per_epoch=40)
+        events = g.generate_epoch(cfg, g.Rng(9).substream("data"))
+        model = g.init_model(g.Rng(9).substream("init"), 5, 1, task)
+        num_nodes, universe = cfg.num_nodes, None
+    else:
+        path = str(tmp_path / "stream.csv")
+        write_synthetic_linkstream(path, num_events=60, num_users=8, num_items=4,
+                                   feat_dim=2, seed=3)
+        dataset = load_jodie_csv(path)
+        events, num_nodes, universe = dataset.events, dataset.num_nodes, dataset.destinations
+        model = g.init_model(g.Rng(31), 4, dataset.feat_dim, task)
+
+    def kwargs():
+        dropout_rng = g.Rng(7)
+        return dict(task=task, rng=g.Rng(5) if universe is not None else None,
+                    neg_universe=universe,
+                    state_dropout=g.StateDropout(0.3, dropout or "regular", dropout_rng),
+                    mlp_dropout=0.2, dropout_rng=dropout_rng, training=dropout is not None)
+
+    monkeypatch.setattr(g.engine, "Tape", ZeroedTape)
+    batching = g.BatchingConfig("sequential", size)
+    store_l = g.NodeStateStore.zeros(num_nodes, model.m)
+    kw_l = kwargs()
+    fw = g.forward_epoch(events, model, store_l, batching, record=record, **kw_l)
+    store_e = g.NodeStateStore.zeros(num_nodes, model.m)
+    kw_e = kwargs()
+    batches = g.build_batches(events, batching)
+    tape = ZeroedTape(model, len(events), 2 * len(events)) if record else None
+    if not kw_e["training"]:
+        kw_e["state_dropout"] = None
+    total = 0.0
+    for batch_loss in g.engine._forward_batches(batches, model, store_e, tape, **kw_e):
+        total += batch_loss
+    assert len(g.batching.tbatch_levels((ev.src, ev.dst) for ev in events)) < len(events)
+    assert fw.total_loss == total
+    assert store_l.states.tobytes() == store_e.states.tobytes()
+    assert np.array_equal(store_l.last_update_event, store_e.last_update_event)
+    assert (fw.tape is None) == (tape is None) == (not record)
+    if record:
+        for name in ("links", "records", "head_in", "head_grad", "head_mask"):
+            a, b = getattr(fw.tape, name), getattr(tape, name)
+            unmasked = name == "head_mask" and dropout is None
+            assert (a is None) == (b is None) == unmasked, name
+            assert a is None or a.tobytes() == b.tobytes(), name
+    for stream in ("rng", "dropout_rng"):
+        if kw_l[stream] is not None:
+            assert kw_l[stream].next_u64() == kw_e[stream].next_u64(), stream
+
+
+@pytest.mark.parametrize("size", [None, 1, 5])
+def test_sequential_advance_states_matches_per_event_run_batch(size):
+    # whatever the batch size, a sequential warm-up leaves the store that
+    # one run_batch call per event leaves
+    cfg = g.SyntheticConfig(memory=2, num_nodes=12, edges_per_epoch=60)
+    events = g.generate_epoch(cfg, g.Rng(4).substream("data"))
+    model = g.init_model(g.Rng(4).substream("init"), 5, 1, "regression")
+    stores = [g.NodeStateStore.zeros(cfg.num_nodes, model.m) for _ in range(2)]
+    for store in stores:
+        store.states[:] = np.arange(store.states.size).reshape(store.states.shape) / 97.0
+    g.engine.advance_states(events, model, stores[0], g.BatchingConfig("sequential", size))
+    for ev in events:
+        g.run_batch(stores[1], g.Batch([ev], "sequential", ev.index), model)
+    assert stores[0].states.tobytes() == stores[1].states.tobytes()
+    assert stores[0].last_update_event.tobytes() == stores[1].last_update_event.tobytes()
 
 
 def assert_windows_keep_the_gradient(monkeypatch, events, model, batching, kwargs):

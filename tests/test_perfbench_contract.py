@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from grnnlab import engine
-from grnnlab.batching import make_batches_tbatch
+from grnnlab.batching import make_batches_tbatch, tbatch_levels
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
@@ -86,6 +86,24 @@ def test_probes_see_one_mlp_backward_call_per_truncation_window(tmp_path):
     assert row["mlp.backward_calls"] == row["mlp.forward_calls"] == len(windows) > 1
     levels = sum(len(make_batches_tbatch(window)) for window in windows)
     assert row["gru.forward_calls"] == levels < 2 * len(events)
+
+
+def test_probes_see_one_gru_call_per_level_in_synth_validation(tmp_path):
+    # the tape-free validation pass forwards its sequential epoch as one
+    # window of dependency levels: one stacked gru_forward call per level
+    # and one mlp_forward call for every head (F-BPTT training's per-event
+    # counts stay pinned by the tracer self-test)
+    wl = workloads.Synth(hidden=4, edges=200, num_nodes=10)
+    run = wl.setup(1, str(tmp_path))
+    tracer = spans.Tracer()
+    with spans.Probes(tracer).installed(), tracer.root("eval"):
+        result = wl.validate(run, tracer.span)
+    (_, row), = tracer.per_root()
+    val_events = run.extra["val_events"]
+    levels = len(tbatch_levels((ev.src, ev.dst) for ev in val_events))
+    assert row["gru.forward_calls"] == levels < 2 * len(val_events)
+    assert row["mlp.forward_calls"] == 1
+    assert wl.check_validation(run, result) == []
 
 
 def test_probes_see_one_stacked_gru_call_per_parallel_batch(tmp_path):
