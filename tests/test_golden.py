@@ -3,8 +3,12 @@
 Every other equivalence test compares two code paths of the same version, so
 a refactor that moves a floating-point summation changes both sides alike and
 goes unnoticed. These values were recorded once and must not drift: a change
-here means the training arithmetic changed, not just its structure.
+here means the training arithmetic changed, not just its structure. A repr
+of the gradient norm can miss a moved gradient bit, so GRADIENT_DIGESTS
+pins the bytes of every gradient buffer as well.
 """
+
+import hashlib
 
 import pytest
 
@@ -74,6 +78,18 @@ GOLDEN = {
         "(1.3858460585225623, 1.2338887896193333)",
         "(1.3867038657385289, 0.8714230096573432)",
         "(1.3861195920671392, 0.9644958644429876)",
+    ],
+}
+
+
+GRADIENT_DIGESTS = {
+    "synth_f_bptt_spanning": [
+        "9a1ef18569a87913f56c5354ee053fc38d4d34dc50e933b4d09bbecc1d7116e8",
+        "b01f3d3c63cc25cd5b12d7aed6a912e3c5187385ea0bfd304d5422b76b49dcdc",
+    ],
+    "synth_t_bptt_sequential7": [
+        "2f70c94bb14d8b9e8f3be3944506829d9323c38404ce0d2dc4edcf536e141f39",
+        "c830f60c8e7338c0128c6cfff822049aa2eea0798775a6fa59a66ce2cee1742c",
     ],
 }
 
@@ -159,3 +175,34 @@ def test_link_ranking_sequential_truncated_golden_bits(tmp_path, kind):
     # masks sharing one stream
     curve = link_curve(tmp_path, "t_bptt", kind, g.BatchingConfig("sequential", 5))
     assert curve == GOLDEN[f"link_t_bptt_sequential5_{kind}"]
+
+
+def synth_gradient_digests(mode, batching):
+    """Per epoch, the sha256 of every gradient buffer's name and bytes."""
+    cfg = g.SyntheticConfig(memory=2, num_nodes=10, edges_per_epoch=20)
+    root = g.Rng(1)
+    model = g.init_model(root.substream("init"), 4, 1, "regression")
+    opt = AdamwState(lr=1e-2, weight_decay=1e-4)
+    data_rng = root.substream("data")
+    store = g.NodeStateStore.zeros(cfg.num_nodes, model.m)
+    digests = []
+    for _ in range(2):
+        events = g.generate_epoch(cfg, data_rng)
+        stats = g.train_epoch(events, model, opt, mode, batching, store=store)
+        sha = hashlib.sha256()
+        for name, buf in stats["gradient"].items():
+            sha.update(name.encode())
+            sha.update(buf.tobytes())
+        digests.append(sha.hexdigest())
+    return digests
+
+
+def test_synth_full_gradient_golden_bytes():
+    # one spanning batch: 5 of the first epoch's 10 sweep levels hold one event
+    digests = synth_gradient_digests("f_bptt", g.BatchingConfig("sequential", None))
+    assert digests == GRADIENT_DIGESTS["synth_f_bptt_spanning"]
+
+
+def test_synth_truncated_gradient_golden_bytes():
+    digests = synth_gradient_digests("t_bptt", g.BatchingConfig("sequential", 7))
+    assert digests == GRADIENT_DIGESTS["synth_t_bptt_sequential7"]
