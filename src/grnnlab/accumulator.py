@@ -34,16 +34,8 @@ class _Tile:
         self.n = 0
 
     def stage(self, gs: tuple[np.ndarray, ...], xs: tuple[np.ndarray, ...]) -> None:
-        """Stage one row from vectors, or k rows from (k, .) arrays in row
-        order; the tile is reduced whenever it fills."""
-        if gs[0].ndim == 1:
-            i = self.n
-            np.concatenate(gs, out=self.g[i])
-            np.concatenate(xs, out=self.x[i])
-            self.n = i + 1
-            if self.n == TILE:
-                self.flush()
-            return
+        """Stage k rows from (k, .) arrays in row order; the tile is reduced
+        whenever it fills."""
         k = gs[0].shape[0]
         lo = 0
         while lo < k:
@@ -77,14 +69,10 @@ class GradientAccumulator:
         self._buffers = {name: np.zeros_like(p) for name, p in params.items()}
         self._tiles: dict[tuple[str, ...], _Tile] = {}
 
-    def add(self, name: str, grad) -> None:
-        """Add a gradient term to a buffer directly (biases, vector weights)."""
-        self._buffers[name] += grad
-
     def add_rows(self, name: str, rows: np.ndarray) -> None:
-        """Add the rows of rows (k, .) to a buffer one after another: the bits
-        of k calls to add. An accumulate is sequential for every row width; a
-        reduce over one-element rows would sum pairwise."""
+        """Add the rows of rows (k, .) to a buffer one after another, as k
+        in-place additions would. An accumulate is sequential for every row
+        width; a reduce over one-element rows would sum pairwise."""
         buf = self._buffers[name]
         buf[...] = np.add.accumulate(np.concatenate((buf[None], rows)))[-1]
 
@@ -92,8 +80,8 @@ class GradientAccumulator:
         self, names: tuple[str, ...], gs: tuple[np.ndarray, ...], xs: tuple[np.ndarray, ...]
     ) -> None:
         """Stage the outer products outer(gs[k], concat(xs)) into the weight
-        matrices names[k] as tile rows, one per row of the arrays (a vector
-        is one row); the matrices share the input rows."""
+        matrices names[k] as tile rows, one per row of the (rows, .) arrays;
+        the matrices share the input rows."""
         tile = self._tiles.get(names)
         if tile is None:
             tile = self._tiles[names] = _Tile([self._buffers[name] for name in names])

@@ -452,16 +452,16 @@ def cmd_gradcheck(cfg: GradcheckConfig) -> int:
     m = cfg.hidden_size
     checks: list[tuple[str, float, float]] = []  # (name, err, tolerance)
 
-    # cell-level: GRU against its scalar reference plus finite differences
+    # cell-level, on one-row inputs: GRU against its scalar reference plus FD
     gru = init_gru_parameters(rng.substream("init"), m, m + 1)
     h = np.array([rng.standard_normal() for _ in range(m)])
     x = np.array([rng.standard_normal() for _ in range(m + 1)])
-    h_new, cache = gru_forward(gru, h, x)
+    h_new, cache = gru_forward(gru, h[None], x[None])
     ref = gru_forward_reference(gru.named(""), h, x)
     checks.append(("gru_forward_vs_reference", float(np.abs(h_new - ref).max()), 1e-12))
 
     w_probe = np.array([rng.standard_normal() for _ in range(m)])
-    acc, _, _ = gru_backward(gru, cache, w_probe)
+    acc, _, _ = gru_backward(gru, cache, w_probe[None])
     ref_params = {k: np.asarray(v, dtype=np.longdouble) for k, v in gru.named().items()}
 
     def gru_loss():
@@ -477,12 +477,12 @@ def cmd_gradcheck(cfg: GradcheckConfig) -> int:
     # cell-level: MLP
     mlp = init_mlp_parameters(rng.substream("init").substream(7), 2 * m + 1, m)
     xm = np.array([rng.standard_normal() for _ in range(2 * m + 1)])
-    logit, mcache = mlp_forward(mlp, xm)
+    logit, mcache = mlp_forward(mlp, xm[None])
     ref_logit = mlp_forward_reference(
         {k: v for k, v in zip(("w1", "b1", "w2", "b2"), (mlp.w1, mlp.b1, mlp.w2, mlp.b2))}, xm
     )
-    checks.append(("mlp_forward_vs_reference", abs(logit - float(ref_logit)), 1e-12))
-    macc, _ = mlp_backward(mlp, mcache, 1.0)
+    checks.append(("mlp_forward_vs_reference", abs(logit.item() - float(ref_logit)), 1e-12))
+    macc, _ = mlp_backward(mlp, mcache, np.ones(1))
     mref_params = {k: np.asarray(v, dtype=np.longdouble) for k, v in mlp.named().items()}
 
     def mlp_loss():

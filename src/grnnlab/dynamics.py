@@ -226,20 +226,21 @@ def run_batch(
     """Process one batch, mutating the store and, if given, adding its events
     and updates to the tape. Returns the events' pre-update src, dst and
     (with extra_reads, one node per event) extra states, (events, 2|3, m).
-    A sequential batch runs event by event, two GRU calls each; run_levels
-    runs a run of sequential events by dependency level instead."""
+    Every node id is checked before any update, so an unknown one leaves the
+    store and the tape as they were. A sequential batch runs event by event,
+    two GRU calls each; run_levels runs a run of sequential events by
+    dependency level instead."""
     events = batch.events
     extras = [None] * len(events) if extra_reads is None else extra_reads
+    read = _node_ids(store, events, extras)
     if batch.strategy == "sequential":
         # each event reads the live store, after every earlier update; event
         # pos makes rows row0 + 2 pos + role
         if tape is not None:
             e0, row0 = tape.extend(len(events), 2 * len(events))
-        pre = np.empty((len(events), 2 if extra_reads is None else 3, store.m))
+        pre = np.empty(read.shape + (store.m,))
         for pos, (ev, extra) in enumerate(zip(events, extras)):
-            for k, node in enumerate((ev.src, ev.dst) if extra is None else (ev.src, ev.dst, extra)):
-                store.check_node(node)
-                pre[pos, k] = store.states[node]
+            pre[pos] = store.states[read[pos]]
             if tape is not None:
                 tape.read(e0 + pos, ev, extra)
             for role, node in enumerate((ev.src, ev.dst)):
@@ -256,7 +257,6 @@ def run_batch(
 
     # a parallel batch reads the batch-start snapshot with one gather, and
     # runs each node's last in-batch update, in sequential order
-    read = _node_ids(store, events, extras)
     pre = store.states[read]
     last = batch.last_event_per_node
     todo = [(pos, role, node) for pos, ev in enumerate(events)

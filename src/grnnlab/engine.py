@@ -442,21 +442,17 @@ def _backward_records(
     for evs in reversed(by_level):
         evs.sort(key=index.__getitem__, reverse=True)
         evs.sort(key=cuts.__getitem__)  # stable: descending index within a batch
-        # the level's heads in one call, a lone regression head a vector;
-        # per event, the gradients onto its pre-update src, dst and (link
-        # ranking) extra states, as views
-        at = evs[0] if len(evs) == 1 and not link else evs
-        x = tape.head_in[at]
-        grad = tape.head_grad.item(at, 0) if x.ndim == 1 else tape.head_grad[at].ravel()
+        # the level's heads in one call; per event, the gradients onto its
+        # pre-update src, dst and (link ranking) extra states, as views
+        x = tape.head_in[evs]
+        grad = tape.head_grad[evs].ravel()
         mask = tape.head_mask
-        mask = None if mask is None else mask[at].reshape(np.shape(grad) + (-1,))
+        mask = None if mask is None else mask[evs].reshape(len(grad), -1)
         if link:
             x = _link_heads(x.reshape(len(evs), 3, m))
         a1 = mlp_hidden(model.mlp, x, mask, tape.drop_scale)
-        _, gx = mlp_backward(model.mlp, MlpCache(x, a1, mask, tape.drop_scale), grad, acc, "mlp.")
-        if gx.ndim == 1:  # the lone regression head: (src, dst)
-            grads = [[gx[:m], gx[m : 2 * m]]]
-        elif link:  # two heads each: (src, dst) and (src, extra), side by side
+        _, gx = mlp_backward(model.mlp, MlpCache(x, a1, mask, tape.drop_scale), grad, acc)
+        if link:  # two heads each: (src, dst) and (src, extra), side by side
             gx = gx.reshape(len(evs), -1)
             gx[:, :m] += gx[:, 2 * m : 3 * m]
             grads = [[g[:m], g[m : 2 * m], g[3 * m :]] for g in gx]

@@ -124,30 +124,24 @@ def gru_backward(
     cache: GruCache,
     grad_h_new: np.ndarray,
     acc: GradientAccumulator | None = None,
-    prefix: str = "gru.",
 ) -> tuple[GradientAccumulator, np.ndarray, np.ndarray]:
-    """Exact gradients of gru_forward, for one update or for n updates whose
-    cache fields and output gradients are stacked as rows (n, .).
+    """Exact gradients of gru_forward for n updates whose cache fields and
+    output gradients are stacked as rows (n, .); one update is one row.
 
     Accumulates parameter gradients into acc (created if None) under
-    prefix + {wz, wr, wn, bz, br, bn}: the weight-matrix terms as tile rows
-    and the bias terms one row after another, both in row order, so n rows
-    in one call give the same bits as n one-row calls. Returns (acc,
+    gru.{wz, wr, wn, bz, br, bn}: the weight-matrix terms as tile rows and
+    the bias terms one row after another, both in row order, so n rows in
+    one call give the same bits as n one-row calls. Returns (acc,
     grad_h_prev, grad_x_in), one row each per input row.
     """
     m = params.m
-    if cache.h_prev.shape[-1] != m:
-        raise StructuralError("gru_backward: cache does not match parameters")
-    if grad_h_new.shape != cache.h_prev.shape:
-        raise StructuralError(f"gru_backward: grad_h_new shape {grad_h_new.shape}")
+    g, h_prev, x_in, z, r, n = grad_h_new, cache.h_prev, cache.x_in, cache.z, cache.r, cache.n
+    if h_prev.ndim != 2 or h_prev.shape[1] != m or g.shape != h_prev.shape:
+        raise StructuralError(
+            f"gru_backward: cache h_prev {h_prev.shape} and grad_h_new {g.shape} are not (n, {m})"
+        )
     if acc is None:
-        acc = GradientAccumulator(params.named(prefix))
-
-    shape = grad_h_new.shape
-    g, h_prev, x_in, z, r, n = (
-        a.reshape(-1, a.shape[-1])
-        for a in (grad_h_new, cache.h_prev, cache.x_in, cache.z, cache.r, cache.n)
-    )
+        acc = GradientAccumulator(params.named())
 
     # h_new = (1 - z) * h_prev + z * n
     grad_z = g * (n - h_prev)
@@ -156,8 +150,8 @@ def gru_backward(
 
     # candidate path: n = tanh(wn @ xn + bn), xn = concat(r * h_prev, x_in)
     gn = grad_n * (1.0 - n * n)
-    acc.stage((prefix + "wn",), (gn,), (r * h_prev, x_in))
-    acc.add_rows(prefix + "bn", gn)
+    acc.stage(("gru.wn",), (gn,), (r * h_prev, x_in))
+    acc.add_rows("gru.bn", gn)
     grad_xn = matvec(params.wn.T, gn)
     grad_rh = grad_xn[:, :m]
     grad_r = grad_rh * h_prev
@@ -166,11 +160,11 @@ def gru_backward(
     # gate pre-activations through the shared input xc = concat(h_prev, x_in)
     gr = grad_r * r * (1.0 - r)
     gz = grad_z * z * (1.0 - z)
-    acc.stage((prefix + "wz", prefix + "wr"), (gz, gr), (h_prev, x_in))
-    acc.add_rows(prefix + "br", gr)
-    acc.add_rows(prefix + "bz", gz)
+    acc.stage(("gru.wz", "gru.wr"), (gz, gr), (h_prev, x_in))
+    acc.add_rows("gru.br", gr)
+    acc.add_rows("gru.bz", gz)
 
     grad_xc = matvec(params.wr.T, gr) + matvec(params.wz.T, gz)
     grad_h_prev = grad_h_prev + grad_xc[:, :m]
     grad_x_in = grad_xn[:, m:] + grad_xc[:, m:]
-    return acc, grad_h_prev.reshape(shape), grad_x_in.reshape(shape[:-1] + (-1,))
+    return acc, grad_h_prev, grad_x_in

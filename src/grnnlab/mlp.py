@@ -103,21 +103,24 @@ def mlp_forward(
 def mlp_backward(
     params: MlpParameters,
     cache: MlpCache,
-    grad_logit: float | np.ndarray,
+    grad_logit: np.ndarray,
     acc: GradientAccumulator | None = None,
-    prefix: str = "mlp.",
 ) -> tuple[GradientAccumulator, np.ndarray]:
-    """Exact gradients of mlp_forward, for one head or for n heads whose
-    cache rows and logit gradients (n,) are stacked. Accumulates into acc
-    (created if None), w1's as tile rows, every term in row order, so n rows
-    in one call give the bits of n one-row calls; returns (acc, grad_x)."""
+    """Exact gradients of mlp_forward for n heads whose cache rows (n, .)
+    and logit gradients (n,) are stacked; one head is one row. Accumulates
+    into acc (created if None) under mlp.{w1, b1, w2, b2}, w1's as tile
+    rows, every term in row order, so n rows in one call give the bits of n
+    one-row calls; returns (acc, grad_x)."""
+    if cache.x.ndim != 2 or np.shape(grad_logit) != cache.x.shape[:1]:
+        raise StructuralError(
+            f"mlp_backward: cache x {cache.x.shape} and grad_logit {np.shape(grad_logit)} "
+            "are not (n, in_dim) and (n,)"
+        )
     if acc is None:
-        acc = GradientAccumulator(params.named(prefix))
-    stacked = cache.x.ndim == 2
-    add = acc.add_rows if stacked else acc.add
-    g = grad_logit[:, None] if stacked else grad_logit
-    add(prefix + "w2", g * cache.a1)
-    add(prefix + "b2", g)
+        acc = GradientAccumulator(params.named())
+    g = grad_logit[:, None]
+    acc.add_rows("mlp.w2", g * cache.a1)
+    acc.add_rows("mlp.b2", g)
     grad_a1 = g * params.w2
     if cache.drop_mask is not None:
         grad_a1 = grad_a1 * cache.drop_mask * cache.drop_scale
@@ -125,8 +128,8 @@ def mlp_backward(
     # unit, and where it dropped the unit grad_a1 is already ±0, so gating
     # on a1 gives the bits of gating on pre1
     grad_pre1 = grad_a1 * (cache.a1 > 0.0)
-    acc.stage((prefix + "w1",), (grad_pre1,), (cache.x,))
-    add(prefix + "b1", grad_pre1)
+    acc.stage(("mlp.w1",), (grad_pre1,), (cache.x,))
+    acc.add_rows("mlp.b1", grad_pre1)
     return acc, matvec(params.w1.T, grad_pre1)
 
 

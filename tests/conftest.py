@@ -1,0 +1,27 @@
+"""Report the BLAS kernels the run uses.
+
+The golden bits depend on the OpenBLAS kernels numpy dispatches to at run
+time (OPENBLAS_CORETYPE selects another set), so a failing golden should
+show which core it ran under.
+"""
+
+import ctypes
+
+import numpy as np
+
+
+def openblas_core() -> str:
+    """The runtime core of numpy's bundled scipy-openblas, or "unknown"."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        corename = lib.scipy_openblas_get_corename64_
+    except (AttributeError, OSError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def pytest_report_header(config):
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return (f"numpy {np.__version__}, {blas.get('name', 'blas')} "
+            f"{blas.get('version', 'unknown')}, OpenBLAS core {openblas_core()}")

@@ -29,8 +29,8 @@ def test_tiled_sum_matches_outer_product_loop(n):
     scale = np.zeros((rows, cols))  # sum of |g| |x| per entry
     for gv, h, x in staged_rows(n, rows, cols):
         xv = np.concatenate((h, x))
-        acc.stage(("a", "b"), (gv[:rows], gv[rows:]), (h, x))
-        acc.stage(("c",), (gv[:rows],), (xv,))
+        acc.stage(("a", "b"), (gv[None, :rows], gv[None, rows:]), (h[None], x[None]))
+        acc.stage(("c",), (gv[None, :rows],), (xv[None],))
         want["a"] += np.outer(gv[:rows], xv)
         want["b"] += np.outer(gv[rows:], xv)
         want["c"] += np.outer(gv[:rows], xv)
@@ -45,9 +45,9 @@ def test_tiled_sum_matches_outer_product_loop(n):
 def test_reads_reduce_pending_rows():
     params = {"w": np.zeros((2, 3)), "b": np.zeros(2)}
     acc = g.GradientAccumulator(params)
-    gv, xv = np.array([1.0, -2.0]), np.array([0.5, 1.0, 3.0])
+    gv, xv = np.array([[1.0, -2.0]]), np.array([[0.5, 1.0, 3.0]])
     acc.stage(("w",), (gv,), (xv,))
-    acc.add("b", gv)
+    acc.add_rows("b", gv)
     assert acc.grad_norm() == math.sqrt(float((np.outer(gv, xv) ** 2).sum()) + 5.0)
     acc.stage(("w",), (gv,), (xv,))
     assert np.array_equal(acc.buffers["w"], 2.0 * np.outer(gv, xv))
@@ -95,7 +95,7 @@ from grnnlab import GradientAccumulator
 rng = np.random.default_rng(0)
 acc = GradientAccumulator({"w": np.zeros((128, 257))})
 for _ in range(64):
-    acc.stage(("w",), (rng.standard_normal(128),), (rng.standard_normal(257),))
+    acc.stage(("w",), (rng.standard_normal((1, 128)),), (rng.standard_normal((1, 257)),))
 print(hashlib.sha256(acc.buffers["w"].tobytes()).hexdigest())
 """
 

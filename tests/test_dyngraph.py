@@ -218,6 +218,23 @@ def test_unknown_node_id_raises():
             run_batch(g.NodeStateStore.zeros(3, 2), batch, model, extra_reads=extra)
 
 
+@pytest.mark.parametrize("strategy", ["sequential", "t_batch", "fixed_parallel"])
+def test_unknown_node_id_leaves_store_and_tape_untouched(strategy):
+    # the ids are checked before any update: events ahead of the unknown
+    # node change neither the store nor the tape
+    model = g.init_model(g.Rng(0), 2, 1, "regression")
+    store = g.NodeStateStore.zeros(5, 2)
+    run_batch(store, sequential(make_events([(0, 3)])), model)  # make states nonzero
+    states, last = store.states.copy(), store.last_update_event.copy()
+    events = make_events([(0, 1), (2, 3), (4, 7)])
+    tape = g.Tape(model, len(events), 2 * len(events))
+    with pytest.raises(g.StructuralError, match="unknown node id 7 "):
+        run_batch(store, g.Batch(events=events, strategy=strategy), model, tape)
+    assert np.array_equal(store.states, states)
+    assert np.array_equal(store.last_update_event, last)
+    assert tape.n_events == 0 and tape.n_rows == 0
+
+
 def test_last_update_event_strictly_increases():
     events = make_events(random_pairs(9, 40, 5))
     model = g.init_model(g.Rng(9), 2, 1, "regression")

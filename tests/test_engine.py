@@ -241,9 +241,9 @@ def test_full_gradient_gathers_vector_and_stacked_heads(monkeypatch):
     rows = []
     kernel = g.engine.mlp_backward
 
-    def counting(params, cache, grad, acc, prefix):
-        rows.append(len(cache.x) if cache.x.ndim == 2 else 0)  # 0: a vector head
-        return kernel(params, cache, grad, acc, prefix)
+    def counting(params, cache, grad, acc):
+        rows.append(len(cache.x))
+        return kernel(params, cache, grad, acc)
 
     pairs = [(0, 1), (2, 3), (4, 5), (0, 2), (1, 4)]
     events = events_from_pairs(pairs, [0.3, -1.2, 0.7, 0.1, -0.4], memory=1)

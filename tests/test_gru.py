@@ -60,19 +60,19 @@ def test_output_is_convex_combination_per_coordinate(seed):
 def test_backward_zero_upstream_gives_zero_gradients():
     rng = g.Rng(3)
     params = g.init_gru_parameters(rng, 3, 4)
-    _, cache = g.gru_forward(params, random_vec(rng, 3), random_vec(rng, 4))
-    acc, gh, gx = g.gru_backward(params, cache, np.zeros(3))
+    _, cache = g.gru_forward(params, random_vec(rng, 3)[None], random_vec(rng, 4)[None])
+    acc, gh, gx = g.gru_backward(params, cache, np.zeros((1, 3)))
     assert all(np.all(v == 0) for v in acc.buffers.values())
     assert np.all(gh == 0) and np.all(gx == 0)
 
 
 def test_backward_zero_weights_basis_vector():
     params = zero_params(2, 2)
-    h = np.array([0.7, -0.4])
-    _, cache = g.gru_forward(params, h, np.array([1.0, 2.0]))
-    _, gh, _ = g.gru_backward(params, cache, np.array([1.0, 0.0]))
+    h = np.array([[0.7, -0.4]])
+    _, cache = g.gru_forward(params, h, np.array([[1.0, 2.0]]))
+    _, gh, _ = g.gru_backward(params, cache, np.array([[1.0, 0.0]]))
     # h_new = 0.5 h_prev + (weight terms that vanish at zero weights)
-    assert np.allclose(gh, [0.5, 0.0], atol=1e-15)
+    assert np.allclose(gh, [[0.5, 0.0]], atol=1e-15)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -85,8 +85,8 @@ def test_backward_matches_finite_differences(m):
         h = random_vec(rng, m)
         x = random_vec(rng, d_in)
         w = random_vec(rng, m)
-        _, cache = g.gru_forward(params, h, x)
-        acc, _, _ = g.gru_backward(params, cache, w)
+        _, cache = g.gru_forward(params, h[None], x[None])
+        acc, _, _ = g.gru_backward(params, cache, w[None])
         ref = {k: np.asarray(v, dtype=np.longdouble) for k, v in params.named().items()}
 
         def f():
@@ -105,10 +105,10 @@ def test_backward_matches_finite_differences(m):
 def test_backward_gradients_accumulate_across_calls():
     rng = g.Rng(5)
     params = g.init_gru_parameters(rng, 2, 2)
-    _, c1 = g.gru_forward(params, random_vec(rng, 2), random_vec(rng, 2))
-    _, c2 = g.gru_forward(params, random_vec(rng, 2), random_vec(rng, 2))
-    gA = np.array([1.0, -1.0])
-    gB = np.array([0.3, 0.7])
+    _, c1 = g.gru_forward(params, random_vec(rng, 2)[None], random_vec(rng, 2)[None])
+    _, c2 = g.gru_forward(params, random_vec(rng, 2)[None], random_vec(rng, 2)[None])
+    gA = np.array([[1.0, -1.0]])
+    gB = np.array([[0.3, 0.7]])
     acc, _, _ = g.gru_backward(params, c1, gA)
     acc, _, _ = g.gru_backward(params, c2, gB, acc)
     solo1, _, _ = g.gru_backward(params, c1, gA)
@@ -125,12 +125,24 @@ def test_shape_validation():
                  ((5, 3), (5, 3)), ((), (2,))):
         with pytest.raises(g.StructuralError):
             g.gru_forward(params, np.zeros(h), np.zeros(x))
-    _, cache = g.gru_forward(params, np.zeros(3), np.zeros(2))
+    _, cache = g.gru_forward(params, np.zeros((1, 3)), np.zeros((1, 2)))
     with pytest.raises(g.StructuralError):
-        g.gru_backward(params, cache, np.zeros(5))
+        g.gru_backward(params, cache, np.zeros((1, 5)))
     other = g.init_gru_parameters(g.Rng(1), 4, 2)
     with pytest.raises(g.StructuralError):
-        g.gru_backward(other, cache, np.zeros(4))
+        g.gru_backward(other, cache, np.zeros((1, 4)))
+
+
+def test_backward_takes_rows_only():
+    # one update is one row: a vector (or 3-D) cache or gradient is refused
+    params = g.init_gru_parameters(g.Rng(0), 3, 2)
+    _, vector = g.gru_forward(params, np.zeros(3), np.zeros(2))
+    _, row = g.gru_forward(params, np.zeros((1, 3)), np.zeros((1, 2)))
+    _, cube = g.gru_forward(params, np.zeros((1, 1, 3)), np.zeros((1, 1, 2)))
+    for cache, grad in ((vector, np.zeros(3)), (vector, np.zeros((1, 3))),
+                        (row, np.zeros(3)), (cube, np.zeros((1, 1, 3)))):
+        with pytest.raises(g.StructuralError, match="gru_backward"):
+            g.gru_backward(params, cache, grad)
 
 
 def test_init_scale_and_determinism():
@@ -190,24 +202,24 @@ def test_bce_gradient_matches_masked_sigmoid_bitwise():
 
 
 def backward_rows(m, n, seed):
-    """A GRU, n forward caches and n output gradients."""
+    """A GRU, n one-row forward caches and n output gradients."""
     rng = np.random.default_rng(seed)
     d_in = m + 3
     params = g.init_gru_parameters(g.Rng(seed), m, d_in)
-    caches = [g.gru_forward(params, rng.standard_normal(m), rng.standard_normal(d_in))[1]
-              for _ in range(n)]
+    caches = [g.gru_forward(params, rng.standard_normal((1, m)),
+                            rng.standard_normal((1, d_in)))[1] for _ in range(n)]
     return params, caches, rng.standard_normal((n, m))
 
 
 def one_row_calls(params, caches, grads):
     acc = g.GradientAccumulator(params.named())
-    outs = [g.gru_backward(params, c, w, acc)[1:] for c, w in zip(caches, grads)]
-    return acc, np.stack([gh for gh, _ in outs]), np.stack([gx for _, gx in outs])
+    outs = [g.gru_backward(params, c, w[None], acc)[1:] for c, w in zip(caches, grads)]
+    return acc, np.concatenate([gh for gh, _ in outs]), np.concatenate([gx for _, gx in outs])
 
 
 def stacked_call(params, caches, grads):
     fields = ("h_prev", "x_in", "z", "r", "n")
-    stacked = GruCache(*(np.stack([getattr(c, f) for c in caches]) for f in fields))
+    stacked = GruCache(*(np.concatenate([getattr(c, f) for c in caches]) for f in fields))
     return g.gru_backward(params, stacked, grads)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import grnnlab as g
-from grnnlab.mlp import MlpParameters, mlp_score_batch
+from grnnlab.mlp import MlpCache, MlpParameters, mlp_score_batch
 from grnnlab.oracles import mlp_forward_reference
 
 
@@ -33,8 +33,8 @@ def test_backward_matches_finite_differences():
     rng = g.Rng(4)
     params = g.init_mlp_parameters(rng, 9, 4)  # random m=4 instance
     x = np.array([rng.standard_normal() for _ in range(9)])
-    _, cache = g.mlp_forward(params, x)
-    acc, _ = g.mlp_backward(params, cache, 1.0)
+    _, cache = g.mlp_forward(params, x[None])
+    acc, _ = g.mlp_backward(params, cache, np.ones(1))
     ref = {k: np.asarray(v, dtype=np.longdouble) for k, v in params.named().items()}
 
     def f():
@@ -49,8 +49,8 @@ def test_zero_upstream_gradient_gives_zero_gradients():
     rng = g.Rng(6)
     params = g.init_mlp_parameters(rng, 4, 3)
     x = np.array([rng.standard_normal() for _ in range(4)])
-    _, cache = g.mlp_forward(params, x)
-    acc, gx = g.mlp_backward(params, cache, 0.0)
+    _, cache = g.mlp_forward(params, x[None])
+    acc, gx = g.mlp_backward(params, cache, np.zeros(1))
     assert all(np.all(v == 0) for v in acc.buffers.values())
     assert np.all(gx == 0)
 
@@ -59,8 +59,8 @@ def test_grad_input_matches_finite_differences():
     rng = g.Rng(8)
     params = g.init_mlp_parameters(rng, 5, 3)
     x = np.array([rng.standard_normal() for _ in range(5)])
-    _, cache = g.mlp_forward(params, x)
-    _, gx = g.mlp_backward(params, cache, 1.0)
+    _, cache = g.mlp_forward(params, x[None])
+    _, (gx,) = g.mlp_backward(params, cache, np.ones(1))
     eps = 1e-6
     for i in range(5):
         xp, xm = x.copy(), x.copy()
@@ -68,6 +68,18 @@ def test_grad_input_matches_finite_differences():
         xm[i] -= eps
         num = (g.mlp_forward(params, xp)[0] - g.mlp_forward(params, xm)[0]) / (2 * eps)
         assert abs(num - gx[i]) <= 1e-6 * max(1.0, abs(gx[i]))
+
+
+def test_backward_takes_rows_only():
+    # one head is one row: a vector (or 3-D) cache or gradient is refused
+    params = g.init_mlp_parameters(g.Rng(0), 4, 3)
+    _, vector = g.mlp_forward(params, np.zeros(4))
+    _, row = g.mlp_forward(params, np.zeros((1, 4)))
+    cube = MlpCache(np.zeros((1, 1, 4)), np.zeros((1, 1, 3)), None, 1.0)
+    for cache, grad in ((vector, 1.0), (vector, np.ones(1)), (row, 1.0), (row, np.ones(2)),
+                        (row, np.ones((1, 1))), (cube, np.ones(1))):
+        with pytest.raises(g.StructuralError, match="mlp_backward"):
+            g.mlp_backward(params, cache, grad)
 
 
 def test_score_batch_matches_single_forward():
@@ -160,11 +172,14 @@ def stacked_bytes(params, x, grad, rate):
 
 
 def row_bytes(params, x, grad, rate):
-    """The same through one-row calls, in row order."""
+    """The same through one-head calls, in row order: a vector forward, and
+    a backward of its cache as one row."""
     rng, acc, logits, masks, gxs = g.Rng(11), None, [], [], []
     for xi, gi in zip(x, grad):
         logit, cache = g.mlp_forward(params, xi, dropout_rate=rate, rng=rng, training=True)
-        acc, gx = g.mlp_backward(params, cache, gi, acc)
+        mask = None if cache.drop_mask is None else cache.drop_mask[None]
+        row = MlpCache(cache.x[None], cache.a1[None], mask, cache.drop_scale)
+        acc, (gx,) = g.mlp_backward(params, row, gi[None], acc)
         logits.append(logit)
         masks.append(cache.drop_mask)
         gxs.append(gx)
