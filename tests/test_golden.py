@@ -91,7 +91,50 @@ GRADIENT_DIGESTS = {
         "2f70c94bb14d8b9e8f3be3944506829d9323c38404ce0d2dc4edcf536e141f39",
         "c830f60c8e7338c0128c6cfff822049aa2eea0798775a6fa59a66ce2cee1742c",
     ],
+    "link_f_bptt_regular": [
+        "b88cdc4a9c291d637060db3d967d2db0b50eb2c877ed8ef271eadd36d8a6d799",
+        "b613f0c44ca3d1488cf1b47bdf92038b4c3c98e872b11b91671ed2cf693117c8",
+        "bc54e483fa80d9d125217bb1ceceff47ca68f33e382d86a8e5da68f923c54fa7",
+    ],
+    "link_t_bptt_regular": [
+        "e4f0cc72dee7f05da4241e33a79954b4c0b43623a05454946f321ec9ac14592c",
+        "400b60c8a68a2ba734db758122636e013feae8ea056028c1c11aa410ef461675",
+        "9355819005f56e6bceb05855a14e06d867b19fff0a190e44fb8f42e62b2317d6",
+    ],
+    "link_f_bptt_recurrent": [
+        "f70d15651bee3d79a37afe02486404d276a4417e3601209a3a0aa41a451789ac",
+        "b3b5989596bb2b22e49d855998025593576becaa29c24ba9bf8308e96f231fe1",
+        "b1c94f6258d1700a820f9930011d5b2238c3cdf77d21d4a8a7538ce7563b4401",
+    ],
+    "link_t_bptt_recurrent": [
+        "47df090c59c9c5497d708c5841d75acb7d283b723cf2d93ebadaa5e4749ca3f1",
+        "0b310d5f70123600b98d04cab7d6a7104ca0fee424dae94f42d63779f0246396",
+        "25b0f7c0931c03ac78337c187d8774c42114b927443624e2ac909484f2dea42b",
+    ],
+    "link_f_bptt_tbatch": [
+        "f7433630a3fe3a8980010a901cde5406235bc0de27604deebf04efead387f9b9",
+        "1c6149d6e5620e54115771259a56adf7daef4ac7e68fc54d7509be897c51135e",
+        "75f1100b66aed7dd6b3a89cff60cdb4d00a52244f894803b6221516254dcc343",
+    ],
+    "link_t_bptt_tbatch": [
+        "32fe8a69e2acfa31d6e9f124949357e67a7982aa25e5d52414beed0974a68b1e",
+        "c7153a84aaf5a94e2b444c4f2d2753027a48a9aa903a0fbda154b6eeddc45849",
+        "84b465b886cf0fa4001a779ff4b23f7b0d167802d32feb154ed872b795ebfa05",
+    ],
 }
+
+
+def loss_and_norm(stats):
+    return repr((stats["mean_loss"], stats["grad_norm"]))
+
+
+def gradient_digest(stats):
+    """The sha256 of every gradient buffer's name and bytes."""
+    sha = hashlib.sha256()
+    for name, buf in stats["gradient"].items():
+        sha.update(name.encode())
+        sha.update(buf.tobytes())
+    return sha.hexdigest()
 
 
 def synth_curve(mode, batching=None):
@@ -107,11 +150,12 @@ def synth_curve(mode, batching=None):
     for _ in range(EPOCHS):
         events = g.generate_epoch(cfg, data_rng)
         stats = g.train_epoch(events, model, opt, mode, batching, store=store)
-        rows.append(repr((stats["mean_loss"], stats["grad_norm"])))
+        rows.append(loss_and_norm(stats))
     return rows
 
 
-def link_curve(tmp_path, mode, kind, batching=g.BatchingConfig("fixed_parallel", 16)):
+def link_curve(tmp_path, mode, kind, batching=g.BatchingConfig("fixed_parallel", 16),
+               row=loss_and_norm):
     path = str(tmp_path / "stream.csv")
     write_synthetic_linkstream(path, num_events=120, num_users=15, num_items=6,
                                feat_dim=2, seed=3)
@@ -131,7 +175,7 @@ def link_curve(tmp_path, mode, kind, batching=g.BatchingConfig("fixed_parallel",
             state_dropout=state_dropout, mlp_dropout=0.15, dropout_rng=dropout_rng,
             store=store,
         )
-        rows.append(repr((stats["mean_loss"], stats["grad_norm"])))
+        rows.append(row(stats))
     return rows
 
 
@@ -178,7 +222,7 @@ def test_link_ranking_sequential_truncated_golden_bits(tmp_path, kind):
 
 
 def synth_gradient_digests(mode, batching):
-    """Per epoch, the sha256 of every gradient buffer's name and bytes."""
+    """Per epoch, the gradient_digest."""
     cfg = g.SyntheticConfig(memory=2, num_nodes=10, edges_per_epoch=20)
     root = g.Rng(1)
     model = g.init_model(root.substream("init"), 4, 1, "regression")
@@ -189,11 +233,7 @@ def synth_gradient_digests(mode, batching):
     for _ in range(2):
         events = g.generate_epoch(cfg, data_rng)
         stats = g.train_epoch(events, model, opt, mode, batching, store=store)
-        sha = hashlib.sha256()
-        for name, buf in stats["gradient"].items():
-            sha.update(name.encode())
-            sha.update(buf.tobytes())
-        digests.append(sha.hexdigest())
+        digests.append(gradient_digest(stats))
     return digests
 
 
@@ -206,3 +246,22 @@ def test_synth_full_gradient_golden_bytes():
 def test_synth_truncated_gradient_golden_bytes():
     digests = synth_gradient_digests("t_bptt", g.BatchingConfig("sequential", 7))
     assert digests == GRADIENT_DIGESTS["synth_t_bptt_sequential7"]
+
+
+LINK_DIGEST_CASES = [
+    ("link_f_bptt_regular", "f_bptt", "regular", g.BatchingConfig("fixed_parallel", 16)),
+    ("link_t_bptt_regular", "t_bptt", "regular", g.BatchingConfig("fixed_parallel", 16)),
+    ("link_f_bptt_recurrent", "f_bptt", "recurrent", g.BatchingConfig("fixed_parallel", 16)),
+    ("link_t_bptt_recurrent", "t_bptt", "recurrent", g.BatchingConfig("fixed_parallel", 16)),
+    ("link_f_bptt_tbatch", "f_bptt", "regular", g.BatchingConfig("t_batch", None)),
+    ("link_t_bptt_tbatch", "t_bptt", "regular", g.BatchingConfig("t_batch", None)),
+]
+
+
+@pytest.mark.parametrize("name,mode,kind,batching", LINK_DIGEST_CASES,
+                         ids=[case[0] for case in LINK_DIGEST_CASES])
+def test_link_ranking_gradient_golden_bytes(tmp_path, name, mode, kind, batching):
+    # the parallel strategies' gradients, byte for byte: the GOLDEN reprs of
+    # the same runs can miss a moved gradient bit
+    digests = link_curve(tmp_path, mode, kind, batching, row=gradient_digest)
+    assert digests == GRADIENT_DIGESTS[name]
