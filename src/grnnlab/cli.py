@@ -173,6 +173,16 @@ def load_config(command: str, config: str | dict | None, overrides: dict):
     return cfg
 
 
+def _check_grid(cfg, name: str) -> None:
+    """A run grid axis: not empty, and no value twice (a repeated one would
+    run its cells twice and count them twice)."""
+    values = getattr(cfg, name)
+    if not values:
+        raise ConfigError(f"{name} must not be empty")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{name} must not repeat a value, got {values}")
+
+
 def _validate_config(command: str, cfg) -> None:
     if getattr(cfg, "mode", "both") not in ("f_bptt", "t_bptt", "both"):
         raise ConfigError(f"mode must be f_bptt, t_bptt or both, got {cfg.mode!r}")
@@ -180,8 +190,7 @@ def _validate_config(command: str, cfg) -> None:
         if cfg.epochs < 1 or cfg.summary_window < 1:
             raise ConfigError("epochs and summary_window must be >= 1")
         for name in ("memory_values", "hidden_sizes", "seeds"):
-            if not getattr(cfg, name):
-                raise ConfigError(f"{name} must not be empty")
+            _check_grid(cfg, name)
         if any(m < 1 for m in cfg.memory_values):
             raise ConfigError("memory_values must all be >= 1")
         if any(h < 1 for h in cfg.hidden_sizes):
@@ -201,8 +210,7 @@ def _validate_config(command: str, cfg) -> None:
             raise ConfigError("trials, max_epochs and batch_size must be >= 1")
         if cfg.hidden_size < 1:
             raise ConfigError(f"hidden_size must be >= 1, got {cfg.hidden_size}")
-        if not cfg.seeds:
-            raise ConfigError("seeds must not be empty")
+        _check_grid(cfg, "seeds")
         if cfg.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {cfg.patience}")
         if cfg.max_events is not None and cfg.max_events < 1:

@@ -141,6 +141,10 @@ def test_invalid_mode_is_config_error(tmp_path):
     ("bench", {"patience": -1}),
     ("bench", {"max_events": 0}),
     ("bench", {"max_events": -3}),
+    ("synth", {"memory_values": [1, 1]}),
+    ("synth", {"hidden_sizes": [4, 4]}),
+    ("synth", {"seeds": [0, 0]}),
+    ("bench", {"seeds": [0, 0]}),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, extra):
     if command == "synth":
