@@ -6,6 +6,10 @@ goes unnoticed. These values were recorded once and must not drift: a change
 here means the training arithmetic changed, not just its structure. A repr
 of the gradient norm can miss a moved gradient bit, so GRADIENT_DIGESTS
 pins the bytes of every gradient buffer as well.
+
+The bits also depend on the OpenBLAS kernels numpy runs (conftest), so
+every assertion names the core the goldens were recorded under and the one
+this run uses.
 """
 
 import hashlib
@@ -13,10 +17,17 @@ import hashlib
 import pytest
 
 import grnnlab as g
+from conftest import openblas_core
 from grnnlab.adamw import AdamwState
 from grnnlab.evalbench import load_jodie_csv, write_synthetic_linkstream
 
 EPOCHS = 3
+RECORDED_CORE = "SkylakeX"  # the OpenBLAS core every golden was recorded under
+
+
+def core_note() -> str:
+    return (f"goldens recorded under OpenBLAS core {RECORDED_CORE}; "
+            f"this run uses {openblas_core()}")
 
 GOLDEN = {
     "synth_f_bptt": [
@@ -181,34 +192,34 @@ def link_curve(tmp_path, mode, kind, batching=g.BatchingConfig("fixed_parallel",
 
 @pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
 def test_synth_golden_bits(mode):
-    assert synth_curve(mode) == GOLDEN[f"synth_{mode}"]
+    assert synth_curve(mode) == GOLDEN[f"synth_{mode}"], core_note()
 
 
 def test_synth_tbatch_truncated_golden_bits():
     # t_batch batches of a regression stream read each earlier-batch row at
     # most once, so summing a batch's one-hop tails per row moves no bit here
     curve = synth_curve("t_bptt", g.BatchingConfig("t_batch", None))
-    assert curve == GOLDEN["synth_t_bptt_tbatch"]
+    assert curve == GOLDEN["synth_t_bptt_tbatch"], core_note()
 
 
 def test_synth_sequential_truncated_golden_bits():
     # sequential batches of three events have several dependency levels, and
     # a window of batches is swept level by level across its batches
     curve = synth_curve("t_bptt", g.BatchingConfig("sequential", 3))
-    assert curve == GOLDEN["synth_t_bptt_sequential3"]
+    assert curve == GOLDEN["synth_t_bptt_sequential3"], core_note()
 
 
 @pytest.mark.parametrize("kind", ["regular", "recurrent"])
 @pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
 def test_link_ranking_golden_bits(tmp_path, mode, kind):
-    assert link_curve(tmp_path, mode, kind) == GOLDEN[f"link_{mode}_{kind}"]
+    assert link_curve(tmp_path, mode, kind) == GOLDEN[f"link_{mode}_{kind}"], core_note()
 
 
 @pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
 def test_link_ranking_tbatch_golden_bits(tmp_path, mode):
     # a second parallel strategy: conflict-free batches of varying size
     curve = link_curve(tmp_path, mode, "regular", g.BatchingConfig("t_batch", None))
-    assert curve == GOLDEN[f"link_{mode}_tbatch"]
+    assert curve == GOLDEN[f"link_{mode}_tbatch"], core_note()
 
 
 @pytest.mark.parametrize("kind", ["regular", "recurrent"])
@@ -218,7 +229,7 @@ def test_link_ranking_sequential_truncated_golden_bits(tmp_path, kind):
     # (event, then role), then its head-dropout masks, with state and head
     # masks sharing one stream
     curve = link_curve(tmp_path, "t_bptt", kind, g.BatchingConfig("sequential", 5))
-    assert curve == GOLDEN[f"link_t_bptt_sequential5_{kind}"]
+    assert curve == GOLDEN[f"link_t_bptt_sequential5_{kind}"], core_note()
 
 
 def synth_gradient_digests(mode, batching):
@@ -240,12 +251,12 @@ def synth_gradient_digests(mode, batching):
 def test_synth_full_gradient_golden_bytes():
     # one spanning batch: 5 of the first epoch's 10 sweep levels hold one event
     digests = synth_gradient_digests("f_bptt", g.BatchingConfig("sequential", None))
-    assert digests == GRADIENT_DIGESTS["synth_f_bptt_spanning"]
+    assert digests == GRADIENT_DIGESTS["synth_f_bptt_spanning"], core_note()
 
 
 def test_synth_truncated_gradient_golden_bytes():
     digests = synth_gradient_digests("t_bptt", g.BatchingConfig("sequential", 7))
-    assert digests == GRADIENT_DIGESTS["synth_t_bptt_sequential7"]
+    assert digests == GRADIENT_DIGESTS["synth_t_bptt_sequential7"], core_note()
 
 
 LINK_DIGEST_CASES = [
@@ -264,4 +275,4 @@ def test_link_ranking_gradient_golden_bytes(tmp_path, name, mode, kind, batching
     # the parallel strategies' gradients, byte for byte: the GOLDEN reprs of
     # the same runs can miss a moved gradient bit
     digests = link_curve(tmp_path, mode, kind, batching, row=gradient_digest)
-    assert digests == GRADIENT_DIGESTS[name]
+    assert digests == GRADIENT_DIGESTS[name], core_note()
