@@ -14,17 +14,17 @@ Three update regimes share one entry point, run_batch:
 Within one event the two endpoint updates are coupled but simultaneous:
 both consume the pre-update states of both endpoints.
 
-run_batch runs a sequential batch with one GRU call per update: F-BPTT
-training's forward, ranking evaluation and state warm-ups still run so. The
-updates of a parallel batch all read the batch-start snapshot, so they are
-independent, as in JODIE's t-batches (Kumar et al., KDD 2019): its reads
-are one gather from the store, and its updates run as stacked rows of one
-GRU call and one state-dropout call, in the order sequential processing
-would compute them; each row gets the bits (and the dropout draws) it would
-get alone. run_levels runs a run of sequential events (a truncated-training
-window or a forward_epoch, with or without a tape) the same way, one
-dependency level at a time, and fills the tape slots sequential processing
-would fill.
+One rule runs all three: a dependency level is one read of the store (a
+gather), and each node keeps its last update in it. A parallel batch is one
+level, read from the batch-start snapshot; a run of sequential events (a
+truncated-training window or a forward_epoch) is its t-batch levels, as in
+JODIE (Kumar et al., KDD 2019). run_levels runs a level's updates through
+_update, the one update step, as the stacked rows of one GRU call and one
+state-dropout call, in the order sequential processing would compute them;
+each row gets the bits (and the dropout draws) it would get alone.
+run_batch runs a sequential batch event by event, one _update per update:
+F-BPTT training's forward (its per-event kernel counts are pinned), ranking
+evaluation and state warm-ups run so.
 
 With a Tape, every update leaves one row of GRU cache, and every state read
 names the row that produced the value (or -1 for the epoch-initial state),
@@ -129,7 +129,7 @@ class Tape:
         extra_row = -1 if extra is None else get(extra, -1)
         self.links[e] = get(ev.src, -1), get(ev.dst, -1), extra_row, -1, -1, ev.index
 
-    def write(self, e, role, rows, nodes: list[int], cache: GruCache, keep) -> None:
+    def write(self, e, role, rows, nodes, cache: GruCache, keep) -> None:
         """Fill rows with the updates of nodes, made by the tape's events
         number e in role (0: src, 1: dst). One update passes ints and vector
         cache fields; a block of k passes int arrays of k and its cache
@@ -140,9 +140,9 @@ class Tape:
             self.keep[rows] = keep
         self.writes[e, role] = rows
         if isinstance(rows, np.ndarray):
-            self.producer.update(zip(nodes, rows.tolist()))
+            self.producer.update(zip(nodes.tolist(), rows.tolist()))
         else:
-            self.producer[nodes[0]] = rows
+            self.producer[nodes] = rows
 
     def score(self, events: int, inputs: np.ndarray, grad, mask: np.ndarray | None,
               scale: float) -> None:
@@ -159,17 +159,15 @@ class Tape:
             self.head_mask[lo:hi] = mask.reshape(events, -1, mask.shape[-1])
             self.drop_scale = scale
 
-    def release(self, events: list[Event]) -> None:
-        """Drop every event and row above base, after carrying the rows that
-        produced the current states of the events' nodes into the nodes'
-        own rows, as one take of whole records."""
-        carried = {}  # node -> the row it is carried from
-        for ev in events:
-            for node in (ev.src, ev.dst):
-                if self.producer.get(node, -1) >= self.base:
-                    carried[node], self.producer[node] = self.producer[node], node
+    def release(self) -> None:
+        """Drop every event and row above base, after carrying the rows above
+        base that produced a node's current state (the window's last update
+        of each node it updated) into the nodes' own rows, as one take of
+        whole records."""
+        carried = {node: row for node, row in self.producer.items() if row >= self.base}
         if carried:
             self.records.put(list(carried), self.records.take(list(carried.values())))
+            self.producer.update((node, node) for node in carried)
         self.n_events, self.n_scored, self.n_rows = 0, 0, self.base
         self.starts = [(0, self.base)]
 
@@ -196,22 +194,17 @@ def _node_ids(store: NodeStateStore, events: list[Event], extras: list) -> np.nd
     return read
 
 
-def _update(store: NodeStateStore, model: GrnnModel, events: list[Event], pre: np.ndarray,
-            at: np.ndarray, roles: np.ndarray, nodes: np.ndarray,
-            state_dropout: StateDropout | None) -> tuple[GruCache, np.ndarray | None]:
-    """Updates that read no state another one writes: node nodes[j], in role
-    roles[j] of events[at[j]], from the pre-update states pre, as the stacked
-    rows of one GRU call and one state-dropout call. Returns the GRU cache
-    and keep masks, one row per update."""
-    updating = [events[pos] for pos in at.tolist()]
-    h_own = pre[at, roles]
-    x_in = np.concatenate(
-        (pre[at, 1 - roles], np.array([ev.features for ev in updating])), axis=1
-    )
+def _update(store: NodeStateStore, model: GrnnModel, h_own: np.ndarray, x_in: np.ndarray,
+            nodes, index, state_dropout: StateDropout | None) -> tuple[GruCache, np.ndarray | None]:
+    """The one update step: the GRU on node nodes' own pre-update state
+    h_own and input x_in, then the state dropout, into the store as made by
+    event index. One update passes vectors and ints; updates that read no
+    state another one writes pass stacked rows and int arrays. Returns the
+    GRU cache and the keep masks."""
     h_new, cache = gru_forward(model.gru, h_own, x_in)
     h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
     store.states[nodes] = h_new
-    store.last_update_event[nodes] = [ev.index for ev in updating]
+    store.last_update_event[nodes] = index
     return cache, keep
 
 
@@ -227,50 +220,31 @@ def run_batch(
     and updates to the tape. Returns the events' pre-update src, dst and
     (with extra_reads, one node per event) extra states, (events, 2|3, m).
     Every node id is checked before any update, so an unknown one leaves the
-    store and the tape as they were. A sequential batch runs event by event,
-    two GRU calls each; run_levels runs a run of sequential events by
-    dependency level instead."""
+    store and the tape as they were. A parallel batch is one run_levels
+    level; a sequential batch runs event by event."""
     events = batch.events
+    if batch.strategy != "sequential":
+        last = batch.last_event_per_node if batch.updates < 2 * len(events) else None
+        return run_levels(store, events, [list(range(len(events)))] if events else [], model,
+                          tape, state_dropout, extra_reads, last)
     extras = [None] * len(events) if extra_reads is None else extra_reads
     read = _node_ids(store, events, extras)
-    if batch.strategy == "sequential":
-        # each event reads the live store, after every earlier update; event
-        # pos makes rows row0 + 2 pos + role
+    # each event reads the live store, after every earlier update; event pos
+    # makes rows row0 + 2 pos + role
+    if tape is not None:
+        e0, row0 = tape.extend(len(events), 2 * len(events))
+    pre = np.empty(read.shape + (store.m,))
+    for pos, (ev, extra) in enumerate(zip(events, extras)):
+        pre[pos] = store.states[read[pos]]
         if tape is not None:
-            e0, row0 = tape.extend(len(events), 2 * len(events))
-        pre = np.empty(read.shape + (store.m,))
-        for pos, (ev, extra) in enumerate(zip(events, extras)):
-            pre[pos] = store.states[read[pos]]
-            if tape is not None:
-                tape.read(e0 + pos, ev, extra)
-            for role, node in enumerate((ev.src, ev.dst)):
-                # the GRU input is the counterparty's pre-update state
-                h_own = pre[pos, role]
-                x_in = np.concatenate((pre[pos, 1 - role], ev.features))
-                h_new, cache = gru_forward(model.gru, h_own, x_in)
-                h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
-                store.states[node] = h_new
-                store.last_update_event[node] = ev.index
-                if tape is not None:
-                    tape.write(e0 + pos, role, row0 + 2 * pos + role, [node], cache, keep)
-        return pre
-
-    # a parallel batch reads the batch-start snapshot with one gather, and
-    # runs each node's last in-batch update, in sequential order
-    pre = store.states[read]
-    last = batch.last_event_per_node
-    todo = [(pos, role, node) for pos, ev in enumerate(events)
-            for role, node in enumerate((ev.src, ev.dst)) if last[node] == pos]
-    if tape is not None:
-        e0, row0 = tape.extend(len(events), len(todo))
-        for pos, (ev, extra) in enumerate(zip(events, extras)):
             tape.read(e0 + pos, ev, extra)
-    if not todo:
-        return pre
-    at, roles, nodes = (np.array(col) for col in zip(*todo))
-    cache, keep = _update(store, model, events, pre, at, roles, nodes, state_dropout)
-    if tape is not None:
-        tape.write(e0 + at, roles, np.arange(row0, row0 + len(todo)), nodes.tolist(), cache, keep)
+        for role, node in enumerate((ev.src, ev.dst)):
+            # the GRU input is the counterparty's pre-update state
+            x_in = np.concatenate((pre[pos, 1 - role], ev.features))
+            cache, keep = _update(store, model, pre[pos, role], x_in, node, ev.index,
+                                  state_dropout)
+            if tape is not None:
+                tape.write(e0 + pos, role, row0 + 2 * pos + role, node, cache, keep)
     return pre
 
 
@@ -282,21 +256,26 @@ def run_levels(
     tape: Tape | None,
     state_dropout: StateDropout | None = None,
     extra_reads: list[int] | None = None,
+    last: dict[int, int] | None = None,
 ) -> np.ndarray:
-    """Process a run of events as sequential processing would, level by
-    level: levels (batching.tbatch_levels of the nodes each event touches,
-    its extra read included) hold event positions, and no level touches a
-    node twice, so each level reads its pre-update states with one gather
-    and runs its updates (src, then dst, per event) as the stacked rows of
-    one GRU call and one state-dropout call, which draws its masks level
-    after level. With a tape, event pos fills tape event e0 + pos and rows
-    row0 + 2 pos + role, as in a sequential batch. Returns what run_batch
-    returns."""
+    """Process events level by level. levels hold event positions; a level
+    reads its pre-update states with one gather, and its updates (src, then
+    dst, per event) run as one stacked _update, whose state dropout draws
+    its masks level after level. A run of sequential events passes its
+    batching.tbatch_levels (of the nodes each event touches, extra read
+    included), which touch a node once per level; a parallel batch is one
+    level, and where its nodes repeat, last (Batch.last_event_per_node)
+    keeps each node's last update only. With a tape, event pos fills tape
+    event e0 + pos and its updates rows row0 + 2 pos + role, as in a
+    sequential batch, or with last the next rows in event order. Returns
+    what run_batch returns."""
     extras = [None] * len(events) if extra_reads is None else extra_reads
     read = _node_ids(store, events, extras)
     if tape is not None:
-        e0, row0 = tape.extend(len(events), 2 * len(events))
+        e0, row0 = tape.extend(len(events), 2 * len(events) if last is None else len(last))
     pre = np.empty(read.shape + (store.m,))
+    features = np.array([ev.features for ev in events])
+    index = np.array([ev.index for ev in events])
     for level in levels:
         at = np.array(level)
         pre[at] = store.states[read[at]]
@@ -304,8 +283,12 @@ def run_levels(
             for pos in level:
                 tape.read(e0 + pos, events[pos], extras[pos])
         at, roles = np.repeat(at, 2), np.tile((0, 1), len(level))
-        nodes = read[at, roles]
-        cache, keep = _update(store, model, events, pre, at, roles, nodes, state_dropout)
+        nodes, rows = read[at, roles], 2 * at + roles
+        if last is not None:
+            final = np.array([last[node] for node in nodes.tolist()]) == at
+            at, roles, nodes, rows = at[final], roles[final], nodes[final], np.arange(final.sum())
+        x_in = np.concatenate((pre[at, 1 - roles], features[at]), axis=1)
+        cache, keep = _update(store, model, pre[at, roles], x_in, nodes, index[at], state_dropout)
         if tape is not None:
-            tape.write(e0 + at, roles, row0 + 2 * at + roles, nodes.tolist(), cache, keep)
+            tape.write(e0 + at, roles, row0 + rows, nodes, cache, keep)
     return pre

@@ -573,7 +573,7 @@ def train_epoch(
         # truncated window, for the one-hop tails
         _backward_records(tape, model, acc, tails, state_dropout)
         if truncate:
-            tape.release([ev for batch in window for ev in batch.events])
+            tape.release()
     tails.run()
     adamw_step(optimizer, params, acc.buffers)
 
