@@ -224,6 +224,7 @@ def run_batch(
     level; a sequential batch runs event by event."""
     events = batch.events
     if batch.strategy != "sequential":
+        # a batch that repeats no node (every t-batch) drops no update: no filter
         last = batch.last_event_per_node if batch.updates < 2 * len(events) else None
         return run_levels(store, events, [list(range(len(events)))] if events else [], model,
                           tape, state_dropout, extra_reads, last)
