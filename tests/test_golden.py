@@ -276,3 +276,53 @@ def test_link_ranking_gradient_golden_bytes(tmp_path, name, mode, kind, batching
     # the same runs can miss a moved gradient bit
     digests = link_curve(tmp_path, mode, kind, batching, row=gradient_digest)
     assert digests == GRADIENT_DIGESTS[name], core_note()
+
+
+FORWARD_DIGESTS = {
+    "fixed_parallel_regular": "35140472811609c5664487a5f925ea92291a71fa5bf7bd4af15b84fb60f48950",
+    "fixed_parallel_recurrent": "c1749c916814400a72abaa09bdcbcf188053c2adbd02f6de5dc3f944d3cfcf1c",
+    "tbatch_regular": "db09b22c5ee73bcd548c0ee9378cbfbcc52bae1f62fd6e6bbd46631b6a020d8b",
+    "tbatch_recurrent": "d58864e21c26ed233f1f654758612fb75c33bb21e90454d8a4de32d25caaeefa",
+}
+
+
+def forward_digest(tmp_path, kind, batching):
+    """The sha256 of what one recorded training forward_epoch leaves: its
+    loss, the tape's arrays, the store and each rng's next draw. m = 8
+    keeps the records free of alignment padding."""
+    path = str(tmp_path / "stream.csv")
+    write_synthetic_linkstream(path, num_events=120, num_users=15, num_items=6,
+                               feat_dim=2, seed=3)
+    dataset = load_jodie_csv(path)
+    root = g.Rng(31)
+    model = g.init_model(root.substream("init"), 8, dataset.feat_dim, "link_ranking")
+    dropout_rng, neg_rng = root.substream("dropout"), root.substream("negatives")
+    store = g.NodeStateStore.zeros(dataset.num_nodes, model.m)
+    fw = g.forward_epoch(dataset.events, model, store, batching, task="link_ranking",
+                         rng=neg_rng, neg_universe=dataset.destinations,
+                         state_dropout=g.StateDropout(0.2, kind, dropout_rng),
+                         mlp_dropout=0.15, dropout_rng=dropout_rng, training=True)
+    sha = hashlib.sha256(repr(fw.total_loss).encode())
+    for name in ("links", "records", "head_in", "head_grad", "head_mask"):
+        sha.update(getattr(fw.tape, name).tobytes())
+    sha.update(store.states.tobytes())
+    sha.update(store.last_update_event.tobytes())
+    sha.update(repr((neg_rng.next_u64(), dropout_rng.next_u64())).encode())
+    return sha.hexdigest()
+
+
+FORWARD_CASES = [
+    ("fixed_parallel_regular", "regular", g.BatchingConfig("fixed_parallel", 16)),
+    ("fixed_parallel_recurrent", "recurrent", g.BatchingConfig("fixed_parallel", 16)),
+    ("tbatch_regular", "regular", g.BatchingConfig("t_batch", None)),
+    ("tbatch_recurrent", "recurrent", g.BatchingConfig("t_batch", None)),
+]
+
+
+@pytest.mark.parametrize("name,kind,batching", FORWARD_CASES,
+                         ids=[case[0] for case in FORWARD_CASES])
+def test_parallel_forward_epoch_golden_bytes(tmp_path, name, kind, batching):
+    # the recorded parallel forward perfbench's linkrank tape_forward runs:
+    # batches of 16 repeat nodes, so some updates are dropped, and state
+    # and head masks share one stream
+    assert forward_digest(tmp_path, kind, batching) == FORWARD_DIGESTS[name], core_note()

@@ -112,7 +112,9 @@ def test_probes_see_one_stacked_gru_call_per_parallel_batch(tmp_path):
     # mlp_forward call; the reverse sweep makes one mlp_backward call per
     # dependency level, which under truncation is the window, here a batch
     # (each has at least WINDOW_UPDATES updates). A stacked path
-    # that bypassed the wrapped call sites would read zero here
+    # that bypassed the wrapped call sites would read zero here, and each
+    # batch is one run_batch call, so the per-layer evidence of every layer
+    # stays per batch
     wl = SmallLinkrank()
     run = wl.setup(1, str(tmp_path))
     assert run.train_kwargs["state_dropout"] is not None
@@ -126,6 +128,7 @@ def test_probes_see_one_stacked_gru_call_per_parallel_batch(tmp_path):
     for mode, row in rows.items():
         assert row["batching.batches"] == batches > 1
         assert row["gru.forward_calls"] == batches
+        assert row["dynamics.run_batch_calls"] == batches
         assert row["dropout.state_calls"] == batches
         assert row["mlp.forward_calls"] == batches
     assert 0 < rows["f_bptt"]["mlp.backward_calls"] <= batches
