@@ -28,9 +28,9 @@ evaluation and state warm-ups run so.
 
 With a Tape, every update leaves one row of GRU cache, and every state read
 names the row that produced the value (or -1 for the epoch-initial state),
-which is what lets the engine run exact reverse-mode sweeps across batch
-boundaries. The engine adds each event's prediction-head inputs and loss
-gradients to the tape.
+looked up in the tape's node-indexed producer array, which is what lets the
+engine run exact reverse-mode sweeps across batch boundaries. The engine
+adds each event's prediction-head inputs and loss gradients to the tape.
 """
 
 from __future__ import annotations
@@ -75,6 +75,10 @@ class Tape:
     gradient per head, and under hidden dropout head_mask[e], one mask row
     per head: the sweep rebuilds the heads and recomputes their hidden layer.
 
+    producer[node] is the row that produced the node's current state (-1:
+    the epoch-initial state), for the `nodes` nodes of the store the forward
+    runs on.
+
     A tape holds `events` events and `rows` update rows above its first
     `base` rows; Batch.updates gives the rows a batch needs. Truncated
     training sets base to the node count, marks where each batch starts in
@@ -85,7 +89,7 @@ class Tape:
     sum of the batches' updates, or the nodes plus the largest window's.
     """
 
-    def __init__(self, model: GrnnModel, events: int, rows: int, base: int = 0):
+    def __init__(self, model: GrnnModel, nodes: int, events: int, rows: int, base: int = 0):
         m, d_in, rows = model.m, model.gru.d_in, base + rows
         cuts = np.cumsum((0, m, d_in, m, m, m)).tolist()  # h_prev | x_in | z | r | n
         self._fields = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
@@ -99,7 +103,7 @@ class Tape:
         self.head_in = np.empty((events, 3 * m if link else model.mlp.in_dim))
         self.head_grad = np.empty((events, 2 if link else 1))
         self.head_mask, self.drop_scale = None, 1.0  # set by the first score with a mask
-        self.producer: dict[int, int] = {}  # node -> row that produced its state
+        self.producer = np.full(nodes, -1, dtype=np.int64)
         self.base = self.n_rows = base
         self.starts = [(0, base)]  # (first event, first row) per batch, if marked
         self.n_events = self.n_scored = 0
@@ -114,20 +118,24 @@ class Tape:
 
     def extend(self, events: int, rows: int) -> tuple[int, int]:
         """Add `events` events and `rows` update rows, to be filled by read
-        and write; returns the first of each."""
+        and write (their extra read and writes start as -1: none); returns
+        the first of each."""
         e, u = self.n_events, self.n_rows
         if e + events > len(self.index):
             raise StructuralError(f"tape is full at {e} events")
         if u + rows > len(self.records):
             raise StructuralError(f"tape is full at {u} rows")
         self.n_events, self.n_rows = e + events, u + rows
+        self.links[e : e + events, 2:5] = -1
         return e, u
 
-    def read(self, e: int, ev: Event, extra: int | None) -> None:
-        """Fill event e with ev and the rows behind its pre-update states."""
-        get = self.producer.get
-        extra_row = -1 if extra is None else get(extra, -1)
-        self.links[e] = get(ev.src, -1), get(ev.dst, -1), extra_row, -1, -1, ev.index
+    def read(self, e, nodes: np.ndarray, index) -> None:
+        """Fill the tape's events number e (an int, or an index array with
+        one row of nodes each) with their event index and the rows that
+        produced the pre-update states of nodes: src, dst and (link ranking)
+        extra."""
+        self.links[e, : nodes.shape[-1]] = self.producer[nodes]
+        self.index[e] = index
 
     def write(self, e, role, rows, nodes, cache: GruCache, keep) -> None:
         """Fill rows with the updates of nodes, made by the tape's events
@@ -139,10 +147,7 @@ class Tape:
         if keep is not None:
             self.keep[rows] = keep
         self.writes[e, role] = rows
-        if isinstance(rows, np.ndarray):
-            self.producer.update(zip(nodes.tolist(), rows.tolist()))
-        else:
-            self.producer[nodes] = rows
+        self.producer[nodes] = rows
 
     def score(self, events: int, inputs: np.ndarray, grad, mask: np.ndarray | None,
               scale: float) -> None:
@@ -164,10 +169,9 @@ class Tape:
         base that produced a node's current state (the window's last update
         of each node it updated) into the nodes' own rows, as one take of
         whole records."""
-        carried = {node: row for node, row in self.producer.items() if row >= self.base}
-        if carried:
-            self.records.put(list(carried), self.records.take(list(carried.values())))
-            self.producer.update((node, node) for node in carried)
+        carried = np.flatnonzero(self.producer >= self.base)
+        self.records.put(carried, self.records.take(self.producer[carried]))
+        self.producer[carried] = carried
         self.n_events, self.n_scored, self.n_rows = 0, 0, self.base
         self.starts = [(0, self.base)]
 
@@ -235,10 +239,10 @@ def run_batch(
     if tape is not None:
         e0, row0 = tape.extend(len(events), 2 * len(events))
     pre = np.empty(read.shape + (store.m,))
-    for pos, (ev, extra) in enumerate(zip(events, extras)):
+    for pos, ev in enumerate(events):
         pre[pos] = store.states[read[pos]]
         if tape is not None:
-            tape.read(e0 + pos, ev, extra)
+            tape.read(e0 + pos, read[pos], ev.index)
         for role, node in enumerate((ev.src, ev.dst)):
             # the GRU input is the counterparty's pre-update state
             x_in = np.concatenate((pre[pos, 1 - role], ev.features))
@@ -279,10 +283,10 @@ def run_levels(
     index = np.array([ev.index for ev in events])
     for level in levels:
         at = np.array(level)
-        pre[at] = store.states[read[at]]
+        ids = read[at]
+        pre[at] = store.states[ids]
         if tape is not None:
-            for pos in level:
-                tape.read(e0 + pos, events[pos], extras[pos])
+            tape.read(e0 + at, ids, index[at])
         at, roles = np.repeat(at, 2), np.tile((0, 1), len(level))
         nodes, rows = read[at, roles], 2 * at + roles
         if last is not None:

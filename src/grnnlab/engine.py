@@ -1,20 +1,14 @@
 """Epoch forward, full and truncated BPTT, and the training loop.
 
-Forward: batches are processed per their strategy; each event's prediction
-reads the pre-update states captured by the dynamics layer, so parallel
-strategies score from the batch-start snapshot and sequential scoring sees
-all earlier updates. A parallel batch's prediction heads run as the stacked
-rows of one mlp_forward call; each row gets the bits it would get alone.
-
-A run of sequential batches is forwarded as one window of dependency
-levels (JODIE's t-batches, with each event's negative counted as touched):
-one stacked GRU call per level and one mlp_forward call for the window's
-heads, in event order. Each batch's rng draws are made first, in the order
-per-batch processing makes them, so the window leaves the tape, the store
-and the losses per-event processing would leave, bit for bit. forward_epoch
-(tape-free or recorded, training or not) and t_bptt's windows run so;
-f_bptt training's forward and advance_states still run a sequential batch
-event by event.
+Forward: one driver, _forward, runs every unit of work. A parallel batch is
+one unit, one dependency level read from the batch-start snapshot. A run of
+sequential batches is one unit, forwarded as its t-batch levels (JODIE's,
+with each event's negative counted as touched). Each batch's rng draws are
+made first, in the order per-batch processing makes them, and one
+mlp_forward call scores the unit's heads, each row with the bits it would
+get alone. So a unit leaves the tape, the store and the losses per-event
+processing would leave, bit for bit. Only f_bptt training's sequential
+units still run and score event by event; advance_states runs run_batch.
 
 train_epoch forwards the epoch once in both modes, and takes one optimizer
 step at its end, so no forward value depends on where truncation cuts.
@@ -198,7 +192,7 @@ def _predict_and_score(
     return losses
 
 
-def _forward_batches(
+def _forward(
     batches: list[Batch],
     model: GrnnModel,
     store: NodeStateStore,
@@ -210,86 +204,70 @@ def _forward_batches(
     state_dropout: StateDropout | None = None,
     mlp_dropout: float = 0.0,
     dropout_rng: Rng | None = None,
+    per_event: bool = False,
 ) -> Iterator[float]:
-    """The batch loop: yields each batch's summed loss as soon as the batch
-    is forwarded onto the tape (if any). A sequential batch runs and scores
-    event by event; F-BPTT training's epoch-spanning batch still comes here
-    (its per-event kernel counts are pinned), every other run of sequential
-    batches goes through _forward_levels."""
-    for batch in batches:
-        extra = None
-        if task == "link_ranking":
-            extra = sample_negatives(neg_universe, rng, len(batch.events))
-        pre = run_batch(store, batch, model, tape, state_dropout, extra)
-        # a parallel batch is scored in one call, a sequential one event by event
-        scoring = [(batch.events, pre)]
-        if batch.strategy == "sequential" and len(batch.events) > 1:
-            scoring = [([ev], pre[e : e + 1]) for e, ev in enumerate(batch.events)]
-        batch_loss = 0.0
-        for events, rows in scoring:
-            for loss in _predict_and_score(events, rows, tape, model, task, training,
-                                           mlp_dropout, dropout_rng):
-                batch_loss += loss
-        yield batch_loss
-
-
-def _forward_levels(
-    window: list[Batch],
-    model: GrnnModel,
-    store: NodeStateStore,
-    tape: Tape | None,
-    task: str,
-    training: bool = False,
-    rng: Rng | None = None,
-    neg_universe: np.ndarray | None = None,
-    state_dropout: StateDropout | None = None,
-    mlp_dropout: float = 0.0,
-    dropout_rng: Rng | None = None,
-) -> list[float]:
-    """Forward a window of sequential batches as its dependency levels
-    (dynamics.run_levels), then score all its heads as the rows of one
-    mlp_forward call, in event order, leaving the store, the losses and the
-    tape (if any) _forward_batches leaves. Each batch first draws what
-    _forward_batches draws for it, in its order: its negatives, its
-    state-dropout masks (event, then role), then, training, its head-dropout
-    masks; the levels and the heads then take them, reordered, as Drawn.
-    Returns each batch's summed loss."""
-    if not window:
-        return []
+    """Forward batches of one strategy onto the tape (if any), one unit at a
+    time, and yield each batch's summed loss. A run of sequential batches is
+    one unit, forwarded as its dependency levels (dynamics.run_levels); a
+    parallel batch is a unit of its own, one level through run_batch, so
+    its heads' arrays never outgrow a batch. Each batch of a unit first
+    draws, in its order, its negatives, its state-dropout masks and,
+    training, its head-dropout masks; the levels and the heads take them as
+    Drawn, and one mlp_forward call scores all the unit's heads, in event
+    order. per_event (F-BPTT training) is the pinned path: a sequential unit
+    runs event by event through run_batch, and each event is scored by its
+    own call, because the tracer self-test pins those kernel counts.
+    ROADMAP item 2b deletes it."""
     if training:
         check_rate(mlp_dropout, "mlp dropout")  # before any draw, as mlp_forward would
     sd = state_dropout if state_dropout is not None and state_dropout.rate != 0.0 else None
     link = task == "link_ranking"
-    events: list[Event] = []
-    extras: list[int] = []
-    keep, masks = [], []
-    for batch in window:
-        k = len(batch.events)
-        events += batch.events
-        if link:
-            extras += sample_negatives(neg_universe, rng, k)
+    sequential = bool(batches) and batches[0].strategy == "sequential"
+    per_event = per_event and sequential
+    for unit in [batches] if sequential else [[batch] for batch in batches]:
+        events: list[Event] = []
+        extras: list[int] | None = [] if link else None
+        keep, masks = [], []
+        for batch in unit:
+            k = len(batch.events)
+            events += batch.events
+            if link:
+                extras += sample_negatives(neg_universe, rng, k)
+            if sd is not None:
+                keep.append(sd.rng.keep_mask(batch.updates * model.m, sd.rate))
+            if training and mlp_dropout > 0.0:
+                masks.append(dropout_rng.keep_mask((2 if link else 1) * k * model.mlp.hidden,
+                                                   mlp_dropout))
         if sd is not None:
-            keep.append(sd.rng.keep_mask(2 * k * model.m, sd.rate))
-        if training and mlp_dropout > 0.0:
-            masks.append(dropout_rng.keep_mask((2 if link else 1) * k * model.mlp.hidden,
-                                               mlp_dropout))
-    if link:  # an event also orders after the last one to write its negative
-        levels = tbatch_levels((ev.src, ev.dst, extra) for ev, extra in zip(events, extras))
-    else:
-        levels = tbatch_levels((ev.src, ev.dst) for ev in events)
-    if sd is not None:  # each level's masks, in level order
-        keep = np.concatenate(keep).reshape(len(events), -1)
-        sd = StateDropout(sd.rate, sd.kind, Drawn(keep[[pos for lv in levels for pos in lv]]))
-    pre = run_levels(store, events, levels, model, tape, sd, extras if link else None)
-    drawn = Drawn(np.concatenate(masks)) if masks else None
-    losses = iter(_predict_and_score(events, pre, tape, model, task, training, mlp_dropout, drawn))
-    batch_losses = []
-    for batch in window:  # each summed in event order, as _forward_batches sums it
-        batch_loss = 0.0
-        for _ in batch.events:
-            batch_loss += next(losses)
-        batch_losses.append(batch_loss)
-    return batch_losses
+            keep = np.concatenate(keep)
+        levels = None  # None: run_batch runs the unit (a parallel batch is one level)
+        if sequential and not per_event:
+            if link:  # an event also orders after the last one to write its negative
+                levels = tbatch_levels((ev.src, ev.dst, extra) for ev, extra in zip(events, extras))
+            else:
+                levels = tbatch_levels((ev.src, ev.dst) for ev in events)
+            if sd is not None and len(levels) > 1:  # each level's masks, in level order
+                keep = keep.reshape(len(events), -1)[[pos for lv in levels for pos in lv]]
+        unit_sd = None if sd is None else StateDropout(sd.rate, sd.kind, Drawn(keep))
+        if levels is None:
+            batch = unit[0] if len(unit) == 1 else Batch(events, "sequential")
+            pre = run_batch(store, batch, model, tape, unit_sd, extras)
+        else:
+            pre = run_levels(store, events, levels, model, tape, unit_sd, extras)
+        drawn = Drawn(np.concatenate(masks)) if masks else None
+        if per_event:
+            losses = [loss for e, ev in enumerate(events)
+                      for loss in _predict_and_score([ev], pre[e : e + 1], tape, model, task,
+                                                     training, mlp_dropout, drawn)]
+        else:
+            losses = _predict_and_score(events, pre, tape, model, task, training, mlp_dropout,
+                                        drawn)
+        losses = iter(losses)
+        for batch in unit:  # each summed in event order
+            batch_loss = 0.0
+            for _ in batch.events:
+                batch_loss += next(losses)
+            yield batch_loss
 
 
 def forward_epoch(
@@ -306,16 +284,14 @@ def forward_epoch(
     dropout_rng: Rng | None = None,
     training: bool = False,
 ) -> EpochForward:
-    """Process all batches, returning the summed loss and the tape. Parallel
-    batches run one by one; sequential ones as one window of dependency
-    levels (_forward_levels), with the losses, store, tape and rng draws the
-    per-event loop would leave. State dropout and head dropout only when
-    training."""
+    """Process all batches through _forward, returning the summed loss and
+    the tape. State dropout and head dropout only when training."""
     batches = build_batches(events, batching)
-    tape = Tape(model, len(events), sum(b.updates for b in batches)) if record else None
-    forward = _forward_levels if batching.strategy == "sequential" else _forward_batches
+    tape = None
+    if record:
+        tape = Tape(model, store.num_nodes, len(events), sum(b.updates for b in batches))
     total = 0.0
-    for batch_loss in forward(
+    for batch_loss in _forward(
         batches, model, store, tape,
         task=task or model.task, training=training,
         rng=rng, neg_universe=neg_universe,
@@ -371,7 +347,7 @@ class _Tails:
 
     def __init__(self, model: GrnnModel, acc: GradientAccumulator,
                  state_dropout: StateDropout | None):
-        self.rows = Tape(model, 0, TILE)
+        self.rows = Tape(model, 0, 0, TILE)
         self.g = np.empty((TILE, model.m))
         self.model, self.acc, self.state_dropout = model, acc, state_dropout
 
@@ -548,21 +524,20 @@ def train_epoch(
     batches = build_batches(events, batching)
     if truncate:  # one row per node, for the carried producers, plus the largest window
         windows = list(_windows(batches))
-        tape = Tape(model, max((sum(len(b.events) for b in w) for w in windows), default=0),
+        tape = Tape(model, store.num_nodes,
+                    max((sum(len(b.events) for b in w) for w in windows), default=0),
                     max((sum(b.updates for b in w) for w in windows), default=0),
                     base=store.num_nodes)
     else:  # the epoch is one window
         windows = [batches]
-        tape = Tape(model, len(events), sum(b.updates for b in batches))
+        tape = Tape(model, store.num_nodes, len(events), sum(b.updates for b in batches))
     forward = dict(task=task or model.task, training=True, rng=rng, neg_universe=neg_universe,
-                   state_dropout=state_dropout, mlp_dropout=mlp_dropout, dropout_rng=dropout_rng)
+                   state_dropout=state_dropout, mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
+                   per_event=not truncate)
     tails = _Tails(model, acc, state_dropout)
     total_loss = 0.0
     for window in windows:
-        # f_bptt's forward stays per event; the tracer self-test pins its kernel counts
-        levels = truncate and window[0].strategy == "sequential"
-        run = _forward_levels if levels else _forward_batches
-        for batch_loss in run(window, model, store, tape, **forward):
+        for batch_loss in _forward(window, model, store, tape, **forward):
             total_loss += batch_loss
         if truncate:
             e, row = tape.starts[0]

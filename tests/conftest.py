@@ -1,13 +1,20 @@
-"""Report the BLAS kernels the run uses.
+"""Report the BLAS kernels the run uses, and fix Hypothesis's examples.
 
 The golden bits depend on the OpenBLAS kernels numpy dispatches to at run
 time (OPENBLAS_CORETYPE selects another set), so a failing golden should
 show which core it ran under.
+
+Every run draws the same Hypothesis examples and keeps no example database,
+so a run neither depends on nor writes .hypothesis/ state.
 """
 
 import ctypes
 
 import numpy as np
+from hypothesis import settings
+
+settings.register_profile("fixed", derandomize=True, database=None)
+settings.load_profile("fixed")
 
 
 def openblas_core() -> str:

@@ -41,7 +41,7 @@ def test_sequential_second_event_sees_first_update():
     model = g.init_model(rng, 2, 1, "regression")
     store = g.NodeStateStore.zeros(3, 2)
     events = make_events([(0, 1), (1, 2)])
-    tape = g.Tape(model, len(events), 2 * len(events))
+    tape = g.Tape(model, store.num_nodes, len(events), 2 * len(events))
     pre = run_batch(store, sequential(events), model, tape)
     row = tape.writes[0, 1]  # event 0's update of node 1
     assert tape.reads[1, 0] == row
@@ -72,7 +72,7 @@ def test_fixed_parallel_drops_all_but_last_update():
         g.Event(index=1, src=0, dst=2, time=1.0, features=x2),
     ]
     batch = make_batches_fixed(events, 10)[0]
-    tape = g.Tape(model, len(events), batch.updates)
+    tape = g.Tape(model, store.num_nodes, len(events), batch.updates)
     run_batch(store, batch, model, tape)
     assert tape.writes[0, 0] == -1 and tape.n_rows == 3  # dropped, never computed
     assert tape.writes[0, 1] >= 0  # node 1 still updates from event 0
@@ -105,7 +105,8 @@ def test_strategy_equivalence_bitwise(seed, n_events, n_nodes, m):
     model = g.init_model(g.Rng(seed), m, 1, "regression")
 
     def run(batches):
-        store, tape = g.NodeStateStore.zeros(n_nodes, m), g.Tape(model, n_events, 2 * n_events)
+        store = g.NodeStateStore.zeros(n_nodes, m)
+        tape = g.Tape(model, n_nodes, n_events, 2 * n_events)
         pre, cells = {}, {}
         for batch in batches:
             for ev, h in zip(batch.events, run_batch(store, batch, model, tape)):
@@ -175,7 +176,7 @@ def test_parallel_batches_match_per_update_loop(seed, n_events, n_nodes, m, size
         return store, None if kind is None else g.StateDropout(0.4, kind, g.Rng(seed + 1))
 
     store, dropout = fresh()
-    tape = g.Tape(model, n_events, sum(batch.updates for batch in batches))
+    tape = g.Tape(model, n_nodes, n_events, sum(batch.updates for batch in batches))
     pres = [run_batch(store, batch, model, tape, dropout) for batch in batches]
     ref_store, ref_dropout = fresh()
     ref_pres, cells, keep, writes = per_update_reference(ref_store, batches, model, ref_dropout)
@@ -227,7 +228,7 @@ def test_unknown_node_id_leaves_store_and_tape_untouched(strategy):
     run_batch(store, sequential(make_events([(0, 3)])), model)  # make states nonzero
     states, last = store.states.copy(), store.last_update_event.copy()
     events = make_events([(0, 1), (2, 3), (4, 7)])
-    tape = g.Tape(model, len(events), 2 * len(events))
+    tape = g.Tape(model, store.num_nodes, len(events), 2 * len(events))
     with pytest.raises(g.StructuralError, match="unknown node id 7 "):
         run_batch(store, g.Batch(events=events, strategy=strategy), model, tape)
     assert np.array_equal(store.states, states)

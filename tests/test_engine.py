@@ -306,9 +306,10 @@ def test_sweep_recomputes_the_forward_hidden_layer_bits(batching, task, rate, mo
 
 def test_link_tape_is_arrays_of_the_closed_form_size(tmp_path):
     # an F-BPTT link-ranking tape with MLP and state dropout keeps per row
-    # one record (GRU cache, keep mask) and per event its links, its src,
-    # dst and extra states, two loss gradients and two hidden masks, in
-    # arrays only: no Python object grows with the events or calls.
+    # one record (GRU cache, keep mask), per event its links, its src,
+    # dst and extra states, two loss gradients and two hidden masks, and per
+    # node its producing row, in arrays only: no Python object grows with
+    # the events or calls.
     # m = 8 keeps the records free of alignment padding
     path = str(tmp_path / "stream.csv")
     write_synthetic_linkstream(path, num_events=120, num_users=15, num_items=6,
@@ -332,11 +333,12 @@ def test_link_tape_is_arrays_of_the_closed_form_size(tmp_path):
     for n in (60, 120):
         tape, rows = tape_of(dataset.events[:n])
         arrays = [v for v in vars(tape).values() if isinstance(v, np.ndarray) and v.base is None]
-        closed = rows * (8 * (4 * m + d_in) + m) + n * (6 * 8 + 3 * m * 8 + 2 * 8 + 2 * hidden)
+        closed = (rows * (8 * (4 * m + d_in) + m) + n * (6 * 8 + 3 * m * 8 + 2 * 8 + 2 * hidden)
+                  + 8 * dataset.num_nodes)
         assert sum(a.nbytes for a in arrays) == closed
-        assert len(tape.producer) <= dataset.num_nodes  # one entry per node
+        assert len(tape.producer) == dataset.num_nodes  # one entry per node
         sizes.append({k: len(v) for k, v in vars(tape).items()
-                      if isinstance(v, (list, tuple, dict)) and k != "producer"})
+                      if isinstance(v, (list, tuple, dict))})
     assert sizes[0] == sizes[1]
 
 
@@ -465,7 +467,7 @@ def test_truncated_tails_run_one_row_per_earlier_row(tmp_path, monkeypatch):
     # reference: the same negatives, and the rows each batch reads on an
     # epoch tape; rows below the batch's first row are earlier batches'
     neg_rng, store = g.Rng(5), g.NodeStateStore.zeros(dataset.num_nodes, model.m)
-    tape = g.Tape(model, len(dataset.events), 2 * len(dataset.events))
+    tape = g.Tape(model, store.num_nodes, len(dataset.events), 2 * len(dataset.events))
     distinct = reads = 0
     for batch in g.build_batches(dataset.events, batching):
         extra = g.engine.sample_negatives(dataset.destinations, neg_rng, len(batch.events))
@@ -584,14 +586,15 @@ def test_window_levels_leave_the_per_event_tape(tmp_path, task, size):
 
     window = g.build_batches(events, g.BatchingConfig("sequential", size))
     runs = []  # one window on a fresh tape and store, in levels and per event
-    for forward in (g.engine._forward_levels, g.engine._forward_batches):
+    for per_event in (False, True):
         store = g.NodeStateStore.zeros(kwargs()["num_nodes"], model.m)
-        tape = g.Tape(model, len(events), 2 * len(events))
+        tape = g.Tape(model, store.num_nodes, len(events), 2 * len(events))
         tape.records.view(np.uint8).fill(0)  # so padding and unused keep masks compare
         kw = kwargs()
         del kw["num_nodes"]
         kw["training"] = True
-        runs.append((tape, store, list(forward(window, model, store, tape, **kw)), kw))
+        losses = list(g.engine._forward(window, model, store, tape, per_event=per_event, **kw))
+        runs.append((tape, store, losses, kw))
     (levels, store_l, loss_l, kw_l), (per_event, store_e, loss_e, kw_e) = runs
     assert len(g.batching.tbatch_levels((ev.src, ev.dst) for ev in events)) < len(events)
     assert loss_l == loss_e
@@ -599,7 +602,7 @@ def test_window_levels_leave_the_per_event_tape(tmp_path, task, size):
         a, b = getattr(levels, name), getattr(per_event, name)
         assert (a is None) == (b is None) == (name == "head_mask" and task == "regression")
         assert a is None or a.tobytes() == b.tobytes(), name
-    assert levels.producer == per_event.producer
+    assert np.array_equal(levels.producer, per_event.producer)
     assert (levels.n_events, levels.n_rows, levels.drop_scale) == (
         per_event.n_events, per_event.n_rows, per_event.drop_scale)
     assert store_l.states.tobytes() == store_e.states.tobytes()
@@ -607,6 +610,25 @@ def test_window_levels_leave_the_per_event_tape(tmp_path, task, size):
     for stream in ("rng", "dropout_rng"):
         if stream in kw_l:
             assert kw_l[stream].next_u64() == kw_e[stream].next_u64()
+
+
+def per_event_losses(batches, model, store, tape, task, training=False, rng=None,
+                     neg_universe=None, state_dropout=None, mlp_dropout=0.0, dropout_rng=None):
+    """The reference forward: each batch draws its negatives, runs through
+    run_batch (drawing its state masks update by update) and scores event by
+    event (drawing its head masks event by event), all from the live
+    streams. Yields each batch's summed loss."""
+    for batch in batches:
+        extra = None
+        if task == "link_ranking":
+            extra = g.engine.sample_negatives(neg_universe, rng, len(batch.events))
+        pre = g.run_batch(store, batch, model, tape, state_dropout, extra)
+        batch_loss = 0.0
+        for e, ev in enumerate(batch.events):
+            for loss in g.engine._predict_and_score([ev], pre[e : e + 1], tape, model, task,
+                                                    training, mlp_dropout, dropout_rng):
+                batch_loss += loss
+        yield batch_loss
 
 
 class ZeroedTape(g.Tape):
@@ -624,10 +646,11 @@ class ZeroedTape(g.Tape):
 @pytest.mark.parametrize("task", ["regression", "link_ranking"])
 def test_forward_epoch_levels_match_the_per_event_loop(tmp_path, monkeypatch, task, record,
                                                        dropout, size):
-    # forward_epoch runs sequential batches as one window of levels; the
-    # per-event batch loop F-BPTT training still uses must leave the same
-    # loss, store, tape and rng streams, bit for bit. dropout None runs
-    # without training, with the dropout arguments given all the same
+    # forward_epoch runs sequential batches as one window of levels, with
+    # its draws made ahead; per-event processing from the live streams must
+    # leave the same loss, store, tape and rng streams, bit for bit. dropout
+    # None runs without training, with the dropout arguments given all the
+    # same
     if task == "regression":
         cfg = g.SyntheticConfig(memory=2, num_nodes=12, edges_per_epoch=40)
         events = g.generate_epoch(cfg, g.Rng(9).substream("data"))
@@ -656,11 +679,11 @@ def test_forward_epoch_levels_match_the_per_event_loop(tmp_path, monkeypatch, ta
     store_e = g.NodeStateStore.zeros(num_nodes, model.m)
     kw_e = kwargs()
     batches = g.build_batches(events, batching)
-    tape = ZeroedTape(model, len(events), 2 * len(events)) if record else None
+    tape = ZeroedTape(model, num_nodes, len(events), 2 * len(events)) if record else None
     if not kw_e["training"]:
         kw_e["state_dropout"] = None
     total = 0.0
-    for batch_loss in g.engine._forward_batches(batches, model, store_e, tape, **kw_e):
+    for batch_loss in per_event_losses(batches, model, store_e, tape, **kw_e):
         total += batch_loss
     assert len(g.batching.tbatch_levels((ev.src, ev.dst) for ev in events)) < len(events)
     assert fw.total_loss == total
