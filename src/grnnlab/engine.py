@@ -217,7 +217,7 @@ def _forward(
     order. per_event (F-BPTT training) is the pinned path: a sequential unit
     runs event by event through run_batch, and each event is scored by its
     own call, because the tracer self-test pins those kernel counts.
-    ROADMAP item 2b deletes it."""
+    ROADMAP item 2b (F-BPTT training's forward as levels) deletes it."""
     if training:
         check_rate(mlp_dropout, "mlp dropout")  # before any draw, as mlp_forward would
     sd = state_dropout if state_dropout is not None and state_dropout.rate != 0.0 else None
