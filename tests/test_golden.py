@@ -132,6 +132,46 @@ GRADIENT_DIGESTS = {
         "c7153a84aaf5a94e2b444c4f2d2753027a48a9aa903a0fbda154b6eeddc45849",
         "84b465b886cf0fa4001a779ff4b23f7b0d167802d32feb154ed872b795ebfa05",
     ],
+    "link_f_bptt_sequential5_regular": [
+        "7529a6427121903db6e3e4e3cfa88b0e43367c49e3757acbef81a35864e83ccf",
+        "32372a5573b497b154abeb83a9ab3fcad3d8fd4f2539b6a190cab5d2611adb2d",
+        "d5db08c4feb3063fa97121bac2581d5d15e59b734b3302b65d6a56e8dbed59e8",
+    ],
+    "link_f_bptt_sequential5_recurrent": [
+        "b0555a67bf4ba0ffc4a8071a6655ee90fb207841ca4d7498ed0dd570ded16d1e",
+        "e07e293872bba2cbf8c709eb72e403a94ed2f02d176491cad3b03a1df5bdf23e",
+        "7e0903971a36c377297656ad032e818e020b62780270cda12f2bc6921d96b731",
+    ],
+    "link_t_bptt_sequential5_regular": [
+        "10ce83dc95744e992fde42c3f7e69683f1d2cc143661c5b6e6a7e00717fc8b20",
+        "0e8998c63b75621c0792f74a5a8f9368d61cca507737a7a934d16c9adb184fde",
+        "27709452372665e224f301e660c987036be6f77d84174cc4b0632d6a94293ace",
+    ],
+    "link_t_bptt_sequential5_recurrent": [
+        "c107f3a692ed678b0d372be25ea222bcf8ce87a6755cab8443361d993098ba64",
+        "b35afaa47021124062012c6a26195deb636bb2afc5c631e9f35868c7417ff1f4",
+        "fac30a791ce78f52c387e8d002b1fdb905c0a806d139fbcba6b3c264d8ba0f6d",
+    ],
+    "link_f_bptt_spanning_regular": [
+        "a4941644878de7c652d819ab71bef266fa46514b242e04270392f89a712047a4",
+        "e70cff2af716d58f17bd39e230729249d1842d1f08adbf435e3ab5300d509fcd",
+        "288be011085c4f0fe10a61e25644416857a8805fa4ed8192204ec34b8bb221f4",
+    ],
+    "link_f_bptt_spanning_recurrent": [
+        "5ba1f66daea48c7fba9c9d1478fe1367baa437b5e281dea4c0108c809ced3154",
+        "d77772884b1ba44a6ea1f66cb83ae0c43a89d5324f04df4b64251cbde382a59d",
+        "89f9c8da94f6d6d31e08bc15575166603de756749ede4028e39b25e0d29cd44b",
+    ],
+    "link_t_bptt_spanning_regular": [
+        "a4941644878de7c652d819ab71bef266fa46514b242e04270392f89a712047a4",
+        "e70cff2af716d58f17bd39e230729249d1842d1f08adbf435e3ab5300d509fcd",
+        "288be011085c4f0fe10a61e25644416857a8805fa4ed8192204ec34b8bb221f4",
+    ],
+    "link_t_bptt_spanning_recurrent": [
+        "5ba1f66daea48c7fba9c9d1478fe1367baa437b5e281dea4c0108c809ced3154",
+        "d77772884b1ba44a6ea1f66cb83ae0c43a89d5324f04df4b64251cbde382a59d",
+        "89f9c8da94f6d6d31e08bc15575166603de756749ede4028e39b25e0d29cd44b",
+    ],
 }
 
 
@@ -278,11 +318,35 @@ def test_link_ranking_gradient_golden_bytes(tmp_path, name, mode, kind, batching
     assert digests == GRADIENT_DIGESTS[name], core_note()
 
 
+SEQUENTIAL_BATCHINGS = [("sequential5", g.BatchingConfig("sequential", 5)),
+                        ("spanning", g.BatchingConfig("sequential", None))]
+LINK_SEQUENTIAL_DIGEST_CASES = [
+    (f"link_{mode}_{batch_name}_{kind}", mode, kind, batching)
+    for batch_name, batching in SEQUENTIAL_BATCHINGS
+    for mode in ("f_bptt", "t_bptt")
+    for kind in ("regular", "recurrent")
+]
+
+
+@pytest.mark.parametrize("name,mode,kind,batching", LINK_SEQUENTIAL_DIGEST_CASES,
+                         ids=[case[0] for case in LINK_SEQUENTIAL_DIGEST_CASES])
+def test_link_ranking_sequential_gradient_golden_bytes(tmp_path, name, mode, kind, batching):
+    # sequential batches with both state-dropout kinds and head dropout:
+    # t_bptt forwards its windows as dependency levels, whose rows run out
+    # of event order, and f_bptt forwards event by event
+    digests = link_curve(tmp_path, mode, kind, batching, row=gradient_digest)
+    assert digests == GRADIENT_DIGESTS[name], core_note()
+
+
 FORWARD_DIGESTS = {
     "fixed_parallel_regular": "35140472811609c5664487a5f925ea92291a71fa5bf7bd4af15b84fb60f48950",
     "fixed_parallel_recurrent": "c1749c916814400a72abaa09bdcbcf188053c2adbd02f6de5dc3f944d3cfcf1c",
     "tbatch_regular": "db09b22c5ee73bcd548c0ee9378cbfbcc52bae1f62fd6e6bbd46631b6a020d8b",
     "tbatch_recurrent": "d58864e21c26ed233f1f654758612fb75c33bb21e90454d8a4de32d25caaeefa",
+    "sequential5_regular": "c515d0345e55019a2a33fd9422cd26b416886c8dda6ea5ad0c4e650f06a30b1d",
+    "sequential5_recurrent": "eed2d293fab6fb99d441a18917a4bdf57dede8cc8df42571fff9262932355cd8",
+    "spanning_regular": "aa9bb4473ab667a115d891c8ab23908d9ca1b688332abf22c89a926d512ae9ff",
+    "spanning_recurrent": "fbdbb431fae473ec1e966a96600ecbdeef30d61af633ffa302b0255cc67475fe",
 }
 
 
@@ -325,4 +389,17 @@ def test_parallel_forward_epoch_golden_bytes(tmp_path, name, kind, batching):
     # the recorded parallel forward perfbench's linkrank tape_forward runs:
     # batches of 16 repeat nodes, so some updates are dropped, and state
     # and head masks share one stream
+    assert forward_digest(tmp_path, kind, batching) == FORWARD_DIGESTS[name], core_note()
+
+
+SEQUENTIAL_FORWARD_CASES = [(f"{batch_name}_{kind}", kind, batching)
+                            for batch_name, batching in SEQUENTIAL_BATCHINGS
+                            for kind in ("regular", "recurrent")]
+
+
+@pytest.mark.parametrize("name,kind,batching", SEQUENTIAL_FORWARD_CASES,
+                         ids=[case[0] for case in SEQUENTIAL_FORWARD_CASES])
+def test_sequential_forward_epoch_golden_bytes(tmp_path, name, kind, batching):
+    # a recorded forward_epoch runs sequential batches as dependency levels,
+    # out of event order, with every mask drawn in event order
     assert forward_digest(tmp_path, kind, batching) == FORWARD_DIGESTS[name], core_note()
