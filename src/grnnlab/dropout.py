@@ -7,6 +7,9 @@ Two kinds:
               probability `rate` instead of taking the newly computed one.
               No rescaling: the output mixes two valid states, so scaling
               would bias state magnitudes.
+
+The kernels apply keep masks they are given (True: keep); the engine's
+forward draws them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .rng import Rng
 
 
 def check_rate(rate: float, what: str) -> None:
@@ -24,18 +26,12 @@ def check_rate(rate: float, what: str) -> None:
         raise ParameterError(f"{what} rate {rate} out of [0, 1)")
 
 
-def regular_dropout(vec: np.ndarray, rate: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """vec of any shape; its mask is drawn in row-major order, so one (k, m)
-    call draws what k (m,) calls draw, row after row."""
-    check_rate(rate, "regular dropout")
-    mask = rng.keep_mask(vec.size, rate).reshape(vec.shape)
-    return vec * mask / (1.0 - rate), mask
+def regular_dropout(vec: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+    """vec where the keep mask (vec's shape) keeps, scaled by 1/(1-rate),
+    and 0 where it drops."""
+    return vec * keep / (1.0 - rate)
 
 
-def recurrent_mix(
-    new: np.ndarray, prev: np.ndarray, rate: float, rng: Rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise: prev where the mask drops, new where it keeps. Any
-    shape; the mask is drawn as in regular_dropout."""
-    keep = rng.keep_mask(new.size, rate).reshape(new.shape)
-    return np.where(keep, new, prev), keep
+def recurrent_mix(new: np.ndarray, prev: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Elementwise: new where the keep mask keeps, prev where it drops."""
+    return np.where(keep, new, prev)

@@ -20,8 +20,9 @@ level, read from the batch-start snapshot; a run of sequential events (a
 truncated-training window or a forward_epoch) is its t-batch levels, as in
 JODIE (Kumar et al., KDD 2019). run_levels runs a level's updates through
 _update, the one update step, as the stacked rows of one GRU call and one
-state-dropout call, in the order sequential processing would compute them;
-each row gets the bits (and the dropout draws) it would get alone.
+state-dropout call; each row gets the bits it would get alone.
+Under state dropout, an update applies the keep mask of its row number,
+from the masks the engine drew ahead.
 run_batch runs a sequential batch event by event, one _update per update:
 F-BPTT training's forward (its per-event kernel counts are pinned), ranking
 evaluation and state warm-ups run so.
@@ -176,16 +177,6 @@ class Tape:
         self.starts = [(0, self.base)]
 
 
-def _apply_state_dropout(
-    h_new: np.ndarray, h_prev: np.ndarray, sd: StateDropout | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    if sd is None or sd.rate == 0.0:
-        return h_new, None
-    if sd.kind == "regular":
-        return regular_dropout(h_new, sd.rate, sd.rng)
-    return recurrent_mix(h_new, h_prev, sd.rate, sd.rng)
-
-
 def _node_ids(store: NodeStateStore, events: list[Event], extras: list) -> np.ndarray:
     """The events' src, dst and (extras not None) extra node ids, (events,
     2|3), after one range check naming the first unknown node in event
@@ -199,17 +190,21 @@ def _node_ids(store: NodeStateStore, events: list[Event], extras: list) -> np.nd
 
 
 def _update(store: NodeStateStore, model: GrnnModel, h_own: np.ndarray, x_in: np.ndarray,
-            nodes, index, state_dropout: StateDropout | None) -> tuple[GruCache, np.ndarray | None]:
+            nodes, index, state_dropout: StateDropout | None, keep) -> GruCache:
     """The one update step: the GRU on node nodes' own pre-update state
-    h_own and input x_in, then the state dropout, into the store as made by
-    event index. One update passes vectors and ints; updates that read no
-    state another one writes pass stacked rows and int arrays. Returns the
-    GRU cache and the keep masks."""
+    h_own and input x_in, then the state dropout with keep masks keep (None:
+    none), into the store as made by event index. One update passes vectors
+    and ints; updates that read no state another one writes pass stacked
+    rows and int arrays. Returns the GRU cache."""
     h_new, cache = gru_forward(model.gru, h_own, x_in)
-    h_new, keep = _apply_state_dropout(h_new, h_own, state_dropout)
+    if keep is not None:
+        if state_dropout.kind == "regular":
+            h_new = regular_dropout(h_new, keep, state_dropout.rate)
+        else:
+            h_new = recurrent_mix(h_new, h_own, keep)
     store.states[nodes] = h_new
     store.last_update_event[nodes] = index
-    return cache, keep
+    return cache
 
 
 def run_batch(
@@ -219,19 +214,22 @@ def run_batch(
     tape: Tape | None = None,
     state_dropout: StateDropout | None = None,
     extra_reads: list[int] | None = None,
+    keep: np.ndarray | None = None,
 ) -> np.ndarray:
     """Process one batch, mutating the store and, if given, adding its events
     and updates to the tape. Returns the events' pre-update src, dst and
     (with extra_reads, one node per event) extra states, (events, 2|3, m).
     Every node id is checked before any update, so an unknown one leaves the
     store and the tape as they were. A parallel batch is one run_levels
-    level; a sequential batch runs event by event."""
+    level; a sequential batch runs event by event. With state_dropout, keep
+    holds the state keep masks, (batch.updates, m): update row u (as
+    run_levels numbers it) takes keep[u]."""
     events = batch.events
     if batch.strategy != "sequential":
         # a batch that repeats no node (every t-batch) drops no update: no filter
         last = batch.last_event_per_node if batch.updates < 2 * len(events) else None
         return run_levels(store, events, [list(range(len(events)))] if events else [], model,
-                          tape, state_dropout, extra_reads, last)
+                          tape, state_dropout, extra_reads, keep, last)
     extras = [None] * len(events) if extra_reads is None else extra_reads
     read = _node_ids(store, events, extras)
     # each event reads the live store, after every earlier update; event pos
@@ -246,10 +244,11 @@ def run_batch(
         for role, node in enumerate((ev.src, ev.dst)):
             # the GRU input is the counterparty's pre-update state
             x_in = np.concatenate((pre[pos, 1 - role], ev.features))
-            cache, keep = _update(store, model, pre[pos, role], x_in, node, ev.index,
-                                  state_dropout)
+            mask = None if keep is None else keep[2 * pos + role]
+            cache = _update(store, model, pre[pos, role], x_in, node, ev.index, state_dropout,
+                            mask)
             if tape is not None:
-                tape.write(e0 + pos, role, row0 + 2 * pos + role, node, cache, keep)
+                tape.write(e0 + pos, role, row0 + 2 * pos + role, node, cache, mask)
     return pre
 
 
@@ -261,19 +260,20 @@ def run_levels(
     tape: Tape | None,
     state_dropout: StateDropout | None = None,
     extra_reads: list[int] | None = None,
+    keep: np.ndarray | None = None,
     last: dict[int, int] | None = None,
 ) -> np.ndarray:
     """Process events level by level. levels hold event positions; a level
     reads its pre-update states with one gather, and its updates (src, then
-    dst, per event) run as one stacked _update, whose state dropout draws
-    its masks level after level. A run of sequential events passes its
-    batching.tbatch_levels (of the nodes each event touches, extra read
-    included), which touch a node once per level; a parallel batch is one
-    level, and where its nodes repeat, last (Batch.last_event_per_node)
-    keeps each node's last update only. With a tape, event pos fills tape
-    event e0 + pos and its updates rows row0 + 2 pos + role, as in a
-    sequential batch, or with last the next rows in event order. Returns
-    what run_batch returns."""
+    dst, per event) run as one stacked _update. A run of sequential events
+    passes its batching.tbatch_levels (of the nodes each event touches,
+    extra read included), which touch a node once per level; a parallel
+    batch is one level, and where its nodes repeat, last
+    (Batch.last_event_per_node) keeps each node's last update only. Event
+    pos's updates are rows 2 pos + role, as in a sequential batch, or with
+    last the computed updates numbered in event order. With a tape, event
+    pos fills tape event e0 + pos and row u tape row row0 + u; with
+    state_dropout, row u takes keep[u]. Returns what run_batch returns."""
     extras = [None] * len(events) if extra_reads is None else extra_reads
     read = _node_ids(store, events, extras)
     if tape is not None:
@@ -293,7 +293,8 @@ def run_levels(
             final = np.array([last[node] for node in nodes.tolist()]) == at
             at, roles, nodes, rows = at[final], roles[final], nodes[final], np.arange(final.sum())
         x_in = np.concatenate((pre[at, 1 - roles], features[at]), axis=1)
-        cache, keep = _update(store, model, pre[at, roles], x_in, nodes, index[at], state_dropout)
+        mask = None if keep is None else keep[rows]
+        cache = _update(store, model, pre[at, roles], x_in, nodes, index[at], state_dropout, mask)
         if tape is not None:
-            tape.write(e0 + at, roles, row0 + rows, nodes, cache, keep)
+            tape.write(e0 + at, roles, row0 + rows, nodes, cache, mask)
     return pre

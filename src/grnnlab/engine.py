@@ -57,7 +57,7 @@ from .events import Batch, Event, NodeStateStore
 from .gru import gru_backward, stable_sigmoid
 from .mlp import MlpCache, mlp_backward, mlp_forward, mlp_hidden
 from .model import GrnnModel
-from .rng import Drawn, Rng
+from .rng import Rng
 
 # a truncated-training window closes after the batch that brings it to this
 # many updates
@@ -151,16 +151,17 @@ def _predict_and_score(
     tape: Tape | None,
     model: GrnnModel,
     task: str,
-    training: bool,
-    mlp_dropout: float,
-    dropout_rng: Rng | Drawn | None,
+    mask: np.ndarray | None,
+    scale: float,
 ) -> list[float]:
     """Score events, the tape's next ones if there is a tape, from their
     pre-update states with one mlp_forward call: one regression head per
     event, or a positive (src, dst) and a negative (src, extra) head for
     link ranking, as the stacked rows of the call. A lone regression head is
-    a vector. The heads' inputs, loss gradients and dropout masks go onto
-    the tape. Returns each event's loss, checked in event order."""
+    a vector. mask holds the heads' hidden dropout masks, one row per head,
+    and scale their scale. The heads' inputs, loss gradients and dropout
+    masks go onto the tape. Returns each event's loss, checked in event
+    order."""
     n = len(events)
     if task == "regression":
         if n == 1:
@@ -171,9 +172,9 @@ def _predict_and_score(
     else:  # link_ranking: positive edge vs one sampled negative
         inputs, labels = pre.reshape(n, -1), [1.0, 0.0] * n
         x = _link_heads(pre)
-    out, cache = mlp_forward(
-        model.mlp, x, dropout_rate=mlp_dropout, rng=dropout_rng, training=training
-    )
+    if mask is not None:
+        mask = mask.reshape(x.shape[:-1] + (-1,))
+    out, cache = mlp_forward(model.mlp, x, mask=mask, scale=scale)
     if x.ndim == 1:  # a lone regression head keeps the scalar loss
         value, grads = loss_mse(out, labels[0])
         values = [value]
@@ -212,16 +213,21 @@ def _forward(
     parallel batch is a unit of its own, one level through run_batch, so
     its heads' arrays never outgrow a batch. Each batch of a unit first
     draws, in its order, its negatives, its state-dropout masks and,
-    training, its head-dropout masks; the levels and the heads take them as
-    Drawn, and one mlp_forward call scores all the unit's heads, in event
-    order. per_event (F-BPTT training) is the pinned path: a sequential unit
-    runs event by event through run_batch, and each event is scored by its
-    own call, because the tracer self-test pins those kernel counts.
-    ROADMAP item 2b (F-BPTT training's forward as levels) deletes it."""
+    training, its head-dropout masks, as plain arrays: no other forward
+    code draws. The updates take their keep masks by update row, and one
+    mlp_forward call scores all the unit's heads, in event order, with one
+    mask row per head. per_event (F-BPTT training) is the pinned path: a
+    sequential unit runs event by event through run_batch, and each event
+    is scored by its own call, because the tracer self-test pins those
+    kernel counts. ROADMAP item 2b (F-BPTT training's forward as levels)
+    deletes it."""
     if training:
-        check_rate(mlp_dropout, "mlp dropout")  # before any draw, as mlp_forward would
+        check_rate(mlp_dropout, "mlp dropout")  # before any draw
     sd = state_dropout if state_dropout is not None and state_dropout.rate != 0.0 else None
+    head_dropout = training and mlp_dropout > 0.0
+    scale = 1.0 / (1.0 - mlp_dropout) if head_dropout else 1.0
     link = task == "link_ranking"
+    heads = 2 if link else 1
     sequential = bool(batches) and batches[0].strategy == "sequential"
     per_event = per_event and sequential
     for unit in [batches] if sequential else [[batch] for batch in batches]:
@@ -235,33 +241,26 @@ def _forward(
                 extras += sample_negatives(neg_universe, rng, k)
             if sd is not None:
                 keep.append(sd.rng.keep_mask(batch.updates * model.m, sd.rate))
-            if training and mlp_dropout > 0.0:
-                masks.append(dropout_rng.keep_mask((2 if link else 1) * k * model.mlp.hidden,
-                                                   mlp_dropout))
-        if sd is not None:
-            keep = np.concatenate(keep)
-        levels = None  # None: run_batch runs the unit (a parallel batch is one level)
+            if head_dropout:
+                masks.append(dropout_rng.keep_mask(heads * k * model.mlp.hidden, mlp_dropout))
+        keep = None if sd is None else np.concatenate(keep).reshape(-1, model.m)
+        mask = np.concatenate(masks).reshape(-1, model.mlp.hidden) if masks else None
         if sequential and not per_event:
             if link:  # an event also orders after the last one to write its negative
                 levels = tbatch_levels((ev.src, ev.dst, extra) for ev, extra in zip(events, extras))
             else:
                 levels = tbatch_levels((ev.src, ev.dst) for ev in events)
-            if sd is not None and len(levels) > 1:  # each level's masks, in level order
-                keep = keep.reshape(len(events), -1)[[pos for lv in levels for pos in lv]]
-        unit_sd = None if sd is None else StateDropout(sd.rate, sd.kind, Drawn(keep))
-        if levels is None:
+            pre = run_levels(store, events, levels, model, tape, sd, extras, keep)
+        else:  # a parallel batch (one level), or the pinned per-event unit
             batch = unit[0] if len(unit) == 1 else Batch(events, "sequential")
-            pre = run_batch(store, batch, model, tape, unit_sd, extras)
-        else:
-            pre = run_levels(store, events, levels, model, tape, unit_sd, extras)
-        drawn = Drawn(np.concatenate(masks)) if masks else None
+            pre = run_batch(store, batch, model, tape, sd, extras, keep)
         if per_event:
             losses = [loss for e, ev in enumerate(events)
-                      for loss in _predict_and_score([ev], pre[e : e + 1], tape, model, task,
-                                                     training, mlp_dropout, drawn)]
+                      for loss in _predict_and_score(
+                          [ev], pre[e : e + 1], tape, model, task,
+                          None if mask is None else mask[e * heads : (e + 1) * heads], scale)]
         else:
-            losses = _predict_and_score(events, pre, tape, model, task, training, mlp_dropout,
-                                        drawn)
+            losses = _predict_and_score(events, pre, tape, model, task, mask, scale)
         losses = iter(losses)
         for batch in unit:  # each summed in event order
             batch_loss = 0.0

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .accumulator import GradientAccumulator
-from .dropout import check_rate
 from .errors import StructuralError
 from .rng import Rng
 from .gru import matvec, uniform_matrix
@@ -68,30 +66,18 @@ def mlp_hidden(
 
 
 def mlp_forward(
-    params: MlpParameters,
-    x: np.ndarray,
-    dropout_rate: float = 0.0,
-    rng: Rng | None = None,
-    training: bool = False,
+    params: MlpParameters, x: np.ndarray, mask: np.ndarray | None = None, scale: float = 1.0
 ) -> tuple[float | np.ndarray, MlpCache]:
     """Returns (raw logit, cache) for one head x (in_dim,), or (n logits,
     cache) for n heads stacked as rows (n, in_dim); each row gets the bits
-    of a one-row call. Hidden dropout only when training; the mask of n rows
-    is drawn as n one-row masks, row after row. The hidden layer is
-    mlp_hidden's, so the tape can keep x and the mask and recompute a1."""
+    of a one-row call. mask (x's rows by hidden, kept units True) and scale
+    are the hidden dropout, applied as mlp_hidden applies them, so the tape
+    can keep x and the mask and recompute a1."""
     if x.ndim not in (1, 2) or x.shape[-1] != params.in_dim:
         raise StructuralError(
             f"mlp_forward: input shape {x.shape} is not (in_dim,) or (n, in_dim), "
             f"in_dim={params.in_dim}"
         )
-    mask = None
-    scale = 1.0
-    if training:
-        check_rate(dropout_rate, "mlp dropout")
-        if dropout_rate > 0.0:
-            shape = x.shape[:-1] + (params.hidden,)
-            mask = rng.keep_mask(math.prod(shape), dropout_rate).reshape(shape)
-            scale = 1.0 / (1.0 - dropout_rate)
     a1 = mlp_hidden(params, x, mask, scale)
     if x.ndim == 1:
         logit = float(params.w2 @ a1 + params.b2[0])

@@ -159,18 +159,3 @@ class Rng:
             raise ParameterError(f"randrange: need n >= 1, got {n}")
         return [(x * n) >> 64 for x in self._take(count).tolist()]
 
-
-class Drawn:
-    """Keep masks drawn ahead of their use, handed out in order by
-    keep_mask: it stands in for the Rng they were drawn from (at the rate
-    they were drawn with) where a forward runs its rows in another order
-    than the one their masks were drawn in."""
-
-    __slots__ = ("_masks", "_pos")
-
-    def __init__(self, masks: np.ndarray):
-        self._masks, self._pos = masks.reshape(-1), 0
-
-    def keep_mask(self, n: int, rate: float) -> np.ndarray:
-        self._pos += n
-        return self._masks[self._pos - n : self._pos]

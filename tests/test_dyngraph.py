@@ -140,13 +140,13 @@ def per_update_reference(store, batches, model, state_dropout):
                 h_own = pre[pos, role]
                 x_in = np.concatenate((pre[pos, 1 - role], ev.features))
                 h_new, c = gru_forward(model.gru, h_own, x_in)
-                if state_dropout is None:
-                    mask = None
-                elif state_dropout.kind == "regular":
-                    h_new, mask = regular_dropout(h_new, state_dropout.rate, state_dropout.rng)
-                else:
-                    h_new, mask = recurrent_mix(h_new, h_own, state_dropout.rate,
-                                                state_dropout.rng)
+                mask = None
+                if state_dropout is not None:
+                    mask = state_dropout.rng.keep_mask(len(h_new), state_dropout.rate)
+                    if state_dropout.kind == "regular":
+                        h_new = regular_dropout(h_new, mask, state_dropout.rate)
+                    else:
+                        h_new = recurrent_mix(h_new, h_own, mask)
                 store.states[node] = h_new
                 store.last_update_event[node] = ev.index
                 writes[-1][role] = len(cells)
@@ -160,9 +160,10 @@ def per_update_reference(store, batches, model, state_dropout):
 @given(st.integers(0, 10_000), st.integers(1, 40), st.integers(2, 9), st.integers(1, 4),
        st.one_of(st.none(), st.integers(1, 8)), st.sampled_from([None, "regular", "recurrent"]))
 def test_parallel_batches_match_per_update_loop(seed, n_events, n_nodes, m, size, kind):
-    """Stacked rows of one GRU call and one dropout call per batch give the
-    bits, rng draws and tape rows of one update at a time. size None is
-    t-batches; otherwise fixed_parallel batches, whose nodes repeat."""
+    """Stacked rows of one GRU call and one dropout call per batch, with
+    the batch's masks drawn in one call, give the bits, rng draws and tape
+    rows of one update at a time. size None is t-batches; otherwise
+    fixed_parallel batches, whose nodes repeat."""
     rng = np.random.default_rng(seed)
     events = [g.Event(index=k, src=s, dst=d, time=float(k), features=rng.standard_normal(2))
               for k, (s, d) in enumerate(random_pairs(seed, n_events, n_nodes))]
@@ -177,7 +178,10 @@ def test_parallel_batches_match_per_update_loop(seed, n_events, n_nodes, m, size
 
     store, dropout = fresh()
     tape = g.Tape(model, n_nodes, n_events, sum(batch.updates for batch in batches))
-    pres = [run_batch(store, batch, model, tape, dropout) for batch in batches]
+    pres = [run_batch(store, batch, model, tape, dropout, None,
+                      None if dropout is None
+                      else dropout.rng.keep_mask(batch.updates * m, dropout.rate).reshape(-1, m))
+            for batch in batches]
     ref_store, ref_dropout = fresh()
     ref_pres, cells, keep, writes = per_update_reference(ref_store, batches, model, ref_dropout)
 

@@ -614,19 +614,28 @@ def test_window_levels_leave_the_per_event_tape(tmp_path, task, size):
 
 def per_event_losses(batches, model, store, tape, task, training=False, rng=None,
                      neg_universe=None, state_dropout=None, mlp_dropout=0.0, dropout_rng=None):
-    """The reference forward: each batch draws its negatives, runs through
-    run_batch (drawing its state masks update by update) and scores event by
-    event (drawing its head masks event by event), all from the live
+    """The reference forward: each batch draws its negatives, then its state
+    masks update by update, runs through run_batch and scores event by event
+    (drawing each event's head masks, head by head), all from the live
     streams. Yields each batch's summed loss."""
+    heads = 2 if task == "link_ranking" else 1
     for batch in batches:
-        extra = None
+        extra = keep = None
         if task == "link_ranking":
             extra = g.engine.sample_negatives(neg_universe, rng, len(batch.events))
-        pre = g.run_batch(store, batch, model, tape, state_dropout, extra)
+        if state_dropout is not None:
+            keep = np.array([state_dropout.rng.keep_mask(model.m, state_dropout.rate)
+                             for _ in range(batch.updates)])
+        pre = g.run_batch(store, batch, model, tape, state_dropout, extra, keep)
         batch_loss = 0.0
         for e, ev in enumerate(batch.events):
+            mask, scale = None, 1.0
+            if training and mlp_dropout > 0.0:
+                mask = np.array([dropout_rng.keep_mask(model.mlp.hidden, mlp_dropout)
+                                 for _ in range(heads)])
+                scale = 1.0 / (1.0 - mlp_dropout)
             for loss in g.engine._predict_and_score([ev], pre[e : e + 1], tape, model, task,
-                                                    training, mlp_dropout, dropout_rng):
+                                                    mask, scale):
                 batch_loss += loss
         yield batch_loss
 

@@ -100,14 +100,16 @@ def test_hidden_dropout_scales_and_masks():
     rng = g.Rng(12)
     params = g.init_mlp_parameters(rng, 4, 50)
     x = np.ones(4)
-    logit, cache = g.mlp_forward(params, x, dropout_rate=0.4, rng=g.Rng(3), training=True)
-    assert cache.drop_mask is not None
+    mask = g.Rng(3).keep_mask(50, 0.4)
+    logit, cache = g.mlp_forward(params, x, mask, 1.0 / 0.6)
+    assert cache.drop_mask is mask and cache.drop_scale == 1.0 / 0.6
     dropped = (~cache.drop_mask).mean()
     assert 0.2 < dropped < 0.6
-    # inference ignores dropout entirely
-    logit_eval, cache_eval = g.mlp_forward(params, x, dropout_rate=0.4, rng=g.Rng(3), training=False)
-    assert cache_eval.drop_mask is None
-    assert logit_eval == g.mlp_forward(params, x)[0]
+    # the hidden layer is the unmasked one, zeroed where dropped and scaled
+    _, plain = g.mlp_forward(params, x)
+    assert plain.drop_mask is None
+    assert np.array_equal(cache.a1, np.where(mask, plain.a1 * (1.0 / 0.6), 0.0))
+    assert logit == float(params.w2 @ cache.a1 + params.b2[0])
 
 
 def test_shape_validation():
@@ -131,24 +133,36 @@ def test_shape_validation():
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3, 0.9])
+def training_forward(rate, rng, hidden=64):
+    """A recorded training forward_epoch of 3 regression events with head
+    dropout rate (no state dropout) drawing from rng, and m = hidden;
+    returns its tape."""
+    cfg = g.SyntheticConfig(memory=1, num_nodes=4, edges_per_epoch=3)
+    events = g.generate_epoch(cfg, g.Rng(5).substream("data"))
+    model = g.init_model(g.Rng(4), hidden, 1, "regression")  # the head's hidden is m
+    store = g.NodeStateStore.zeros(cfg.num_nodes, model.m)
+    return g.forward_epoch(events, model, store, g.BatchingConfig("sequential", None),
+                           mlp_dropout=rate, dropout_rng=rng, training=True).tape
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.9])
 def test_training_mask_equals_scalar_bernoulli_draws(rate):
-    params = g.init_mlp_parameters(g.Rng(4), 9, 64)
-    x = np.array([g.Rng(5).standard_normal() for _ in range(9)])
+    # a training forward draws each head's hidden mask, head after head
     rng = g.Rng(17)
-    _, cache = g.mlp_forward(params, x, dropout_rate=rate, rng=rng, training=True)
+    tape = training_forward(rate, rng)
     ref = g.Rng(17)
     if rate == 0.0:
-        assert cache.drop_mask is None  # no mask, no draws
+        assert tape.head_mask is None  # no mask, no draws
     else:
-        expected = [not ref.bernoulli(rate) for _ in range(64)]
-        assert cache.drop_mask.tolist() == expected
+        expected = [[[not ref.bernoulli(rate) for _ in range(64)]] for _ in range(3)]
+        assert tape.head_mask.tolist() == expected
+        assert tape.drop_scale == 1.0 / (1.0 - rate)
     assert rng.next_u64() == ref.next_u64()
 
 
 def test_training_mask_rejects_rate_above_one():
-    params = g.init_mlp_parameters(g.Rng(4), 9, 8)
     with pytest.raises(g.ParameterError):
-        g.mlp_forward(params, np.zeros(9), dropout_rate=1.5, rng=g.Rng(0), training=True)
+        training_forward(1.5, g.Rng(0), hidden=8)
 
 
 def stacked_heads(hidden, in_dim, n, seed):
@@ -160,11 +174,19 @@ def stacked_heads(hidden, in_dim, n, seed):
     return params, rng.standard_normal((n, in_dim)), rng.standard_normal(n)
 
 
+def head_mask(rng, shape, rate):
+    """A hidden keep mask of shape drawn from rng, and its scale; rate 0
+    draws none."""
+    if rate == 0.0:
+        return None, 1.0
+    return rng.keep_mask(np.prod(shape), rate).reshape(shape), 1.0 / (1.0 - rate)
+
+
 def stacked_bytes(params, x, grad, rate):
-    """One stacked forward and backward: logits, masks, grad_x, the
-    accumulated gradients and the rng's next draw, as bytes."""
+    """One stacked mask draw, forward and backward: logits, masks, grad_x,
+    the accumulated gradients and the rng's next draw, as bytes."""
     rng = g.Rng(11)
-    logits, cache = g.mlp_forward(params, x, dropout_rate=rate, rng=rng, training=True)
+    logits, cache = g.mlp_forward(params, x, *head_mask(rng, (len(x), params.hidden), rate))
     acc, gx = g.mlp_backward(params, cache, grad)
     mask = b"" if cache.drop_mask is None else cache.drop_mask.tobytes()
     return [logits.tobytes(), mask, gx.tobytes(),
@@ -172,11 +194,11 @@ def stacked_bytes(params, x, grad, rate):
 
 
 def row_bytes(params, x, grad, rate):
-    """The same through one-head calls, in row order: a vector forward, and
-    a backward of its cache as one row."""
+    """The same through one-head calls, in row order: a vector mask draw and
+    forward, and a backward of its cache as one row."""
     rng, acc, logits, masks, gxs = g.Rng(11), None, [], [], []
     for xi, gi in zip(x, grad):
-        logit, cache = g.mlp_forward(params, xi, dropout_rate=rate, rng=rng, training=True)
+        logit, cache = g.mlp_forward(params, xi, *head_mask(rng, (params.hidden,), rate))
         mask = None if cache.drop_mask is None else cache.drop_mask[None]
         row = MlpCache(cache.x[None], cache.a1[None], mask, cache.drop_scale)
         acc, (gx,) = g.mlp_backward(params, row, gi[None], acc)
