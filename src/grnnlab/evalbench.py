@@ -156,18 +156,15 @@ def rank_scores(scores: np.ndarray, true_pos: int | np.ndarray) -> int | list[in
 def rank_true_destination(
     model: GrnnModel,
     store: NodeStateStore,
-    edges: Event | list[Event],
+    edges: list[Event],
     destination_universe: np.ndarray,
-) -> int | list[int]:
-    """Rank one edge's true destination (an int), or each of a list of
-    edges' (a list), among every candidate in the universe, all against the
-    store as it stands. The true destinations are looked up once per call,
-    and every (source, candidate) pair is scored by one mlp_score_batch
-    call; each edge gets the rank it gets alone. A destination outside the
-    universe is a data error naming the first such edge."""
-    one = isinstance(edges, Event)
-    if one:
-        edges = [edges]
+) -> list[int]:
+    """Rank each edge's true destination among every candidate in the
+    universe, all against the store as it stands. The true destinations are
+    looked up once per call, and every (source, candidate) pair is scored by
+    one mlp_score_batch call; each edge gets the rank it gets alone. A
+    destination outside the universe is a data error naming the first such
+    edge."""
     dsts = np.array([ev.dst for ev in edges], dtype=np.int64)
     matches = dsts[:, None] == destination_universe
     known = matches.any(axis=1)
@@ -179,8 +176,7 @@ def rank_true_destination(
         store.states[[ev.src for ev in edges]],
         store.states[destination_universe],
     )
-    ranks = rank_scores(scores, matches.argmax(axis=1))
-    return ranks[0] if one else ranks
+    return rank_scores(scores, matches.argmax(axis=1))
 
 
 def compute_metrics(ranks: list[int], k: int = 10) -> dict:
@@ -209,11 +205,12 @@ def evaluate_ranking(
 ) -> list[int]:
     """Batched evaluation: each batch's edges are ranked by one
     rank_true_destination call against the store as it stood at batch
-    start, then the batch's updates are applied. A sequential stream is
-    ranked one event per batch, so each edge sees every earlier update; it
-    cannot run as dependency levels, since an edge is ranked against every
-    candidate, which later events of its level may update."""
-    if batching.strategy == "sequential":
+    start, then the batch's updates are applied. A sequential or t_batch
+    stream (t-batching is exactly sequential processing) is ranked one event
+    per batch, in event order, so each edge sees every earlier update and no
+    later one; it cannot run as dependency levels, since an edge is ranked
+    against every candidate, which later events of its level may update."""
+    if batching.strategy in ("sequential", "t_batch"):
         batching = BatchingConfig("sequential", 1)
     ranks: list[int] = []
     for batch in build_batches(events, batching):

@@ -239,7 +239,7 @@ def test_criterion_6_benchmark_pipeline(tmp_path):
         store.states[src] = np.eye(n)[true_dst]
         edge = g.Event(index=0, src=src, dst=int(true_dst), time=0.0,
                        features=np.zeros(1))
-        ranks.append(rank_true_destination(model, store, edge, universe))
+        ranks.extend(rank_true_destination(model, store, [edge], universe))
     metrics = compute_metrics(ranks)
     assert metrics["mrr"] == 1.0 and metrics["recall_at_10"] == 1.0
     assert rank_scores(np.zeros(1000), 77) == 1000

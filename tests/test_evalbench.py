@@ -289,7 +289,7 @@ def test_rank_true_destination_with_memorizing_scorer():
     for src, true_dst in ((0, 3), (1, 4), (2, 5)):
         store.states[src] = np.eye(n)[true_dst]  # source remembers its destination
         edge = g.Event(index=0, src=src, dst=int(true_dst), time=0.0, features=np.zeros(1))
-        ranks.append(rank_true_destination(model, store, edge, universe))
+        ranks.extend(rank_true_destination(model, store, [edge], universe))
     metrics = compute_metrics(ranks)
     assert metrics["mrr"] == 1.0 and metrics["recall_at_10"] == 1.0
 
@@ -302,7 +302,7 @@ def test_rank_true_destination_constant_scorer_gives_universe_size():
     store = g.NodeStateStore.zeros(n, 3)
     universe = np.arange(1, 5)
     edge = g.Event(index=0, src=0, dst=2, time=0.0, features=np.zeros(1))
-    assert rank_true_destination(model, store, edge, universe) == len(universe)
+    assert rank_true_destination(model, store, [edge], universe) == [len(universe)]
 
 
 def test_rank_unknown_destination_errors():
@@ -310,7 +310,7 @@ def test_rank_unknown_destination_errors():
     store = g.NodeStateStore.zeros(4, 2)
     edge = g.Event(index=0, src=0, dst=3, time=0.0, features=np.zeros(1))
     with pytest.raises(g.DataError):
-        rank_true_destination(model, store, edge, np.array([1, 2]))
+        rank_true_destination(model, store, [edge], np.array([1, 2]))
 
 
 def edge(k, src, dst):
@@ -325,7 +325,7 @@ def test_unknown_destination_in_a_batch_names_the_first_such_edge():
     with pytest.raises(g.DataError, match="edge 11: true destination 5 outside"):
         rank_true_destination(model, store, edges, universe)
     with pytest.raises(g.DataError, match="edge 12: true destination 4 outside"):
-        rank_true_destination(model, store, edges[2], universe)
+        rank_true_destination(model, store, edges[2:3], universe)
 
 
 @pytest.mark.parametrize("strategy, applied", [("fixed_parallel", 4), ("sequential", 5)])
@@ -379,7 +379,8 @@ def test_list_call_ranks_each_edge_as_it_ranks_alone(n, num_cand, m, seed, zero_
     universe = num_src + rng.permutation(num_cand)
     edges = [edge(k, int(rng.integers(num_src)), int(rng.choice(universe))) for k in range(n)]
     ranks = rank_true_destination(model, store, edges, universe)
-    assert ranks == [rank_true_destination(model, store, ev, universe) for ev in edges]
+    assert ranks == [rank for ev in edges
+                     for rank in rank_true_destination(model, store, [ev], universe)]
     assert ranks == pair_rank_reference(model, store, edges, universe)
     if zero_head:
         assert ranks == [num_cand] * n
@@ -477,18 +478,22 @@ def test_evaluate_ranking_uses_batch_start_states(tmp_path):
     assert ranks == ranks2
 
 
-@pytest.mark.parametrize("size", [None, 1, 7])
-def test_sequential_evaluation_ranks_each_edge_after_every_earlier_update(tmp_path, size):
+@pytest.mark.parametrize("batching", [
+    *(pytest.param(g.BatchingConfig("sequential", size), id=str(size)) for size in (None, 1, 7)),
+    pytest.param(g.BatchingConfig("t_batch", None), id="t_batch"),
+])
+def test_sequential_evaluation_ranks_each_edge_after_every_earlier_update(tmp_path, batching):
+    # t-batching is exactly sequential processing, so it ranks alike: no
+    # edge is ranked against states a later event updated
     write_synthetic_linkstream(str(tmp_path / "s.csv"), num_events=120,
                                num_users=12, num_items=6, seed=4)
     ds = load_jodie_csv(str(tmp_path / "s.csv"))
     model = g.init_model(g.Rng(6), 4, ds.feat_dim, "link_ranking")
     store = g.NodeStateStore.zeros(ds.num_nodes, 4)
-    ranks = evaluate_ranking(model, store, ds.events, ds.destinations,
-                             g.BatchingConfig("sequential", size))
+    ranks = evaluate_ranking(model, store, ds.events, ds.destinations, batching)
     ref_store, ref_ranks = g.NodeStateStore.zeros(ds.num_nodes, 4), []
     for k, ev in enumerate(ds.events):
-        ref_ranks.append(rank_true_destination(model, ref_store, ev, ds.destinations))
+        ref_ranks.extend(rank_true_destination(model, ref_store, [ev], ds.destinations))
         g.run_batch(ref_store, g.Batch([ev], "sequential", k), model)
     assert ranks == ref_ranks
     assert np.array_equal(store.states, ref_store.states)
