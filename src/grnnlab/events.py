@@ -62,9 +62,6 @@ class NodeStateStore:
         self.last_update_event.fill(-1)
         return self
 
-    def copy(self) -> "NodeStateStore":
-        return NodeStateStore(self.states.copy(), self.last_update_event.copy())
-
 
 @dataclass
 class Batch:

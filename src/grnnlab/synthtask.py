@@ -51,10 +51,6 @@ class OracleState:
     def zeros(cls, num_nodes: int, memory: int) -> "OracleState":
         return cls(buffers=np.zeros((num_nodes, memory + 1)))
 
-    @property
-    def memory(self) -> int:
-        return self.buffers.shape[1] - 1
-
 
 def oracle_step(state: OracleState, src: int, dst: int, x: float) -> float:
     """Emit the target for one edge and apply the FIFO update in place."""
