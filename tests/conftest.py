@@ -5,13 +5,21 @@ time (OPENBLAS_CORETYPE selects another set), so a failing golden should
 show which core it ran under.
 
 Every run draws the same Hypothesis examples and keeps no example database,
-so a run neither depends on nor writes .hypothesis/ state.
+so a run neither depends on nor writes .hypothesis/ state. What Hypothesis
+still stores (its cache of literals read from the test sources) goes to one
+fixed directory under the system temp dir, not into the checkout, unless
+HYPOTHESIS_STORAGE_DIRECTORY names another.
 """
 
 import ctypes
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import settings
+
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "grnnlab-hypothesis"))
 
 settings.register_profile("fixed", derandomize=True, database=None)
 settings.load_profile("fixed")
