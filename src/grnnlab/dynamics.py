@@ -224,6 +224,8 @@ def run_batch(
     level; a sequential batch runs event by event. With state_dropout, keep
     holds the state keep masks, (batch.updates, m): update row u (as
     run_levels numbers it) takes keep[u]."""
+    if keep is None and state_dropout is not None and state_dropout.rate != 0.0:
+        raise ParameterError("run_batch: state dropout needs its keep masks")
     events = batch.events
     if batch.strategy != "sequential":
         # a batch that repeats no node (every t-batch) drops no update: no filter

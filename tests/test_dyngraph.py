@@ -240,6 +240,20 @@ def test_unknown_node_id_leaves_store_and_tape_untouched(strategy):
     assert tape.n_events == 0 and tape.n_rows == 0
 
 
+@pytest.mark.parametrize("strategy", ["sequential", "t_batch", "fixed_parallel"])
+def test_state_dropout_without_keep_masks_raises(strategy):
+    # run_batch draws no masks, so a state dropout without them is an error,
+    # raised before any update, not a forward without dropout
+    model = g.init_model(g.Rng(0), 2, 1, "regression")
+    store = g.NodeStateStore.zeros(5, 2)
+    batch = g.Batch(events=make_events([(0, 1), (2, 3)]), strategy=strategy)
+    with pytest.raises(g.ParameterError, match="keep masks"):
+        run_batch(store, batch, model, None, g.StateDropout(0.3, "regular", g.Rng(0)))
+    assert not store.states.any() and (store.last_update_event == -1).all()
+    run_batch(store, batch, model, None, g.StateDropout(0.0, "regular", g.Rng(0)))
+    assert store.last_update_event.tolist() == [0, 0, 1, 1, -1]  # rate 0 needs none
+
+
 def test_last_update_event_strictly_increases():
     events = make_events(random_pairs(9, 40, 5))
     model = g.init_model(g.Rng(9), 2, 1, "regression")
