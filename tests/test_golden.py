@@ -7,9 +7,11 @@ here means the training arithmetic changed, not just its structure. A repr
 of the gradient norm can miss a moved gradient bit, so GRADIENT_DIGESTS
 pins the bytes of every gradient buffer as well.
 
-The bits also depend on the OpenBLAS kernels numpy runs (conftest), so
-every assertion names the core the goldens were recorded under and the one
-this run uses.
+The bits also depend on the OpenBLAS kernels numpy runs (conftest), so the
+tables are kept per OpenBLAS core and looked up by the core this run uses;
+a core with no tables fails every golden, and every assertion names the
+recorded cores and the running one. test_golden_cores.py runs this module
+under the Haswell kernels, so one host checks both tables.
 """
 
 import hashlib
@@ -22,11 +24,10 @@ from grnnlab.adamw import AdamwState
 from grnnlab.evalbench import load_jodie_csv, write_synthetic_linkstream
 
 EPOCHS = 3
-RECORDED_CORE = "SkylakeX"  # the OpenBLAS core every golden was recorded under
 
 
 def core_note() -> str:
-    return (f"goldens recorded under OpenBLAS core {RECORDED_CORE}; "
+    return (f"goldens recorded under OpenBLAS cores {', '.join(TABLES)}; "
             f"this run uses {openblas_core()}")
 
 GOLDEN = {
@@ -232,34 +233,35 @@ def link_curve(tmp_path, mode, kind, batching=g.BatchingConfig("fixed_parallel",
 
 @pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
 def test_synth_golden_bits(mode):
-    assert synth_curve(mode) == GOLDEN[f"synth_{mode}"], core_note()
+    assert synth_curve(mode) == recorded("golden", f"synth_{mode}"), core_note()
 
 
 def test_synth_tbatch_truncated_golden_bits():
     # t_batch batches of a regression stream read each earlier-batch row at
     # most once, so summing a batch's one-hop tails per row moves no bit here
     curve = synth_curve("t_bptt", g.BatchingConfig("t_batch", None))
-    assert curve == GOLDEN["synth_t_bptt_tbatch"], core_note()
+    assert curve == recorded("golden", "synth_t_bptt_tbatch"), core_note()
 
 
 def test_synth_sequential_truncated_golden_bits():
     # sequential batches of three events have several dependency levels, and
     # a window of batches is swept level by level across its batches
     curve = synth_curve("t_bptt", g.BatchingConfig("sequential", 3))
-    assert curve == GOLDEN["synth_t_bptt_sequential3"], core_note()
+    assert curve == recorded("golden", "synth_t_bptt_sequential3"), core_note()
 
 
 @pytest.mark.parametrize("kind", ["regular", "recurrent"])
 @pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
 def test_link_ranking_golden_bits(tmp_path, mode, kind):
-    assert link_curve(tmp_path, mode, kind) == GOLDEN[f"link_{mode}_{kind}"], core_note()
+    curve = link_curve(tmp_path, mode, kind)
+    assert curve == recorded("golden", f"link_{mode}_{kind}"), core_note()
 
 
 @pytest.mark.parametrize("mode", ["f_bptt", "t_bptt"])
 def test_link_ranking_tbatch_golden_bits(tmp_path, mode):
     # a second parallel strategy: conflict-free batches of varying size
     curve = link_curve(tmp_path, mode, "regular", g.BatchingConfig("t_batch", None))
-    assert curve == GOLDEN[f"link_{mode}_tbatch"], core_note()
+    assert curve == recorded("golden", f"link_{mode}_tbatch"), core_note()
 
 
 @pytest.mark.parametrize("kind", ["regular", "recurrent"])
@@ -269,7 +271,7 @@ def test_link_ranking_sequential_truncated_golden_bits(tmp_path, kind):
     # (event, then role), then its head-dropout masks, with state and head
     # masks sharing one stream
     curve = link_curve(tmp_path, "t_bptt", kind, g.BatchingConfig("sequential", 5))
-    assert curve == GOLDEN[f"link_t_bptt_sequential5_{kind}"], core_note()
+    assert curve == recorded("golden", f"link_t_bptt_sequential5_{kind}"), core_note()
 
 
 def synth_gradient_digests(mode, batching):
@@ -291,12 +293,12 @@ def synth_gradient_digests(mode, batching):
 def test_synth_full_gradient_golden_bytes():
     # one spanning batch: 5 of the first epoch's 10 sweep levels hold one event
     digests = synth_gradient_digests("f_bptt", g.BatchingConfig("sequential", None))
-    assert digests == GRADIENT_DIGESTS["synth_f_bptt_spanning"], core_note()
+    assert digests == recorded("gradients", "synth_f_bptt_spanning"), core_note()
 
 
 def test_synth_truncated_gradient_golden_bytes():
     digests = synth_gradient_digests("t_bptt", g.BatchingConfig("sequential", 7))
-    assert digests == GRADIENT_DIGESTS["synth_t_bptt_sequential7"], core_note()
+    assert digests == recorded("gradients", "synth_t_bptt_sequential7"), core_note()
 
 
 LINK_DIGEST_CASES = [
@@ -315,7 +317,7 @@ def test_link_ranking_gradient_golden_bytes(tmp_path, name, mode, kind, batching
     # the parallel strategies' gradients, byte for byte: the GOLDEN reprs of
     # the same runs can miss a moved gradient bit
     digests = link_curve(tmp_path, mode, kind, batching, row=gradient_digest)
-    assert digests == GRADIENT_DIGESTS[name], core_note()
+    assert digests == recorded("gradients", name), core_note()
 
 
 SEQUENTIAL_BATCHINGS = [("sequential5", g.BatchingConfig("sequential", 5)),
@@ -335,7 +337,7 @@ def test_link_ranking_sequential_gradient_golden_bytes(tmp_path, name, mode, kin
     # t_bptt forwards its windows as dependency levels, whose rows run out
     # of event order, and f_bptt forwards event by event
     digests = link_curve(tmp_path, mode, kind, batching, row=gradient_digest)
-    assert digests == GRADIENT_DIGESTS[name], core_note()
+    assert digests == recorded("gradients", name), core_note()
 
 
 FORWARD_DIGESTS = {
@@ -348,6 +350,126 @@ FORWARD_DIGESTS = {
     "spanning_regular": "aa9bb4473ab667a115d891c8ab23908d9ca1b688332abf22c89a926d512ae9ff",
     "spanning_recurrent": "fbdbb431fae473ec1e966a96600ecbdeef30d61af633ffa302b0255cc67475fe",
 }
+
+
+# The same runs under OpenBLAS's Haswell (AVX2) kernels, recorded with
+# OPENBLAS_CORETYPE=Haswell set on the recording process: the entries whose
+# bits differ from SkylakeX's. Every gradient digest differs.
+HASWELL_GOLDEN = {
+    "link_f_bptt_tbatch": [
+        "(1.3863046461524429, 1.9513545938575096)",
+        "(1.3859545625811107, 1.0461612568332344)",
+        "(1.3860113685400144, 1.7519302980162799)",
+    ],
+    "link_t_bptt_sequential5_regular": [
+        "(1.3855576609329583, 1.4501674189234555)",
+        "(1.386642484743415, 1.5317146651172502)",
+        "(1.3860448478129972, 1.8623572179739818)",
+    ],
+}
+
+HASWELL_GRADIENT_DIGESTS = {
+    "synth_f_bptt_spanning": [
+        "a503664ac1544744ef150c776498c7e5b726e0070f024073b1161169d5afcb08",
+        "2814d9d994ee4cc9ebb9ca8c9057d96cd5f0ceb9dd6d663e38b7ff17d6f6b4eb",
+    ],
+    "synth_t_bptt_sequential7": [
+        "d9373350e3340fed7cfef43d94a485a87cac5e1e44731a793c5e7edc0b015f7a",
+        "57a59817ccba235afbce5d99bb585cf8929fc8a7f4d6a67353f6b32b100699bf",
+    ],
+    "link_f_bptt_regular": [
+        "82b01cfe52826c4be33d243822b25015f9d2acf78d509279b22f02e532649d65",
+        "1d0fc3e1b122a669f1314e29b66349c3fab510f5ce3d92840d9961947c938faa",
+        "3a83a5f3a708c7328b2e1f514e7727b165833ae4890095aa2272d6d06b039f7a",
+    ],
+    "link_t_bptt_regular": [
+        "99534668ede264ed3ede8d00d554afc1ffb08e031e84fde7cc1ed8c963bec236",
+        "0843a025d32b5a242d2db6c8482b79a0bdbfc30edd1c9b28a0aee0936e43aeb7",
+        "cc9e32b528efd8ab18f5b66465edbb7b097de1dc02968c932eed3d442bc6a3a0",
+    ],
+    "link_f_bptt_recurrent": [
+        "c5bdad9f64517d8e8a6a84521f8644ccaf81465746150bbc7bb0f42685e56bcc",
+        "6adf386e0b059a240f7d1e77a4d5d5bfd5728566e6f7c50b7ee3597121f6944d",
+        "73b73ff387f3a1d942a2d6ad50e4d824965cfc4c4deea640cd27c55fa868b65a",
+    ],
+    "link_t_bptt_recurrent": [
+        "861c23c83dcf363b8b7263e70836d69dc5c1145fcec793b61cf5fd34e4f8e792",
+        "8ffc574c7465ec24b33833d1d51e1812075b8c1d66a6065be6dbde75dcd4e43d",
+        "a21a55ccd67b44d3d976537d7cb4f10495395f28482af73a2d1c08d0b585c110",
+    ],
+    "link_f_bptt_tbatch": [
+        "3997ea50df8bacef567bcdfe7c9bd6d5365be86f5d958696267491a88e5ebe7c",
+        "d26f53b98684fc6e9dbf749facde3db3f7e7fb01f5c910a4ebf54da0b402c28c",
+        "d800438d24bbb2a5d19de8dd9aac51dbe7057a532dec270ced82cbd49bc865ef",
+    ],
+    "link_t_bptt_tbatch": [
+        "ef0c225380deee83dc6fc590bd1de09a927efebbf1ca7e9935720b2805e15a6d",
+        "96dab3afa2753d13a113d2a66bd9c7924428f8f7dae5488dd06ab7ba0488ea1a",
+        "ada9a5046032d2420af5ac8139b049edd1be8accf87cb35bfc0d57d451cb393e",
+    ],
+    "link_f_bptt_sequential5_regular": [
+        "1f48270b5e86c18b31abad8da4515ed1c20d2d67cdcfe7a8e01955ffa426ae90",
+        "6f408547cc640301d7704dfab4e9b0aa3b5658df6857d4321f56fd3221a30575",
+        "0d4e628550a6490e66eec2f39f2888b3cd129ab52084b1e516e62a8ae4b0529c",
+    ],
+    "link_f_bptt_sequential5_recurrent": [
+        "c86a218af5f722609716fa37fe46f86bf121287011b088b0a0a2407ddd47ff1d",
+        "4ab0f487e50251497e050e5e377d0c9b5935598e73eb7ce2f56d677027866601",
+        "6be64bb7e48bca86d5e7767e328481ed5325918b23bf388a4b81a6c008ea7a3a",
+    ],
+    "link_t_bptt_sequential5_regular": [
+        "7067b7f29b285f3de94885200cc9d43f2551f3f223dfd7d9a1c7900ddfa0e8a8",
+        "3f0c0a1a842f375bce58beff40d3912d6907c50ff2c1b9ee76196629018ed9c2",
+        "dec84b546d2cf7c1882b221b1bf557ba877a90910a3c777d55db5123a6060913",
+    ],
+    "link_t_bptt_sequential5_recurrent": [
+        "8857691dad3b3c1855b19db8ae61a77f8d118fb256e4a2c5035ddbdf5c1e6053",
+        "750f48eecd364e5ef8d468ed30e18d2afede1f044cfe3fb66e48fbb6843a8a92",
+        "011927c7836938031f5c70863f536838367d56341b4bb26e6cd3e60a8e160561",
+    ],
+    "link_f_bptt_spanning_regular": [
+        "72caa61e9e118b9143fa5aa2aa98497ad8ef32b406fe4990f0864c6742b7c896",
+        "ef85ac16919941497166c2c272153a808827da692b7c94c63fe95c12ec3d3302",
+        "0dfe37d06c719ba616fcbfbe486cb6e7ad6ff94d0b0184ba12e930deee49fa24",
+    ],
+    "link_f_bptt_spanning_recurrent": [
+        "28562db75dff779999842d35c483997ca56b80b004f5f7c291b566eccc76074e",
+        "beb8782b4fffc3f052eb9536168d6e2b6ea6ed749bfa86f34938928eb0c5825d",
+        "21ecf2f91e06261742c057af44fd4341dd6f8a714f86e1319387e65c469e17ba",
+    ],
+    "link_t_bptt_spanning_regular": [
+        "72caa61e9e118b9143fa5aa2aa98497ad8ef32b406fe4990f0864c6742b7c896",
+        "ef85ac16919941497166c2c272153a808827da692b7c94c63fe95c12ec3d3302",
+        "0dfe37d06c719ba616fcbfbe486cb6e7ad6ff94d0b0184ba12e930deee49fa24",
+    ],
+    "link_t_bptt_spanning_recurrent": [
+        "28562db75dff779999842d35c483997ca56b80b004f5f7c291b566eccc76074e",
+        "beb8782b4fffc3f052eb9536168d6e2b6ea6ed749bfa86f34938928eb0c5825d",
+        "21ecf2f91e06261742c057af44fd4341dd6f8a714f86e1319387e65c469e17ba",
+    ],
+}
+
+HASWELL_FORWARD_DIGESTS = {
+    "fixed_parallel_regular": "fa46452ae2a5fda90570e16f85de64384fc7ae1feac6e010fbf27d43a0656756",
+    "tbatch_regular": "047eb3ded5d01a1b938e6e963d452a81bf2269e7a29e4620aa326d2bc5e74956",
+    "sequential5_regular": "d9e5d8fb96e119c98da14158a0c0d5df78079386f141461a31140e0704de4fb1",
+    "spanning_regular": "938cc083982a0eb590d84703bdbb8e911fd2dfe42c264d118dd8e135b1395451",
+    "spanning_recurrent": "3429b726b1752f76e9fd7eea01753c32fa7cbec059aaf5cdc7f7475ce721132b",
+}
+
+# per OpenBLAS core, every table's values
+TABLES = {
+    "SkylakeX": {"golden": GOLDEN, "gradients": GRADIENT_DIGESTS, "forward": FORWARD_DIGESTS},
+    "Haswell": {"golden": {**GOLDEN, **HASWELL_GOLDEN}, "gradients": HASWELL_GRADIENT_DIGESTS,
+                "forward": {**FORWARD_DIGESTS, **HASWELL_FORWARD_DIGESTS}},
+}
+
+
+def recorded(table: str, name: str):
+    """Entry name of table ("golden", "gradients" or "forward") as recorded
+    under this run's OpenBLAS core, or None under a core with no tables."""
+    tables = TABLES.get(openblas_core())
+    return None if tables is None else tables[table][name]
 
 
 def forward_digest(tmp_path, kind, batching):
@@ -389,7 +511,7 @@ def test_parallel_forward_epoch_golden_bytes(tmp_path, name, kind, batching):
     # the recorded parallel forward perfbench's linkrank tape_forward runs:
     # batches of 16 repeat nodes, so some updates are dropped, and state
     # and head masks share one stream
-    assert forward_digest(tmp_path, kind, batching) == FORWARD_DIGESTS[name], core_note()
+    assert forward_digest(tmp_path, kind, batching) == recorded("forward", name), core_note()
 
 
 SEQUENTIAL_FORWARD_CASES = [(f"{batch_name}_{kind}", kind, batching)
@@ -402,4 +524,5 @@ SEQUENTIAL_FORWARD_CASES = [(f"{batch_name}_{kind}", kind, batching)
 def test_sequential_forward_epoch_golden_bytes(tmp_path, name, kind, batching):
     # a recorded forward_epoch runs sequential batches as dependency levels,
     # out of event order, with every mask drawn in event order
-    assert forward_digest(tmp_path, kind, batching) == FORWARD_DIGESTS[name], core_note()
+    assert forward_digest(tmp_path, kind, batching) == recorded("forward", name), core_note()
+
