@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,3 +188,27 @@ def test_endpoint_symmetry():
     forward = fifo_targets_bruteforce(pairs, xs, 2)
     swapped = fifo_targets_bruteforce([(d, s) for s, d in pairs], xs, 2)
     assert forward == swapped
+
+
+def epoch_digest(memory, seed):
+    """The sha256 of a generated epoch: each event's src, dst, repr(y) and
+    feature bytes."""
+    events = g.generate_epoch(g.SyntheticConfig(memory=memory), g.Rng(seed).substream("data"))
+    sha = hashlib.sha256()
+    for ev in events:
+        sha.update(f"{ev.src},{ev.dst},{ev.y!r};".encode())
+        sha.update(ev.features.tobytes())
+    return sha.hexdigest()
+
+
+EPOCH_DIGESTS = {
+    (1, 3): "f497a76c2336197b3e4a6354196b377fbdb110ca9d49f1385e4a67ae9fc77de8",
+    (4, 11): "e15c415e06b442bbe242a0f90e194e7ca72a3066b8dfd6f6fbfc31e430ae2cde",
+    (8, 29): "ee417ffca046533463a76e35b365bc8b0e8788a509bdfa714ca8db5fd18d6e6c",
+}
+
+
+@pytest.mark.parametrize("memory,seed", list(EPOCH_DIGESTS))
+def test_generated_epoch_golden_bytes(memory, seed):
+    # the events and targets of the default 1000-event epoch, bit for bit
+    assert epoch_digest(memory, seed) == EPOCH_DIGESTS[memory, seed]
