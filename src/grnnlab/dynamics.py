@@ -82,10 +82,9 @@ class Tape:
 
     A tape holds `events` events and `rows` update rows above its first
     `base` rows; Batch.updates gives the rows a batch needs. Truncated
-    training sets base to the node count, marks where each batch starts in
-    `starts`, and sweeps a window of batches at a time: releasing the window
-    carries each node's producing row into the node's own row, so the tape
-    holds the nodes plus one window. The records
+    training sets base to the node count and sweeps a window of batches at
+    a time: releasing the window carries each node's producing row into the
+    node's own row, so the tape holds the nodes plus one window. The records
     are preallocated, so len(records) is the update rows the tape pins: the
     sum of the batches' updates, or the nodes plus the largest window's.
     """
@@ -106,7 +105,6 @@ class Tape:
         self.head_mask, self.drop_scale = None, 1.0  # set by the first score with a mask
         self.producer = np.full(nodes, -1, dtype=np.int64)
         self.base = self.n_rows = base
-        self.starts = [(0, base)]  # (first event, first row) per batch, if marked
         self.n_events = self.n_scored = 0
 
     def __len__(self) -> int:
@@ -174,7 +172,6 @@ class Tape:
         self.records.put(carried, self.records.take(self.producer[carried]))
         self.producer[carried] = carried
         self.n_events, self.n_scored, self.n_rows = 0, 0, self.base
-        self.starts = [(0, self.base)]
 
 
 def _node_ids(store: NodeStateStore, events: list[Event], extras: list) -> np.ndarray:

@@ -33,10 +33,12 @@ first, as JODIE's t-batches walk them forward, and within a level by batch,
 then descending event index, so each level's heads and updates run as the
 stacked rows of a few kernel calls, each row with the bits it would get
 alone. A batch of one level (a parallel batch, or a sequential batch of one
-event) stages the same rows in the same order whatever its window. f_bptt
-has one batch on its tape, so its order (level, event index) is a property
-of the dataflow graph, not of the batching, and the f_bptt gradient has the
-same bits under every batching strategy.
+event) stages the same rows in the same order whatever its window. The
+sweep alone works out where a read is cut, from the batches of the window
+it is given. f_bptt gives it none, so every event has the one cut and its
+order (level, event index) is a property of the dataflow graph, not of the
+batching, and the f_bptt gradient has the same bits under every batching
+strategy.
 """
 
 from __future__ import annotations
@@ -372,12 +374,15 @@ def _backward_records(
     acc: GradientAccumulator,
     tails: _Tails,
     state_dropout: StateDropout | None,
+    batches: list[Batch],
 ) -> None:
-    """Reverse sweep over the tape's events and rows above its base (a window
-    of batches, or the whole epoch), one dependency level at a time.
+    """Reverse sweep over the tape's events and rows above its base, one
+    dependency level at a time. With batches (a truncated window, forwarded
+    onto the tape in order), each event's reads are cut at the first row of
+    its batch: base plus the updates of the window's earlier batches. With
+    none (the whole epoch under full BPTT), the cut is base for every event.
 
-    An event's reads are cut at the first row of its batch (tape.starts):
-    above the cut they chain, below it (an earlier batch's row) they get a
+    Above the cut a read chains, below it (an earlier batch's row) it gets a
     one-hop tail, and -1 (an epoch-initial state) is a constant. An event's
     level is 1 plus the highest level among the events that produced its
     reads above the cut, so when a level runs, the gradients on every state
@@ -395,9 +400,11 @@ def _backward_records(
     n = tape.n_events
     link = tape.head_grad.shape[1] == 2
     reads, writes, index = tape.reads[:n].tolist(), tape.writes[:n].tolist(), tape.index[:n].tolist()
-    cuts: list[int] = []  # per event, the first row of its batch
-    for (e0, cut), (e1, _) in zip(tape.starts, tape.starts[1:] + [(n, 0)]):
-        cuts += [cut] * (e1 - e0)
+    cuts, cut = [], base  # per event, the first row of its batch
+    for batch in batches:
+        cuts += [cut] * len(batch.events)
+        cut += batch.updates
+    cuts = cuts or [base] * n  # no batches: one cut, at base
     row_level = [0] * (tape.n_rows - base)
     by_level: list[list[int]] = []
     for e in range(n):
@@ -521,15 +528,13 @@ def train_epoch(
     acc = GradientAccumulator(params)
     truncate = mode == "t_bptt"
     batches = build_batches(events, batching)
-    if truncate:  # one row per node, for the carried producers, plus the largest window
-        windows = list(_windows(batches))
-        tape = Tape(model, store.num_nodes,
-                    max((sum(len(b.events) for b in w) for w in windows), default=0),
-                    max((sum(b.updates for b in w) for w in windows), default=0),
-                    base=store.num_nodes)
-    else:  # the epoch is one window
-        windows = [batches]
-        tape = Tape(model, store.num_nodes, len(events), sum(b.updates for b in batches))
+    # full BPTT's epoch is one window; a truncated tape holds one row per node,
+    # for the carried producers, below the largest window
+    windows = list(_windows(batches)) if truncate else [batches]
+    tape = Tape(model, store.num_nodes,
+                max((sum(len(b.events) for b in w) for w in windows), default=0),
+                max((sum(b.updates for b in w) for w in windows), default=0),
+                base=store.num_nodes if truncate else 0)
     forward = dict(task=task or model.task, training=True, rng=rng, neg_universe=neg_universe,
                    state_dropout=state_dropout, mlp_dropout=mlp_dropout, dropout_rng=dropout_rng,
                    per_event=not truncate)
@@ -538,15 +543,8 @@ def train_epoch(
     for window in windows:
         for batch_loss in _forward(window, model, store, tape, **forward):
             total_loss += batch_loss
-        if truncate:
-            e, row = tape.starts[0]
-            for batch in window[:-1]:  # the next batch's reads are cut at its first row
-                e, row = e + len(batch.events), row + batch.updates
-                tape.starts.append((e, row))
-        # only the nodes' producing rows (one GRU cache each) outlive a
-        # truncated window, for the one-hop tails
-        _backward_records(tape, model, acc, tails, state_dropout)
-        if truncate:
+        _backward_records(tape, model, acc, tails, state_dropout, window if truncate else [])
+        if truncate:  # only the nodes' producing rows outlive the window, for the tails
             tape.release()
     tails.run()
     adamw_step(optimizer, params, acc.buffers)
