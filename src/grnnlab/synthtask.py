@@ -17,6 +17,7 @@ back a model must remember.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,26 +44,25 @@ class SyntheticConfig:
 
 @dataclass
 class OracleState:
-    """Per-node FIFO buffers, shape (num_nodes, M + 1), zero-initialized."""
+    """Per-node FIFO buffers: one deque of floats per node, slots 0..M in
+    order, zero-initialized and full, so storing at slot 0 drops slot M."""
 
-    buffers: np.ndarray
+    buffers: list[deque]
 
     @classmethod
     def zeros(cls, num_nodes: int, memory: int) -> "OracleState":
-        return cls(buffers=np.zeros((num_nodes, memory + 1)))
+        return cls(buffers=[deque([0.0] * (memory + 1), maxlen=memory + 1)
+                            for _ in range(num_nodes)])
 
 
 def oracle_step(state: OracleState, src: int, dst: int, x: float) -> float:
     """Emit the target for one edge and apply the FIFO update in place."""
     if src == dst:
         raise ParameterError(f"self-loop on node {src}")
-    buf = state.buffers
-    tail_s = float(buf[src, -1])
-    tail_d = float(buf[dst, -1])
-    buf[src, 1:] = buf[src, :-1]
-    buf[dst, 1:] = buf[dst, :-1]
-    buf[src, 0] = 0.5 * tail_d + 0.5 * x
-    buf[dst, 0] = 0.5 * tail_s + 0.5 * x
+    buf_s, buf_d = state.buffers[src], state.buffers[dst]
+    tail_s, tail_d = buf_s[-1], buf_d[-1]
+    buf_s.appendleft(0.5 * tail_d + 0.5 * x)
+    buf_d.appendleft(0.5 * tail_s + 0.5 * x)
     return tail_s + tail_d
 
 

@@ -30,7 +30,7 @@ def test_memory_one_trace():
     state = g.OracleState.zeros(2, 1)
     ys = [g.oracle_step(state, 0, 1, x) for x in (1.0, 2.0, 0.0)]
     assert ys == [0.0, 0.0, 1.0]
-    assert state.buffers[0].tolist() == [0.25, 1.0]
+    assert list(state.buffers[0]) == [0.25, 1.0]
 
 
 def test_fifo_fill_time():
