@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -290,7 +290,6 @@ class TrialResult:
     epochs_run: int
     best_epoch: int
     best_val_mrr: float
-    val_history: list[dict] = field(default_factory=list)
 
 
 def _eval_split(
@@ -377,7 +376,6 @@ def run_trial(
         epochs_run=epochs_run,
         best_epoch=best["epoch"],
         best_val_mrr=best["mrr"],
-        val_history=history,
     )
 
 
@@ -409,7 +407,7 @@ def write_synthetic_linkstream(
         else:
             # popularity skew: quadratic tilt toward low item ids
             item = min(rng.randrange(num_items), rng.randrange(num_items))
-        feats = ",".join(repr(rng.standard_normal()) for _ in range(feat_dim))
-        lines.append(f"u{user},i{item},{float(k)!r},0,{feats}")
+        feats = [repr(rng.standard_normal()) for _ in range(feat_dim)]
+        lines.append(",".join([f"u{user}", f"i{item}", repr(float(k)), "0", *feats]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -504,3 +504,17 @@ def test_synthetic_linkstream_is_deterministic(tmp_path):
     write_synthetic_linkstream(p1, num_events=500, seed=11)
     write_synthetic_linkstream(p2, num_events=500, seed=11)
     assert open(p1).read() == open(p2).read()
+
+
+@pytest.mark.parametrize("feat_dim", [0, 1, 3])
+def test_synthetic_linkstream_round_trips_through_the_loader(tmp_path, feat_dim):
+    path = str(tmp_path / "s.csv")
+    write_synthetic_linkstream(path, num_events=20, num_users=5, num_items=3,
+                               feat_dim=feat_dim, seed=4)
+    rows = [line.split(",") for line in open(path).read().splitlines()[1:]]
+    dataset = load_jodie_csv(path)
+    assert dataset.feat_dim == feat_dim and len(dataset.events) == len(rows) == 20
+    for ev, row in zip(dataset.events, rows):
+        assert len(row) == 4 + feat_dim
+        assert ev.time == float(row[2])
+        assert ev.features.tolist() == [float(x) for x in row[4:]]
