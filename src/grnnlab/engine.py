@@ -33,12 +33,10 @@ first, as JODIE's t-batches walk them forward, and within a level by batch,
 then descending event index, so each level's heads and updates run as the
 stacked rows of a few kernel calls, each row with the bits it would get
 alone. A batch of one level (a parallel batch, or a sequential batch of one
-event) stages the same rows in the same order whatever its window. The
-sweep alone works out where a read is cut, from the batches of the window
-it is given. f_bptt gives it none, so every event has the one cut and its
-order (level, event index) is a property of the dataflow graph, not of the
-batching, and the f_bptt gradient has the same bits under every batching
-strategy.
+event) stages the same rows in the same order whatever its window. f_bptt
+gives the sweep no batches, so its order (level, event index) is a property
+of the dataflow graph, not of the batching, and the f_bptt gradient has the
+same bits under every batching strategy.
 """
 
 from __future__ import annotations
@@ -376,17 +374,17 @@ def _backward_records(
     state_dropout: StateDropout | None,
     batches: list[Batch],
 ) -> None:
-    """Reverse sweep over the tape's events and rows above its base, one
-    dependency level at a time. With batches (a truncated window, forwarded
-    onto the tape in order), each event's reads are cut at the first row of
-    its batch: base plus the updates of the window's earlier batches. With
-    none (the whole epoch under full BPTT), the cut is base for every event.
+    """Reverse sweep over the tape's events and rows above its base (a window
+    of batches, or the whole epoch), one dependency level at a time.
 
-    Above the cut a read chains, below it (an earlier batch's row) it gets a
-    one-hop tail, and -1 (an epoch-initial state) is a constant. An event's
-    level is 1 plus the highest level among the events that produced its
-    reads above the cut, so when a level runs, the gradients on every state
-    it produced are complete. Per level, by batch, then descending event
+    An event's reads are cut at the first row of its batch in `batches`,
+    the window in forward order: base plus the earlier batches' updates.
+    f_bptt passes no batches, so every cut is base. Above the cut reads
+    chain, below it (an earlier batch's row) they get a one-hop tail, and
+    -1 (an epoch-initial state) is a constant. An event's level is 1 plus
+    the highest level among the events that produced its reads above the
+    cut, so when a level runs, the gradients on every state it produced
+    are complete. Per level, by batch, then descending event
     index: the prediction heads in one call (each event's in order), rebuilt
     from head_in with one mlp_hidden call recomputing the forward's bits,
     the updates in chunks of at most TILE rows, then the state gradients go
